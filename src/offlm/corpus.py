@@ -8,8 +8,8 @@ when quoted; parsing goes through the csv module so quoting round-trips.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,18 +40,6 @@ class SplitSpec:
             raise ConfigError("split ratios must be positive")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ConfigError(f"split ratios sum to {sum(self.ratios)}, not 1")
-
-
-@dataclass
-class Batch:
-    ids: np.ndarray            # [B, max_len] int64 token ids
-    attention_mask: np.ndarray  # [B, max_len] int64, 1 = real token
-    labels: Optional[np.ndarray] = None  # per-example class ids or MLM targets
-    instance_ids: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.ids.shape != self.attention_mask.shape:
-            raise DataError("ids and attention_mask shapes differ")
 
 
 def _read_rows(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:

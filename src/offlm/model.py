@@ -210,7 +210,8 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
 
 
 def mlm_logits(hidden: Tensor, model: Model) -> Tensor:
-    """Per-position vocabulary scores [B, n, V] (pre-softmax)."""
+    """Vocabulary scores [..., V] (pre-softmax) for hidden states [..., d],
+    e.g. [B, n, d] or the gathered masked rows [m, d]."""
     if model.config.tie_mlm_weights:
         w = ag.transpose(model.params["token_embedding"], (1, 0))
     else:
@@ -255,7 +256,8 @@ def save_checkpoint(model: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     """Read a checkpoint directory back into a Model. Rejects unknown
-    format versions, shape drift, and corrupted parameter files."""
+    format versions, shape drift, and corrupted parameter files; a
+    manifest with a missing or unknown key is a DataError naming it."""
     manifest_path = os.path.join(path, "manifest.json")
     try:
         with open(manifest_path, encoding="utf-8") as f:
@@ -264,15 +266,27 @@ def load_checkpoint(path) -> Model:
         raise DataError(f"{manifest_path}: not found") from e
     except json.JSONDecodeError as e:
         raise DataError(f"{manifest_path}: invalid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: expected a JSON object")
+
+    def field(table, key, where):
+        try:
+            return table[key]
+        except (KeyError, TypeError) as e:
+            raise DataError(f"{manifest_path}: {where} has no {key!r} key") from e
+
     version = manifest.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
             f"{path}: checkpoint format version {version}, "
             f"expected {CHECKPOINT_FORMAT_VERSION}")
-    config = ModelConfig(**manifest["config"])
-    num_classes = manifest["num_classes"]
+    try:
+        config = ModelConfig(**field(manifest, "config", "manifest"))
+    except TypeError as e:  # unknown or missing config key
+        raise DataError(f"{manifest_path}: bad config: {e}") from e
+    num_classes = field(manifest, "num_classes", "manifest")
     expected = param_shapes(config, num_classes)
-    listed = manifest["params"]
+    listed = field(manifest, "params", "manifest")
     if set(listed) != set(expected):
         extra = sorted(set(listed) - set(expected))
         missing = sorted(set(expected) - set(listed))
@@ -280,15 +294,17 @@ def load_checkpoint(path) -> Model:
             f"{path}: parameter set mismatch (extra {extra}, missing {missing})")
     params: dict[str, Tensor] = {}
     for name, shape in expected.items():
-        entry = listed[name]
-        if tuple(entry["shape"]) != shape:
+        where = f"params entry {name!r}"
+        entry_shape = tuple(field(listed[name], "shape", where))
+        digest = field(listed[name], "sha256", where)
+        if entry_shape != shape:
             raise ShapeError(
                 f"{path}: tensor {name} has manifest shape "
-                f"{tuple(entry['shape'])}, config requires {shape}")
+                f"{entry_shape}, config requires {shape}")
         file_path = os.path.join(path, _param_filename(name))
         with open(file_path, "rb") as f:
             raw = f.read()
-        if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
+        if hashlib.sha256(raw).hexdigest() != digest:
             raise DataError(f"{file_path}: checksum mismatch for tensor {name}")
         data = np.frombuffer(raw, dtype="<f4")
         if data.size != int(np.prod(shape)):

@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, DataError
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -44,6 +46,12 @@ class Vocabulary:
         self.sep_id = self.token_to_id[SEP]
         self.mask_id = self.token_to_id[MASK]
         self.special_ids = frozenset(self.token_to_id[s] for s in SPECIAL_TOKENS)
+        # sorted, read-only id arrays that masking reads for every sequence
+        self.special_id_array = np.array(sorted(self.special_ids), dtype=np.int64)
+        self.non_special_id_array = np.setdiff1d(
+            np.arange(len(self.tokens), dtype=np.int64), self.special_id_array)
+        self.special_id_array.flags.writeable = False
+        self.non_special_id_array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -60,7 +68,7 @@ class Vocabulary:
         return self.tokens[token_id]
 
     def non_special_ids(self) -> list[int]:
-        return [i for i in range(len(self.tokens)) if i not in self.special_ids]
+        return self.non_special_id_array.tolist()
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

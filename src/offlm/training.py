@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .errors import ConfigError, DataError, NumericError
 from .model import Model, classify, encode, mlm_logits, save_checkpoint
 from .optim import AdamState, adam_step, clip_global_norm, global_grad_norm
 from .tokenizer import TokenizedSequence, Vocabulary, tokenize
+
+Example = tuple[TokenizedSequence, int]  # a tokenized text and its class id
 
 
 @dataclass
@@ -97,6 +99,8 @@ class StepRecord:
     loss: float
     lr: float
     grad_norm: float
+    tokens: int     # real (attention 1) tokens in the step's batch(es)
+    positions: int  # B x n positions encoded, after the cut to n
 
 
 @dataclass
@@ -134,7 +138,7 @@ def mask_tokens(seq: TokenizedSequence, vocab: Vocabulary, cfg: PretrainConfig,
     """
     ids = np.asarray(seq.ids, dtype=np.int64)
     attn = np.asarray(seq.attention_mask, dtype=np.int64)
-    maskable = (attn == 1) & ~np.isin(ids, sorted(vocab.special_ids))
+    maskable = (attn == 1) & ~np.isin(ids, vocab.special_id_array)
     selected = maskable & (rng.random(ids.shape) < cfg.mask_prob)
     input_ids = ids.copy()
     positions = np.flatnonzero(selected)
@@ -145,7 +149,7 @@ def mask_tokens(seq: TokenizedSequence, vocab: Vocabulary, cfg: PretrainConfig,
         input_ids[positions[to_mask]] = vocab.mask_id
         rand_positions = positions[to_random]
         if rand_positions.size:
-            pool = np.asarray(vocab.non_special_ids(), dtype=np.int64)
+            pool = vocab.non_special_id_array
             if pool.size == 0:
                 raise DataError("vocabulary has no non-special tokens to sample")
             input_ids[rand_positions] = pool[rng.integers(pool.size,
@@ -212,24 +216,26 @@ def _spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
-def _stack_batch(seqs: Sequence[TokenizedSequence]) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.stack([np.asarray(s.ids, dtype=np.int64) for s in seqs])
-    attn = np.stack([np.asarray(s.attention_mask, dtype=np.int64) for s in seqs])
-    return ids, attn
+def _stack_batch(seqs: Sequence[TokenizedSequence], *columns) -> tuple[np.ndarray, ...]:
+    """Collate into int64 [B, n] ids, attention mask, then one array per extra
+    column of rows; n is the longest real length, so only trailing padding is cut."""
+    attn = np.array([s.attention_mask for s in seqs], dtype=np.int64)
+    n = int(attn.sum(axis=1).max())
+    rows = ([s.ids for s in seqs], attn, *columns)
+    return tuple(np.asarray(r, dtype=np.int64)[:, :n] for r in rows)
 
 
-def mlm_batch_loss(model: Model, outcomes: Sequence[MaskingOutcome],
-                   attn: np.ndarray, train_mode: bool,
+def mlm_batch_loss(model: Model, input_ids: np.ndarray, attn: np.ndarray,
+                   targets: np.ndarray, mask: np.ndarray, train_mode: bool,
                    rng: Optional[np.random.Generator]) -> ag.Tensor:
-    """Mean masked cross-entropy over one collated batch."""
-    input_ids = np.stack([o.input_ids for o in outcomes])
-    targets = np.stack([o.target_ids for o in outcomes]).reshape(-1)
-    mask = np.stack([o.mask_indicator for o in outcomes]).reshape(-1)
+    """Mean masked cross-entropy over one collated [B, n] batch. Only the
+    masked rows of the hidden states reach the vocabulary projection."""
     hidden = encode(input_ids, attn, model, train_mode=train_mode, rng=rng)
-    logits = mlm_logits(hidden, model)
-    batch, seq_len, vocab_size = logits.shape
-    flat = ag.reshape(logits, (batch * seq_len, vocab_size))
-    return ag.masked_cross_entropy(flat, targets, mask, reduction="mean")
+    batch, seq_len, width = hidden.shape
+    rows = np.flatnonzero(mask)
+    picked = ag.take(ag.reshape(hidden, (batch * seq_len, width)), rows)
+    return ag.masked_cross_entropy(mlm_logits(picked, model), targets.reshape(-1)[rows],
+                                   np.ones_like(rows), reduction="mean")
 
 
 def pretrain(texts: Sequence[str], vocab: Vocabulary, model: Model,
@@ -256,14 +262,16 @@ def pretrain(texts: Sequence[str], vocab: Vocabulary, model: Model,
                                   seed=epoch_seed):
             step += 1
             outcomes = [mask_tokens(s, vocab, cfg, mask_rng) for s in batch]
-            if sum(int(o.mask_indicator.sum()) for o in outcomes) == 0:
-                log.steps.append(StepRecord(step, 0.0, cfg.lr, 0.0))
+            ids, attn, input_ids, mask = _stack_batch(
+                batch, [o.input_ids for o in outcomes],
+                [o.mask_indicator for o in outcomes])
+            if not mask.any():
+                log.steps.append(StepRecord(step, 0.0, cfg.lr, 0.0, int(attn.sum()), 0))
                 continue
-            _, attn = _stack_batch(batch)
             try:
                 ag.zero_grads(tensors)
-                loss = mlm_batch_loss(model, outcomes, attn, train_mode=True,
-                                      rng=dropout_rng)
+                loss = mlm_batch_loss(model, input_ids, attn, ids, mask,
+                                      train_mode=True, rng=dropout_rng)
                 ag.backward(loss)
                 norm = global_grad_norm(tensors)
                 clip_global_norm(tensors, cfg.max_grad_norm)
@@ -272,7 +280,8 @@ def pretrain(texts: Sequence[str], vocab: Vocabulary, model: Model,
                 raise NumericError(
                     f"pretraining aborted at epoch {epoch} step {step} "
                     f"(lr {cfg.lr}): {e}") from e
-            log.steps.append(StepRecord(step, float(loss.item()), cfg.lr, norm))
+            log.steps.append(StepRecord(step, float(loss.item()), cfg.lr, norm,
+                                        int(attn.sum()), attn.size))
             if (checkpoint_dir and cfg.checkpoint_every > 0
                     and step % cfg.checkpoint_every == 0):
                 save_checkpoint(model, os.path.join(checkpoint_dir, f"step-{step}"))
@@ -291,48 +300,38 @@ def _restore(model: Model, snapshot: dict[str, np.ndarray]) -> None:
         t.data = snapshot[name].copy()
 
 
-def _class_batch_loss(model: Model, batch: Sequence[LabeledInstance],
-                      vocab: Vocabulary, label_to_id: dict[str, int],
-                      max_len: int, train_mode: bool,
-                      rng: Optional[np.random.Generator]) -> ag.Tensor:
-    seqs = [tokenize(inst.text, vocab, max_len) for inst in batch]
-    ids, attn = _stack_batch(seqs)
-    targets = np.array([label_to_id[inst.label] for inst in batch], dtype=np.int64)
-    hidden = encode(ids, attn, model, train_mode=train_mode, rng=rng)
-    logits = classify(hidden, model)
+def tokenize_labeled(data: Sequence[LabeledInstance], vocab: Vocabulary,
+                     label_to_id: dict[str, int], max_len: int) -> list[Example]:
+    """Tokenize each instance once, pairing it with its class id."""
+    return [(tokenize(x.text, vocab, max_len), label_to_id[x.label]) for x in data]
+
+
+def _class_loss(model: Model, batch: Sequence[Example], reduction: str,
+                train_mode: bool = False, rng: Optional[np.random.Generator] = None,
+                ) -> tuple[ag.Tensor, np.ndarray]:
+    """Cross-entropy over a batch, and the batch's collated attention mask."""
+    ids, attn = _stack_batch([seq for seq, _ in batch])
+    logits = classify(encode(ids, attn, model, train_mode=train_mode, rng=rng), model)
+    targets = np.array([label for _, label in batch], dtype=np.int64)
     ones = np.ones(len(batch), dtype=np.int64)
-    return ag.masked_cross_entropy(logits, targets, ones, reduction="mean")
+    return ag.masked_cross_entropy(logits, targets, ones, reduction=reduction), attn
 
 
-def evaluation_loss(model: Model, data: Sequence[LabeledInstance],
-                    vocab: Vocabulary, label_to_id: dict[str, int],
-                    max_len: int, batch_size: int) -> float:
-    """Mean classification cross-entropy over a dataset, no dropout."""
-    total, count = 0.0, 0
-    for batch in make_batches(data, batch_size, shuffle=False):
-        seqs = [tokenize(inst.text, vocab, max_len) for inst in batch]
-        ids, attn = _stack_batch(seqs)
-        targets = np.array([label_to_id[inst.label] for inst in batch],
-                           dtype=np.int64)
-        hidden = encode(ids, attn, model, train_mode=False, rng=None)
-        logits = classify(hidden, model)
-        ones = np.ones(len(batch), dtype=np.int64)
-        loss = ag.masked_cross_entropy(logits, targets, ones, reduction="sum")
-        total += float(loss.item())
-        count += len(batch)
-    return total / count
+def evaluation_loss(model: Model, examples: Sequence[Example], batch_size: int) -> float:
+    """Mean classification cross-entropy over `tokenize_labeled` examples, no dropout."""
+    total = 0.0
+    for batch in make_batches(examples, batch_size, shuffle=False):
+        total += float(_class_loss(model, batch, "sum")[0].item())
+    return total / len(examples)
 
 
 def predict_class_ids(texts: Sequence[str], vocab: Vocabulary, model: Model,
                       max_len: int, batch_size: int = 32) -> list[int]:
     """Argmax class index per text."""
     out: list[int] = []
-    for start in range(0, len(texts), batch_size):
-        chunk = texts[start:start + batch_size]
-        seqs = [tokenize(t, vocab, max_len) for t in chunk]
-        ids, attn = _stack_batch(seqs)
-        hidden = encode(ids, attn, model, train_mode=False, rng=None)
-        logits = classify(hidden, model)
+    for chunk in make_batches(texts, batch_size, shuffle=False):
+        ids, attn = _stack_batch([tokenize(t, vocab, max_len) for t in chunk])
+        logits = classify(encode(ids, attn, model, train_mode=False, rng=None), model)
         out.extend(int(i) for i in np.argmax(logits.data, axis=-1))
     return out
 
@@ -364,15 +363,16 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
         raise DataError("training data contains a single class; need >= 2")
 
     carve = SplitSpec((1.0 - cfg.eval_fraction, cfg.eval_fraction), cfg.seed)
-    train_part, eval_part = split(list(train_data), carve)
-    if not train_part or not eval_part:
+    train_set, eval_set = split(
+        tokenize_labeled(train_data, vocab, label_to_id, cfg.max_len), carve)
+    if not train_set or not eval_set:
         raise DataError(
             f"{len(train_data)} examples leave an empty partition at "
             f"eval_fraction {cfg.eval_fraction}")
 
     shuffle_rng, dropout_rng = _spawn_rngs(cfg.seed, 2)
     accum = cfg.gradient_accumulation_steps
-    micro_per_epoch = math.ceil(len(train_part) / cfg.batch_size)
+    micro_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
     steps_per_epoch = math.ceil(micro_per_epoch / accum)
     total_steps = max(1, steps_per_epoch * cfg.epochs)
     eval_every = cfg.eval_every or max(1, steps_per_epoch // cfg.evals_per_epoch)
@@ -387,8 +387,7 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
     stopped = False
 
     def run_eval() -> bool:
-        loss = evaluation_loss(model, eval_part, vocab, label_to_id,
-                               cfg.max_len, cfg.batch_size)
+        loss = evaluation_loss(model, eval_set, cfg.batch_size)
         should_stop = stopper.update(loss)
         if stopper.improved:
             nonlocal best
@@ -403,19 +402,19 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
         if stopped:
             break
         epoch_seed = int(shuffle_rng.integers(2 ** 63))
-        micro_batches = list(make_batches(train_part, cfg.batch_size,
+        micro_batches = list(make_batches(train_set, cfg.batch_size,
                                           shuffle=True, seed=epoch_seed))
         for group_start in range(0, len(micro_batches), accum):
             group = micro_batches[group_start:group_start + accum]
             try:
                 ag.zero_grads(tensors)
-                group_loss = 0.0
+                group_loss, tokens, positions = 0.0, 0, 0
                 for micro in group:
-                    loss = _class_batch_loss(model, micro, vocab, label_to_id,
-                                             cfg.max_len, train_mode=True,
-                                             rng=dropout_rng) / len(group)
+                    loss, attn = _class_loss(model, micro, "mean", True, dropout_rng)
+                    loss = loss / len(group)
                     ag.backward(loss)
                     group_loss += float(loss.item())
+                    tokens, positions = tokens + int(attn.sum()), positions + attn.size
                 lr = lr_at(opt_step, total_steps, cfg.lr, cfg.warmup_ratio)
                 norm = global_grad_norm(tensors)
                 clip_global_norm(tensors, cfg.max_grad_norm)
@@ -425,7 +424,8 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
                     f"fine-tuning aborted at epoch {epoch} optimizer step "
                     f"{opt_step}: {e}") from e
             opt_step += 1
-            log.steps.append(StepRecord(opt_step, group_loss, lr, norm))
+            log.steps.append(StepRecord(opt_step, group_loss, lr, norm,
+                                        tokens, positions))
             if opt_step % eval_every == 0:
                 if run_eval():
                     stopped = True

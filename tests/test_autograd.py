@@ -217,6 +217,14 @@ def test_take_selects_and_scatters_grad():
     np.testing.assert_array_equal(x.grad, expected)
 
 
+def test_take_integer_rows_grad_matches_fd():
+    rng = np.random.default_rng(11)
+    x = rand_tensor(rng, (6, 3))
+    w = Tensor(rng.standard_normal((3, 3)))
+    rows = np.array([0, 2, 5])  # sorted and distinct, as np.flatnonzero gives
+    check_grad(lambda: ag.tensor_sum(ag.mul(ag.take(x, rows), w)), x)
+
+
 def test_tensor_sum_axis_semantics():
     x = Tensor(np.ones((2, 3)))
     assert ag.tensor_sum(x).data == 6.0

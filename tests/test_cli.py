@@ -189,6 +189,24 @@ def test_evaluate_missing_model_dir_exit_3(tmp_path):
     assert proc.returncode == 3
 
 
+def test_evaluate_malformed_manifest_exit_3(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    manifest = ckpt / "manifest.json"
+    manifest.write_text(json.dumps({"format_version": 1, "num_classes": 2,
+                                    "config": {"vocab_size": 16}}))
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\na\n")
+    proc = run_cli("evaluate", "--model-dir", str(ckpt), "--vocab", str(vocab),
+                   "--labels", "not,off",
+                   "--data", os.path.join(FIXTURES, "labeled.tsv"),
+                   "--output-dir", str(tmp_path / "eval"))
+    assert proc.returncode == 3, proc.stderr
+    assert str(manifest) in proc.stderr
+    assert "params" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def declared_entry_point():
     tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(PKG_ROOT, "pyproject.toml"), "rb") as f:

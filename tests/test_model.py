@@ -254,3 +254,31 @@ def test_float64_init_for_verification():
     rng = np.random.default_rng(5)
     ids, attn = sample_batch(rng, TINY)
     assert encode(ids, attn, m).data.dtype == np.float64
+
+
+def _drop_key(table, key):
+    del table[key]
+
+
+MANIFEST_DEFECTS = {
+    "params": lambda m: _drop_key(m, "params"),
+    "config": lambda m: _drop_key(m, "config"),
+    "num_classes": lambda m: _drop_key(m, "num_classes"),
+    "sha256": lambda m: _drop_key(m["params"]["mlm.bias"], "sha256"),
+    "shape": lambda m: _drop_key(m["params"]["mlm.bias"], "shape"),
+    "colour": lambda m: m["config"].update(colour="red"),
+    "vocab_size": lambda m: _drop_key(m["config"], "vocab_size"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MANIFEST_DEFECTS))
+def test_checkpoint_malformed_manifest_is_data_error(tmp_path, key):
+    save_checkpoint(tiny_model(), tmp_path / "ckpt")
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.load(open(manifest_path))
+    MANIFEST_DEFECTS[key](manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError) as info:
+        load_checkpoint(tmp_path / "ckpt")
+    assert str(manifest_path) in str(info.value)
+    assert key in str(info.value)

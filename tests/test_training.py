@@ -6,21 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from offlm import autograd as ag
 from offlm.corpus import LabeledInstance
 from offlm.errors import ConfigError, DataError
-from offlm.model import ModelConfig, encode, init_params, load_checkpoint
+from offlm.model import (ModelConfig, classify, encode, init_params,
+                         load_checkpoint, mlm_logits)
 from offlm.tokenizer import build_vocab, tokenize
 from offlm.training import (
     EarlyStopper,
     FinetuneConfig,
+    MaskingOutcome,
     PretrainConfig,
     TrainLog,
+    _stack_batch,
     evaluation_loss,
     finetune,
     lr_at,
     mask_tokens,
+    mlm_batch_loss,
     predict_class_ids,
     pretrain,
+    tokenize_labeled,
 )
 
 TEXTS = [
@@ -36,12 +42,15 @@ TEXTS = [
 
 VOCAB = build_vocab(TEXTS, target_size=120)
 
+# real lengths 4, 8, 5 and 6 at max_len 12, so a batch of them is cut to n = 8
+MIXED = ["a cat", "the cat chased the red dog", "the dog dug", "a bird sang near"]
 
-def small_model(seed=0, **overrides):
+
+def small_model(seed=0, dtype=np.float32, **overrides):
     base = dict(vocab_size=len(VOCAB), num_layers=1, hidden_size=16,
                 num_heads=2, max_position=12, dropout_rate=0.0)
     base.update(overrides)
-    return init_params(ModelConfig(**base), seed=seed)
+    return init_params(ModelConfig(**base), seed=seed, dtype=dtype)
 
 
 def labeled_pair_data():
@@ -115,6 +124,48 @@ def test_mask_invariants_hold_for_any_seed(seed, text):
     assert out.mask_indicator[attn == 0].sum() == 0
     assert out.mask_indicator[np.isin(ids, sorted(VOCAB.special_ids))].sum() == 0
     np.testing.assert_array_equal(out.target_ids, ids)
+
+
+def _mask_tokens_oracle(seq, vocab, cfg, rng):
+    """mask_tokens as it was before the vocabulary cached its id arrays."""
+    ids = np.asarray(seq.ids, dtype=np.int64)
+    attn = np.asarray(seq.attention_mask, dtype=np.int64)
+    maskable = (attn == 1) & ~np.isin(ids, sorted(vocab.special_ids))
+    selected = maskable & (rng.random(ids.shape) < cfg.mask_prob)
+    input_ids = ids.copy()
+    positions = np.flatnonzero(selected)
+    if positions.size:
+        u = rng.random(positions.size)
+        to_mask = u < cfg.replace_mask_frac
+        to_random = ~to_mask & (u < cfg.replace_mask_frac + cfg.replace_random_frac)
+        input_ids[positions[to_mask]] = vocab.mask_id
+        rand_positions = positions[to_random]
+        if rand_positions.size:
+            pool = np.asarray(vocab.non_special_ids(), dtype=np.int64)
+            input_ids[rand_positions] = pool[rng.integers(pool.size,
+                                                          size=rand_positions.size)]
+    return MaskingOutcome(input_ids=input_ids, target_ids=ids,
+                          mask_indicator=selected.astype(np.int64))
+
+
+@pytest.mark.parametrize("cfg", [
+    PretrainConfig(),
+    PretrainConfig(mask_prob=0.6, replace_mask_frac=0.2,
+                   replace_random_frac=0.7, keep_frac=0.1),
+])
+def test_mask_tokens_matches_pre_change_oracle(cfg):
+    assert VOCAB.non_special_ids() == [
+        i for i in range(len(VOCAB)) if i not in VOCAB.special_ids]
+    for seed in range(6):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for text in TEXTS + MIXED:
+            seq = tokenize(text, VOCAB, max_len=12)
+            got = mask_tokens(seq, VOCAB, cfg, rng)
+            want = _mask_tokens_oracle(seq, VOCAB, cfg, oracle_rng)
+            for field in ("input_ids", "target_ids", "mask_indicator"):
+                np.testing.assert_array_equal(getattr(got, field),
+                                              getattr(want, field))
+        assert rng.random() == oracle_rng.random()  # same number of draws
 
 
 def test_fractions_must_sum_to_one():
@@ -303,11 +354,10 @@ def test_finetune_gradient_accumulation_runs():
 def test_evaluation_loss_matches_mean_cross_entropy_scale():
     model = small_model(seed=9)
     data = labeled_pair_data()[:4]
-    loss = evaluation_loss(model, data, VOCAB, {"feline": 0, "canine": 1},
-                           max_len=12, batch_size=2)
+    examples = tokenize_labeled(data, VOCAB, {"feline": 0, "canine": 1}, max_len=12)
+    loss = evaluation_loss(model, examples, batch_size=2)
     assert 0.0 < loss < 5.0
-    again = evaluation_loss(model, data, VOCAB, {"feline": 0, "canine": 1},
-                            max_len=12, batch_size=4)
+    again = evaluation_loss(model, examples, batch_size=4)
     assert loss == pytest.approx(again, rel=1e-6)
 
 
@@ -325,8 +375,9 @@ def test_predict_class_ids_batch_size_invariant():
 
 def test_trainlog_jsonl_round_trip(tmp_path):
     model = small_model(seed=11)
-    cfg = PretrainConfig(epochs=1, batch_size=4, max_len=12, lr=1e-3, seed=0)
-    log = pretrain(TEXTS, VOCAB, model, cfg)
+    cfg = PretrainConfig(epochs=2, batch_size=len(MIXED), max_len=12, lr=1e-3,
+                         mask_prob=0.5, seed=0)
+    log = pretrain(MIXED, VOCAB, model, cfg)
     path = tmp_path / "log.jsonl"
     log.save_jsonl(path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -335,3 +386,106 @@ def test_trainlog_jsonl_round_trip(tmp_path):
     assert kinds[-1] == "stop"
     assert lines[-1]["reason"] == "epochs_exhausted"
     assert all("loss" in rec for rec in lines if rec["kind"] == "step")
+    lengths = [sum(tokenize(t, VOCAB, 12).attention_mask) for t in MIXED]
+    for rec in (r for r in lines if r["kind"] == "step"):
+        assert rec["tokens"] == sum(lengths)
+        assert rec["positions"] == len(MIXED) * max(lengths) < len(MIXED) * 12
+
+
+# --- collation and the masked-row MLM head (float64 oracles) ---------------
+
+
+def _max_len_collate(seqs):
+    """The collation that padded every batch to max_len."""
+    ids = np.stack([np.asarray(s.ids, dtype=np.int64) for s in seqs])
+    attn = np.stack([np.asarray(s.attention_mask, dtype=np.int64) for s in seqs])
+    return ids, attn
+
+
+def _full_projection_loss(model, input_ids, attn, targets, mask):
+    """The MLM loss that projected every position onto the vocabulary."""
+    logits = mlm_logits(encode(input_ids, attn, model, train_mode=False), model)
+    batch, seq_len, vocab_size = logits.shape
+    flat = ag.reshape(logits, (batch * seq_len, vocab_size))
+    return ag.masked_cross_entropy(flat, targets.reshape(-1), mask.reshape(-1),
+                                   reduction="mean")
+
+
+def _loss_and_grads(model, build):
+    ag.zero_grads(t for _, t in model.named_params())
+    loss = build()
+    ag.backward(loss)
+    return loss.item(), {name: t.grad for name, t in model.named_params()}
+
+
+def test_masked_row_loss_and_grads_match_full_projection():
+    model = small_model(seed=12, dtype=np.float64)
+    cfg = PretrainConfig(mask_prob=0.5)
+    rng = np.random.default_rng(0)
+    seqs = [tokenize(t, VOCAB, max_len=12) for t in MIXED]
+    outcomes = [mask_tokens(s, VOCAB, cfg, rng) for s in seqs]
+    ids, attn, input_ids, mask = _stack_batch(
+        seqs, [o.input_ids for o in outcomes], [o.mask_indicator for o in outcomes])
+    assert ids.shape == (len(MIXED), 8) and 0 < mask.sum() < attn.sum()
+
+    got, got_grads = _loss_and_grads(model, lambda: mlm_batch_loss(
+        model, input_ids, attn, ids, mask, train_mode=False, rng=None))
+    want, want_grads = _loss_and_grads(model, lambda: _full_projection_loss(
+        model, input_ids, attn, ids, mask))
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+    for name, grad in want_grads.items():
+        if grad is None:  # classifier head: not on the MLM path
+            assert got_grads[name] is None, name
+        else:
+            np.testing.assert_allclose(got_grads[name], grad, rtol=1e-10,
+                                       atol=1e-16, err_msg=name)
+
+
+def test_batch_max_padding_matches_max_len_classification_oracle():
+    model = small_model(seed=13, dtype=np.float64)
+    seqs = [tokenize(t, VOCAB, max_len=12) for t in MIXED]
+    ids, attn = _stack_batch(seqs)
+    full_ids, full_attn = _max_len_collate(seqs)
+    assert ids.shape == (len(MIXED), 8) and full_ids.shape == (len(MIXED), 12)
+    np.testing.assert_allclose(classify(encode(ids, attn, model), model).data,
+                               classify(encode(full_ids, full_attn, model), model).data,
+                               rtol=1e-10)
+
+    label_to_id = {"feline": 0, "canine": 1}
+    data = [LabeledInstance(str(i), t, ("feline", "canine")[i % 2])
+            for i, t in enumerate(MIXED)]
+    targets = np.array([label_to_id[x.label] for x in data])
+    total = 0.0
+    for start in (0, 2):
+        full_ids, full_attn = _max_len_collate(seqs[start:start + 2])
+        logits = classify(encode(full_ids, full_attn, model), model)
+        total += ag.masked_cross_entropy(logits, targets[start:start + 2],
+                                         np.ones(2, dtype=np.int64)).item()
+    got = evaluation_loss(model, tokenize_labeled(data, VOCAB, label_to_id, 12),
+                          batch_size=2)
+    np.testing.assert_allclose(got, total / len(data), rtol=1e-10)
+
+
+def test_collation_cuts_to_longest_real_sequence():
+    long_text = " ".join(TEXTS[:3])  # 18 words, truncated to fill max_len
+    seqs = [tokenize(t, VOCAB, max_len=12) for t in MIXED[:1] + [long_text]]
+    ids, attn, extra = _stack_batch(seqs, [s.ids for s in seqs])
+    assert ids.shape == attn.shape == extra.shape == (2, 12)
+    ids, attn = _stack_batch([tokenize(t, VOCAB, max_len=12) for t in MIXED])
+    assert ids.shape == (len(MIXED), 8)
+    assert attn.sum() == sum(sum(tokenize(t, VOCAB, 12).attention_mask)
+                             for t in MIXED)
+
+
+def test_pretrain_with_dropout_is_bitwise_repeatable_on_cut_batches():
+    cfg = PretrainConfig(epochs=2, batch_size=3, max_len=12, lr=1e-3,
+                         mask_prob=0.5, seed=3)
+    runs = []
+    for _ in range(2):
+        model = small_model(seed=14, dropout_rate=0.1)
+        runs.append((model, pretrain(MIXED + TEXTS[:2], VOCAB, model, cfg)))
+    (m1, log1), (m2, log2) = runs
+    assert log1.steps == log2.steps
+    assert any(r.positions < 3 * 12 for r in log1.steps)
+    for name, t in m1.params.items():
+        np.testing.assert_array_equal(t.data, m2.params[name].data)
