@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+
+from offlm.cli import build_parser
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(PKG_ROOT, "tests", "fixtures")
@@ -41,6 +44,162 @@ def test_no_arguments_shows_usage_and_exits_2():
 def test_unknown_subcommand_exits_2():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2
+
+
+def cli_surface(parser):
+    """Per subcommand, the set of (option strings, type, default, required,
+    choices, action) that `build_parser()` declares."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {(tuple(a.option_strings), getattr(a.type, "__name__", a.type),
+                a.default, a.required,
+                tuple(a.choices) if a.choices else None, type(a).__name__)
+               for a in p._actions}
+        for name, p in sub.choices.items()}
+
+
+EXPECTED_SURFACE = {
+    "select": {
+        (("--hi",), "float", 1.0, False, None, "_StoreAction"),
+        (("--id-column",), None, "id", False, None, "_StoreAction"),
+        (("--input",), None, None, True, None, "_StoreAction"),
+        (("--lo",), "float", None, True, None, "_StoreAction"),
+        (("--output",), None, None, True, None, "_StoreAction"),
+        (("--score-column",), None, "average", False, None, "_StoreAction"),
+        (("--text-column",), None, "text", False, None, "_StoreAction"),
+        (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
+    },
+    "preprocess": {
+        (("--config",), None, None, False, None, "_StoreAction"),
+        (("--emoji-map",), None, None, False, None, "_StoreAction"),
+        (("--input",), None, None, True, None, "_StoreAction"),
+        (("--keep-all",), None, False, False, None, "_StoreTrueAction"),
+        (("--lexicon",), None, None, False, None, "_StoreAction"),
+        (("--min-chars",), "int", None, False, None, "_StoreAction"),
+        (("--min-words",), "int", None, False, None, "_StoreAction"),
+        (("--output",), None, None, True, None, "_StoreAction"),
+        (("--text-column",), None, "text", False, None, "_StoreAction"),
+        (("--url-placeholder",), None, None, False, None, "_StoreAction"),
+        (("--user-placeholder",), None, None, False, None, "_StoreAction"),
+        (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
+    },
+    "build-vocab": {
+        (("--input",), None, None, True, None, "_StoreAction"),
+        (("--min-frequency",), "int", 1, False, None, "_StoreAction"),
+        (("--output",), None, None, True, None, "_StoreAction"),
+        (("--size",), "int", None, True, None, "_StoreAction"),
+        (("--text-column",), None, "text", False, None, "_StoreAction"),
+        (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
+    },
+    "pretrain": {
+        (("--batch-size",), "int", None, False, None, "_StoreAction"),
+        (("--checkpoint-every",), "int", None, False, None, "_StoreAction"),
+        (("--config",), None, None, False, None, "_StoreAction"),
+        (("--corpus",), None, None, True, None, "_StoreAction"),
+        (("--dropout-rate",), "float", None, False, None, "_StoreAction"),
+        (("--epochs",), "int", None, False, None, "_StoreAction"),
+        (("--hidden-size",), "int", None, False, None, "_StoreAction"),
+        (("--init-checkpoint",), None, None, False, None, "_StoreAction"),
+        (("--intermediate-size",), "int", None, False, None, "_StoreAction"),
+        (("--lr",), "float", None, False, None, "_StoreAction"),
+        (("--mask-prob",), "float", None, False, None, "_StoreAction"),
+        (("--max-grad-norm",), "float", None, False, None, "_StoreAction"),
+        (("--max-len",), "int", None, False, None, "_StoreAction"),
+        (("--max-position",), "int", None, False, None, "_StoreAction"),
+        (("--model-seed",), "int", 0, False, None, "_StoreAction"),
+        (("--num-classes",), "int", 2, False, None, "_StoreAction"),
+        (("--num-heads",), "int", None, False, None, "_StoreAction"),
+        (("--num-layers",), "int", None, False, None, "_StoreAction"),
+        (("--output-dir",), None, None, True, None, "_StoreAction"),
+        (("--seed",), "int", None, False, None, "_StoreAction"),
+        (("--text-column",), None, "text", False, None, "_StoreAction"),
+        (("--vocab",), None, None, True, None, "_StoreAction"),
+        (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
+    },
+    "finetune": {
+        (("--accumulation-steps",), "int", None, False, None, "_StoreAction"),
+        (("--adam-epsilon",), "float", None, False, None, "_StoreAction"),
+        (("--batch-size",), "int", None, False, None, "_StoreAction"),
+        (("--config",), None, None, False, None, "_StoreAction"),
+        (("--dropout-rate",), "float", None, False, None, "_StoreAction"),
+        (("--epochs",), "int", None, False, None, "_StoreAction"),
+        (("--eval-every",), "int", None, False, None, "_StoreAction"),
+        (("--eval-fraction",), "float", None, False, None, "_StoreAction"),
+        (("--evals-per-epoch",), "int", None, False, None, "_StoreAction"),
+        (("--hidden-size",), "int", None, False, None, "_StoreAction"),
+        (("--init-checkpoint",), None, None, False, None, "_StoreAction"),
+        (("--intermediate-size",), "int", None, False, None, "_StoreAction"),
+        (("--label-column",), None, "label", False, None, "_StoreAction"),
+        (("--labels",), None, None, True, None, "_StoreAction"),
+        (("--lr",), "float", None, False, None, "_StoreAction"),
+        (("--max-grad-norm",), "float", None, False, None, "_StoreAction"),
+        (("--max-len",), "int", None, False, None, "_StoreAction"),
+        (("--max-position",), "int", None, False, None, "_StoreAction"),
+        (("--model-seed",), "int", 0, False, None, "_StoreAction"),
+        (("--num-heads",), "int", None, False, None, "_StoreAction"),
+        (("--num-layers",), "int", None, False, None, "_StoreAction"),
+        (("--output-dir",), None, None, True, None, "_StoreAction"),
+        (("--patience",), "int", None, False, None, "_StoreAction"),
+        (("--seed",), "int", None, False, None, "_StoreAction"),
+        (("--text-column",), None, "text", False, None, "_StoreAction"),
+        (("--train",), None, None, True, None, "_StoreAction"),
+        (("--vocab",), None, None, True, None, "_StoreAction"),
+        (("--warmup-ratio",), "float", None, False, None, "_StoreAction"),
+        (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
+    },
+    "evaluate": {
+        (("--batch-size",), "int", 32, False, None, "_StoreAction"),
+        (("--checkpoint",), None, None, False, None, "_StoreAction"),
+        (("--data",), None, None, True, None, "_StoreAction"),
+        (("--dataset-id",), None, None, False, None, "_StoreAction"),
+        (("--format",), None, "markdown", False, ("json", "markdown", "tsv"), "_StoreAction"),
+        (("--label-column",), None, "label", False, None, "_StoreAction"),
+        (("--labels",), None, None, False, None, "_StoreAction"),
+        (("--max-len",), "int", None, False, None, "_StoreAction"),
+        (("--model-dir",), None, None, False, None, "_StoreAction"),
+        (("--model-id",), None, None, False, None, "_StoreAction"),
+        (("--output-dir",), None, None, True, None, "_StoreAction"),
+        (("--text-column",), None, "text", False, None, "_StoreAction"),
+        (("--vocab",), None, None, False, None, "_StoreAction"),
+        (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
+    },
+    "sweep": {
+        (("--batch-size",), "int", None, False, None, "_StoreAction"),
+        (("--bins",), None, None, True, None, "_StoreAction"),
+        (("--checkpoint-every",), "int", None, False, None, "_StoreAction"),
+        (("--config",), None, None, False, None, "_StoreAction"),
+        (("--dataset-id",), None, None, False, None, "_StoreAction"),
+        (("--dropout-rate",), "float", None, False, None, "_StoreAction"),
+        (("--epochs",), "int", None, False, None, "_StoreAction"),
+        (("--eval",), None, None, False, None, "_StoreAction"),
+        (("--format",), None, "markdown", False, ("json", "markdown", "tsv"), "_StoreAction"),
+        (("--hidden-size",), "int", None, False, None, "_StoreAction"),
+        (("--intermediate-size",), "int", None, False, None, "_StoreAction"),
+        (("--label-column",), None, "label", False, None, "_StoreAction"),
+        (("--labels",), None, None, True, None, "_StoreAction"),
+        (("--lr",), "float", None, False, None, "_StoreAction"),
+        (("--mask-prob",), "float", None, False, None, "_StoreAction"),
+        (("--max-grad-norm",), "float", None, False, None, "_StoreAction"),
+        (("--max-len",), "int", None, False, None, "_StoreAction"),
+        (("--max-position",), "int", None, False, None, "_StoreAction"),
+        (("--model-seed",), "int", 0, False, None, "_StoreAction"),
+        (("--num-heads",), "int", None, False, None, "_StoreAction"),
+        (("--num-layers",), "int", None, False, None, "_StoreAction"),
+        (("--output-dir",), None, None, True, None, "_StoreAction"),
+        (("--score-column",), None, "average", False, None, "_StoreAction"),
+        (("--scored",), None, None, True, None, "_StoreAction"),
+        (("--seed",), "int", None, False, None, "_StoreAction"),
+        (("--text-column",), None, "text", False, None, "_StoreAction"),
+        (("--train",), None, None, True, None, "_StoreAction"),
+        (("--vocab",), None, None, True, None, "_StoreAction"),
+        (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
+    },
+}
+
+
+def test_cli_surface_is_unchanged():
+    assert cli_surface(build_parser()) == EXPECTED_SURFACE
 
 
 def test_select_writes_rows_table_and_manifest(tmp_path):
