@@ -291,12 +291,13 @@ def transpose(x: Tensor, axes: tuple) -> Tensor:
 
 
 def take(x: Tensor, key) -> Tensor:
-    """Basic (slice/index) selection; gradient scatters into zeros."""
+    """Basic (slice/index) selection; gradient scatters into zeros, summing
+    over repeated indices."""
     out = x.data[key]
 
     def bwd(g):
         gx = np.zeros_like(x.data)
-        gx[key] = g
+        np.add.at(gx, key, g)
         return (gx,)
 
     return _from_op(out, "take", (x,), bwd)

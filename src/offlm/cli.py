@@ -20,10 +20,12 @@ import json
 import os
 import shutil
 import sys
+import typing
 from dataclasses import asdict
 from typing import Optional, Sequence
 
-from .corpus import load_labeled, load_scored, select_by_threshold
+from .corpus import (load_labeled, load_scored, load_texts, parse_scored,
+                     read_rows, select_by_threshold)
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .evaluation import (confusion, make_report, render, render_sweep,
                          threshold_sweep)
@@ -60,7 +62,28 @@ def _write_manifest(path, payload: dict) -> None:
         f.write("\n")
 
 
-_CONFIG_SECTIONS = ("model", "pretrain", "finetune", "prep")
+_MODEL_FLAGS = ("num_layers", "hidden_size", "num_heads", "intermediate_size",
+                "max_position", "dropout_rate")
+_PRETRAIN_FLAGS = ("epochs", "batch_size", "max_len", "lr", "mask_prob",
+                   "max_grad_norm", "checkpoint_every", "seed")
+# config section -> (its dataclass, the fields each subcommand exposes as flags)
+_CONFIGS = {
+    "model": (ModelConfig, {"pretrain": _MODEL_FLAGS, "finetune": _MODEL_FLAGS,
+                            "sweep": _MODEL_FLAGS}),
+    "pretrain": (PretrainConfig, {"pretrain": _PRETRAIN_FLAGS,
+                                  "sweep": _PRETRAIN_FLAGS}),
+    "finetune": (FinetuneConfig, {"finetune": (
+        "epochs", "batch_size", "lr", "adam_epsilon", "warmup_ratio",
+        "max_grad_norm", "max_len", "gradient_accumulation_steps",
+        "eval_patience", "eval_fraction", "evals_per_epoch", "eval_every",
+        "seed")}),
+    "prep": (PrepConfig, {"preprocess": ("url_placeholder", "user_placeholder",
+                                         "min_words", "min_chars")}),
+}
+# the flag of a field is --field-name except for these
+_FLAG_ALIASES = {"gradient_accumulation_steps": "--accumulation-steps",
+                 "eval_patience": "--patience"}
+_FLAG_HELP = {"max_position": "defaults to the training max_len"}
 
 
 def _load_config_file(args) -> dict:
@@ -76,45 +99,55 @@ def _load_config_file(args) -> dict:
         raise ConfigError(f"config file {path}: invalid JSON: {e}") from e
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
-    unknown = sorted(set(config) - set(_CONFIG_SECTIONS))
+    unknown = sorted(set(config) - set(_CONFIGS))
     if unknown:
         raise ConfigError(
             f"config file {path}: unknown sections {unknown}; "
-            f"expected a subset of {list(_CONFIG_SECTIONS)}")
+            f"expected a subset of {list(_CONFIGS)}")
     return config
 
 
-def _section(config: dict, name: str) -> dict:
+def _config(config: dict, name: str, args, **defaults):
+    """The dataclass of config section `name`: `defaults`, then the section,
+    then the flags this subcommand exposes for it, each overriding the last."""
+    cls, exposed = _CONFIGS[name]
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    return dict(section)
-
-
-def _build(cls, section: dict, overrides: dict, where: str):
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    values = {**defaults, **section}
+    for field in exposed.get(args.command, ()):
+        if getattr(args, field) is not None:
+            values[field] = getattr(args, field)
     try:
-        return cls(**merged)
+        return cls(**values)
     except TypeError as e:
-        raise ConfigError(f"{where}: {e}") from e
+        raise ConfigError(f"{name} config: {e}") from e
 
 
-def _read_rows(path) -> tuple[list[str], list[dict]]:
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f, delimiter="\t", quotechar='"')
-        if reader.fieldnames is None:
-            return [], []
-        return list(reader.fieldnames), list(reader)
-
-
-def _read_text_column(path, column: str) -> list[str]:
-    fields, rows = _read_rows(path)
-    if not fields:
-        raise DataError(f"{path}: empty file, expected a header row")
-    if column not in fields:
-        raise DataError(f"{path}: no column {column!r} in header {fields}")
-    return [row[column] or "" for row in rows]
+def _model(config: dict, args, vocab, max_len: Optional[int],
+           labels: Optional[list[str]] = None,
+           checkpoint: Optional[str] = None) -> Model:
+    """Load `checkpoint`, or initialise a model from the model section and
+    flags with max_position defaulting to `max_len`. Either way the model
+    must cover `max_len` and match the vocabulary file and the labels."""
+    if checkpoint:
+        model = load_checkpoint(checkpoint)
+    else:
+        mcfg = _config(config, "model", args, vocab_size=len(vocab),
+                       max_position=max_len)
+        model = init_params(mcfg, args.model_seed, num_classes=len(labels)
+                            if labels else args.num_classes)
+    if model.config.vocab_size != len(vocab):
+        raise ConfigError(
+            f"model vocab_size {model.config.vocab_size} does not match the "
+            f"vocabulary file ({len(vocab)} tokens)")
+    if labels and model.num_classes != len(labels):
+        raise ConfigError(f"model has {model.num_classes} classes, "
+                          f"labels give {len(labels)}")
+    if max_len is not None and model.config.max_position < max_len:
+        raise ConfigError(f"model.max_position {model.config.max_position} "
+                          f"shorter than max_len {max_len}")
+    return model
 
 
 def _write_tsv(path, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
@@ -137,99 +170,29 @@ def _parse_labels(raw: Optional[str]) -> list[str]:
 def _parse_bins(raw: str) -> list[tuple[float, float]]:
     bins = []
     for part in raw.split(","):
-        part = part.strip()
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise ConfigError(f"bin {part!r} must look like lo:hi")
         try:
-            lo, hi = float(pieces[0]), float(pieces[1])
+            lo, hi = (float(x) for x in part.strip().split(":"))
         except ValueError as e:
-            raise ConfigError(f"bin {part!r}: {e}") from e
+            raise ConfigError(f"bin {part.strip()!r} must look like lo:hi: {e}") from e
         bins.append((lo, hi))
-    if not bins:
-        raise ConfigError("at least one bin is required")
     return bins
-
-
-def _model_config(config: dict, args, vocab_size: int) -> ModelConfig:
-    section = _section(config, "model")
-    overrides = {
-        "num_layers": args.num_layers,
-        "hidden_size": args.hidden_size,
-        "num_heads": args.num_heads,
-        "intermediate_size": args.intermediate_size,
-        "max_position": args.max_position,
-        "dropout_rate": args.dropout_rate,
-    }
-    merged_vocab = section.pop("vocab_size", None)
-    if merged_vocab is not None and merged_vocab != vocab_size:
-        raise ConfigError(
-            f"model.vocab_size {merged_vocab} does not match the vocabulary "
-            f"file ({vocab_size} tokens)")
-    return _build(ModelConfig, {**section, "vocab_size": vocab_size},
-                  overrides, "model config")
-
-
-def _pretrain_config(config: dict, args) -> PretrainConfig:
-    overrides = {
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "max_len": args.max_len,
-        "lr": args.lr,
-        "mask_prob": args.mask_prob,
-        "max_grad_norm": args.max_grad_norm,
-        "checkpoint_every": args.checkpoint_every,
-        "seed": args.seed,
-    }
-    return _build(PretrainConfig, _section(config, "pretrain"), overrides,
-                  "pretrain config")
-
-
-def _finetune_config(config: dict, args) -> FinetuneConfig:
-    overrides = {
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "adam_epsilon": args.adam_epsilon,
-        "warmup_ratio": args.warmup_ratio,
-        "max_grad_norm": args.max_grad_norm,
-        "max_len": args.max_len,
-        "gradient_accumulation_steps": args.accumulation_steps,
-        "eval_patience": args.patience,
-        "eval_fraction": args.eval_fraction,
-        "evals_per_epoch": args.evals_per_epoch,
-        "eval_every": args.eval_every,
-        "seed": args.seed,
-    }
-    return _build(FinetuneConfig, _section(config, "finetune"), overrides,
-                  "finetune config")
-
-
-def _prep_config(config: dict, args) -> PrepConfig:
-    overrides = {
-        "url_placeholder": args.url_placeholder,
-        "user_placeholder": args.user_placeholder,
-        "min_words": args.min_words,
-        "min_chars": args.min_chars,
-    }
-    return _build(PrepConfig, _section(config, "prep"), overrides,
-                  "prep config")
 
 
 def cmd_select(args) -> int:
     if args.lo > args.hi:
         args.parser.error(f"--lo {args.lo} must not exceed --hi {args.hi}")
-    instances = load_scored(args.input, score_column=args.score_column,
-                            text_column=args.text_column)
+    columns = (args.id_column, args.text_column, args.score_column)
+    fields, rows = read_rows(args.input, columns)
+    instances = parse_scored(args.input, rows, *columns)
     print("Threshold    Instances")
     for lo in TABLE_LOWER_BOUNDS:
         count = len(select_by_threshold(instances, lo, 1.0))
         print(f"{lo:.1f} - 1.0    {count}")
     selected = select_by_threshold(instances, args.lo, args.hi)
-    fields, rows = _read_rows(args.input)
-    kept_ids = {inst.id for inst in selected}
-    id_col = args.id_column
-    out_rows = [r for r in rows if r[id_col] in kept_ids]
+    # rows are kept by position, since ids need not be unique
+    in_bin = set(map(id, selected))
+    out_rows = [row for (_, row), inst in zip(rows, instances)
+                if id(inst) in in_bin]
     _write_tsv(args.output, fields, out_rows)
     print(f"selected [{args.lo}, {args.hi}]: {len(selected)} instances "
           f"-> {args.output}")
@@ -246,21 +209,18 @@ def cmd_select(args) -> int:
 
 def cmd_preprocess(args) -> int:
     config = _load_config_file(args)
-    prep = _prep_config(config, args)
+    prep = _config(config, "prep", args)
     lexicon = Lexicon.load(args.lexicon) if args.lexicon else None
     mapping = load_emoji_map(args.emoji_map) if args.emoji_map else None
-    fields, rows = _read_rows(args.input)
+    fields, rows = read_rows(args.input, (args.text_column,))
     out_rows = []
-    for row in rows:
-        if args.text_column not in row or row[args.text_column] is None:
-            raise DataError(f"{args.input}: row missing column "
-                            f"{args.text_column!r}: {row}")
+    for line_num, row in rows:
+        if row[args.text_column] is None:
+            raise DataError(f"{args.input}:{line_num}: short row")
         text = prepare(row[args.text_column], prep, lexicon, mapping)
         if args.keep_all or keep_instance(text, prep):
-            new_row = dict(row)
-            new_row[args.text_column] = text
-            out_rows.append(new_row)
-    _write_tsv(args.output, fields or [args.text_column], out_rows)
+            out_rows.append({**row, args.text_column: text})
+    _write_tsv(args.output, fields, out_rows)
     print(f"kept {len(out_rows)} of {len(rows)} rows -> {args.output}")
     _write_manifest(args.output + ".manifest.json", {
         "command": "preprocess",
@@ -276,7 +236,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    texts = _read_text_column(args.input, args.text_column)
+    texts = load_texts(args.input, args.text_column)
     vocab = build_vocab(texts, args.size, min_frequency=args.min_frequency)
     vocab.save(args.output)
     print(f"vocabulary of {len(vocab)} tokens -> {args.output}")
@@ -293,33 +253,18 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_pretrain(args) -> int:
     config = _load_config_file(args)
-    texts = _read_text_column(args.corpus, args.text_column)
+    texts = load_texts(args.corpus, args.text_column)
     vocab = load_vocab(args.vocab)
-    pcfg = _pretrain_config(config, args)
-    if args.init_checkpoint:
-        model = load_checkpoint(args.init_checkpoint)
-        if model.config.vocab_size != len(vocab):
-            raise ConfigError(
-                f"checkpoint vocab_size {model.config.vocab_size} does not "
-                f"match the vocabulary file ({len(vocab)} tokens)")
-    else:
-        section = _section(config, "model")
-        if args.max_position is None and "max_position" not in section:
-            args.max_position = pcfg.max_len
-        mcfg = _model_config(config, args, len(vocab))
-        if mcfg.max_position < pcfg.max_len:
-            raise ConfigError(
-                f"model.max_position {mcfg.max_position} shorter than "
-                f"pretrain.max_len {pcfg.max_len}")
-        model = init_params(mcfg, args.model_seed, num_classes=args.num_classes)
+    pcfg = _config(config, "pretrain", args)
+    model = _model(config, args, vocab, pcfg.max_len,
+                   checkpoint=args.init_checkpoint)
     os.makedirs(args.output_dir, exist_ok=True)
     log = pretrain(texts, vocab, model, pcfg, checkpoint_dir=args.output_dir)
     log.save_jsonl(os.path.join(args.output_dir, "trainlog.jsonl"))
     shutil.copyfile(args.vocab, os.path.join(args.output_dir, "vocab.txt"))
-    final_loss = log.steps[-1].loss if log.steps else None
+    final_loss = log.steps[-1].loss if log.steps else "n/a"
     print(f"pretrained {len(log.steps)} steps on {len(texts)} texts "
-          f"-> {args.output_dir} (last loss "
-          f"{final_loss if final_loss is not None else 'n/a'})")
+          f"-> {args.output_dir} (last loss {final_loss})")
     _write_manifest(os.path.join(args.output_dir, "manifest.json"), {
         "command": "pretrain",
         "effective_config": {"model": asdict(model.config),
@@ -339,27 +284,9 @@ def cmd_finetune(args) -> int:
     train = load_labeled(args.train, labels, label_column=args.label_column,
                          text_column=args.text_column)
     vocab = load_vocab(args.vocab)
-    fcfg = _finetune_config(config, args)
-    if args.init_checkpoint:
-        model = load_checkpoint(args.init_checkpoint)
-        if model.config.vocab_size != len(vocab):
-            raise ConfigError(
-                f"checkpoint vocab_size {model.config.vocab_size} does not "
-                f"match the vocabulary file ({len(vocab)} tokens)")
-        if model.num_classes != len(labels):
-            raise ConfigError(
-                f"checkpoint has {model.num_classes} classes, "
-                f"--labels gives {len(labels)}")
-    else:
-        section = _section(config, "model")
-        if args.max_position is None and "max_position" not in section:
-            args.max_position = fcfg.max_len
-        mcfg = _model_config(config, args, len(vocab))
-        model = init_params(mcfg, args.model_seed, num_classes=len(labels))
-    if model.config.max_position < fcfg.max_len:
-        raise ConfigError(
-            f"model.max_position {model.config.max_position} shorter than "
-            f"finetune.max_len {fcfg.max_len}")
+    fcfg = _config(config, "finetune", args)
+    model = _model(config, args, vocab, fcfg.max_len, labels,
+                   checkpoint=args.init_checkpoint)
     os.makedirs(args.output_dir, exist_ok=True)
     log = finetune(train, vocab, model, fcfg, labels,
                    checkpoint_dir=args.output_dir)
@@ -388,51 +315,35 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-def _resolve_model_dir(args) -> tuple[Model, "object", list[str], str]:
-    """Work out (model, vocab, labels, model_id) from --model-dir plus
-    any explicit --checkpoint/--vocab/--labels overrides."""
-    checkpoint = args.checkpoint
-    vocab_path = args.vocab
-    labels_raw = args.labels
-    model_id = None
-    if args.model_dir:
-        if not os.path.isdir(args.model_dir):
-            raise DataError(f"model directory {args.model_dir} does not exist")
-        model_id = os.path.basename(os.path.normpath(args.model_dir))
-        if not checkpoint:
-            final = os.path.join(args.model_dir, "final")
-            checkpoint = final if os.path.isdir(final) else args.model_dir
-        if not vocab_path:
-            candidate = os.path.join(args.model_dir, "vocab.txt")
-            vocab_path = candidate if os.path.isfile(candidate) else None
-        if not labels_raw:
-            candidate = os.path.join(args.model_dir, "labels.json")
-            if os.path.isfile(candidate):
-                with open(candidate, encoding="utf-8") as f:
-                    labels_raw = ",".join(json.load(f)["labels"])
+def cmd_evaluate(args) -> int:
+    model_dir = args.model_dir
+    if model_dir and not os.path.isdir(model_dir):
+        raise DataError(f"model directory {model_dir} does not exist")
+
+    def in_model_dir(name: str) -> Optional[str]:
+        path = os.path.join(model_dir, name) if model_dir else None
+        return path if path and os.path.exists(path) else None
+
+    checkpoint = args.checkpoint or in_model_dir("final") or model_dir
     if not checkpoint:
         raise ConfigError("give --model-dir or --checkpoint")
+    vocab_path = args.vocab or in_model_dir("vocab.txt")
     if not vocab_path:
         raise ConfigError("no vocabulary: give --vocab or a --model-dir "
                           "containing vocab.txt")
+    labels_raw, labels_path = args.labels, in_model_dir("labels.json")
+    if not labels_raw and labels_path:
+        try:
+            with open(labels_path, encoding="utf-8") as f:
+                labels_raw = ",".join(json.load(f)["labels"])
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataError(f"{labels_path}: expected an object with a "
+                            f"'labels' list of names: {e!r}") from e
     labels = _parse_labels(labels_raw)
-    model = load_checkpoint(checkpoint)
     vocab = load_vocab(vocab_path)
-    if model.config.vocab_size != len(vocab):
-        raise ConfigError(
-            f"checkpoint vocab_size {model.config.vocab_size} does not match "
-            f"the vocabulary file ({len(vocab)} tokens)")
-    if model.num_classes != len(labels):
-        raise ConfigError(f"checkpoint has {model.num_classes} classes, "
-                          f"labels give {len(labels)}")
-    return model, vocab, labels, model_id or os.path.basename(
-        os.path.normpath(checkpoint))
-
-
-def cmd_evaluate(args) -> int:
-    model, vocab, labels, model_id = _resolve_model_dir(args)
-    if args.model_id:
-        model_id = args.model_id
+    model = _model({}, args, vocab, args.max_len, labels, checkpoint=checkpoint)
+    model_id = args.model_id or os.path.basename(
+        os.path.normpath(model_dir or checkpoint))
     data = load_labeled(args.data, labels, label_column=args.label_column,
                         text_column=args.text_column)
     dataset_id = args.dataset_id or os.path.splitext(
@@ -481,21 +392,10 @@ def cmd_sweep(args) -> int:
                               text_column=args.text_column)
                  if args.eval else train)
     vocab = load_vocab(args.vocab)
-    pcfg = _pretrain_config(config, args)
-    ft_section = _section(config, "finetune")
-    try:
-        fcfg = FinetuneConfig(**ft_section)
-    except TypeError as e:
-        raise ConfigError(f"finetune config: {e}") from e
-    section = _section(config, "model")
-    if args.max_position is None and "max_position" not in section:
-        args.max_position = max(pcfg.max_len, fcfg.max_len)
-    mcfg = _model_config(config, args, len(vocab))
-    if mcfg.max_position < max(pcfg.max_len, fcfg.max_len):
-        raise ConfigError(
-            f"model.max_position {mcfg.max_position} shorter than the "
-            f"longest configured sequence "
-            f"{max(pcfg.max_len, fcfg.max_len)}")
+    pcfg = _config(config, "pretrain", args)
+    fcfg = _config(config, "finetune", args)
+    mcfg = _model(config, args, vocab, max(pcfg.max_len, fcfg.max_len),
+                  labels).config
     os.makedirs(args.output_dir, exist_ok=True)
     reports = []
 
@@ -524,17 +424,13 @@ def cmd_sweep(args) -> int:
         return len(selected), report.macro_f1
 
     table = threshold_sweep(bins, runner)
-    sweep_text = render_sweep(table, args.format)
-    models_text = render(reports, args.format)
     ext = _REPORT_EXT[args.format]
-    with open(os.path.join(args.output_dir, f"sweep.{ext}"), "w",
-              encoding="utf-8") as f:
-        f.write(sweep_text)
-    with open(os.path.join(args.output_dir, f"models.{ext}"), "w",
-              encoding="utf-8") as f:
-        f.write(models_text)
-    print(sweep_text, end="")
-    print(models_text, end="")
+    for name, text in (("sweep", render_sweep(table, args.format)),
+                       ("models", render(reports, args.format))):
+        with open(os.path.join(args.output_dir, f"{name}.{ext}"), "w",
+                  encoding="utf-8") as f:
+            f.write(text)
+        print(text, end="")
     _write_manifest(os.path.join(args.output_dir, "manifest.json"), {
         "command": "sweep",
         "effective_config": {"model": asdict(mcfg), "pretrain": asdict(pcfg),
@@ -551,23 +447,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_config_flag(p) -> None:
+def _add_config_flags(p, command: str) -> None:
+    """--config, then one flag per config field `command` exposes, typed
+    by the field's annotation (Optional[int] parses as int)."""
     p.add_argument("--config", help="JSON config file (or set $OFFLM_CONFIG)")
-
-
-def _add_model_flags(p) -> None:
-    p.add_argument("--num-layers", type=int)
-    p.add_argument("--hidden-size", type=int)
-    p.add_argument("--num-heads", type=int)
-    p.add_argument("--intermediate-size", type=int)
-    p.add_argument("--max-position", type=int,
-                   help="defaults to the training max_len")
-    p.add_argument("--dropout-rate", type=float)
-    p.add_argument("--model-seed", type=int, default=0)
-
-
-def _add_text_column_flag(p) -> None:
-    p.add_argument("--text-column", default="text")
+    for cls, exposed in _CONFIGS.values():
+        hints = typing.get_type_hints(cls)
+        for field in exposed.get(command, ()):
+            kind = next((t for t in typing.get_args(hints[field])
+                         if t is not type(None)), hints[field])
+            flag = _FLAG_ALIASES.get(field, "--" + field.replace("_", "-"))
+            p.add_argument(flag, dest=field, type=None if kind is str else kind,
+                           help=_FLAG_HELP.get(field))
+    if command in _CONFIGS["model"][1]:
+        p.add_argument("--model-seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,76 +478,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, default=1.0)
     p.add_argument("--id-column", default="id")
     p.add_argument("--score-column", default="average")
-    _add_text_column_flag(p)
-    p.set_defaults(func=cmd_select, parser=p)
+    p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("preprocess", help="normalize and filter a text TSV")
-    _add_config_flag(p)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--emoji-map")
     p.add_argument("--lexicon")
-    p.add_argument("--url-placeholder")
-    p.add_argument("--user-placeholder")
-    p.add_argument("--min-words", type=int)
-    p.add_argument("--min-chars", type=int)
     p.add_argument("--keep-all", action="store_true",
                    help="skip the short-instance filter")
-    _add_text_column_flag(p)
-    p.set_defaults(func=cmd_preprocess, parser=p)
+    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("build-vocab", help="train a subword vocabulary")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--min-frequency", type=int, default=1)
-    _add_text_column_flag(p)
-    p.set_defaults(func=cmd_build_vocab, parser=p)
+    p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("pretrain", help="masked-token pretraining")
-    _add_config_flag(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--output-dir", required=True)
     p.add_argument("--init-checkpoint")
     p.add_argument("--num-classes", type=int, default=2)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--mask-prob", type=float)
-    p.add_argument("--max-grad-norm", type=float)
-    p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--seed", type=int)
-    _add_model_flags(p)
-    _add_text_column_flag(p)
-    p.set_defaults(func=cmd_pretrain, parser=p)
+    p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="classification fine-tuning")
-    _add_config_flag(p)
     p.add_argument("--train", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--labels", required=True,
                    help="comma-separated class names, order fixes class ids")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--init-checkpoint")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--adam-epsilon", type=float)
-    p.add_argument("--warmup-ratio", type=float)
-    p.add_argument("--max-grad-norm", type=float)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--accumulation-steps", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--eval-fraction", type=float)
-    p.add_argument("--evals-per-epoch", type=int)
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--label-column", default="label")
-    _add_model_flags(p)
-    _add_text_column_flag(p)
-    p.set_defaults(func=cmd_finetune, parser=p)
+    p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="score a fine-tuned model on a TSV")
     p.add_argument("--data", required=True)
@@ -671,12 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset-id")
     p.add_argument("--model-id")
     p.add_argument("--label-column", default="label")
-    _add_text_column_flag(p)
-    p.set_defaults(func=cmd_evaluate, parser=p)
+    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep",
                        help="select/pretrain/finetune/evaluate per bin")
-    _add_config_flag(p)
     p.add_argument("--scored", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--eval")
@@ -689,18 +545,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset-id")
     p.add_argument("--score-column", default="average")
     p.add_argument("--label-column", default="label")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--mask-prob", type=float)
-    p.add_argument("--max-grad-norm", type=float)
-    p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--seed", type=int)
-    _add_model_flags(p)
-    _add_text_column_flag(p)
-    p.set_defaults(func=cmd_sweep, parser=p)
+    p.set_defaults(func=cmd_sweep)
 
+    for command, p in sub.choices.items():
+        p.add_argument("--text-column", default="text")
+        if any(command in exposed for _, exposed in _CONFIGS.values()):
+            _add_config_flags(p, command)
+        p.set_defaults(parser=p)
     return parser
 
 

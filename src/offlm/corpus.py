@@ -42,7 +42,9 @@ class SplitSpec:
             raise ConfigError(f"split ratios sum to {sum(self.ratios)}, not 1")
 
 
-def _read_rows(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+def read_rows(path, required: Sequence[str] = ()) -> tuple[list[str], list[tuple[int, dict]]]:
+    """The header and the (line number, row) pairs of a TSV. An empty file
+    or a header without a required column is a DataError."""
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f, delimiter="\t", quotechar='"')
         if reader.fieldnames is None:
@@ -50,15 +52,15 @@ def _read_rows(path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
         missing = [c for c in required if c not in reader.fieldnames]
         if missing:
             raise DataError(f"{path}: header missing column(s) {missing}")
-        for row in reader:
-            yield reader.line_num, row
+        return list(reader.fieldnames), [(reader.line_num, row) for row in reader]
 
 
-def load_scored(path, id_column: str = "id", text_column: str = "text",
-                score_column: str = "average") -> list[ScoredInstance]:
-    """Parse a scored TSV. Scores must lie in [0, 1]."""
+def parse_scored(path, rows: Sequence[tuple[int, dict]], id_column: str = "id",
+                 text_column: str = "text",
+                 score_column: str = "average") -> list[ScoredInstance]:
+    """One instance per row of `read_rows`, in order. Scores must lie in [0, 1]."""
     out = []
-    for line_num, row in _read_rows(path, (id_column, text_column, score_column)):
+    for line_num, row in rows:
         raw = row[score_column]
         if raw is None or row[id_column] is None:
             raise DataError(f"{path}:{line_num}: short row")
@@ -72,13 +74,27 @@ def load_scored(path, id_column: str = "id", text_column: str = "text",
     return out
 
 
+def load_scored(path, id_column: str = "id", text_column: str = "text",
+                score_column: str = "average") -> list[ScoredInstance]:
+    """Parse a scored TSV. Scores must lie in [0, 1]."""
+    _, rows = read_rows(path, (id_column, text_column, score_column))
+    return parse_scored(path, rows, id_column, text_column, score_column)
+
+
+def load_texts(path, text_column: str = "text") -> list[str]:
+    """The text column of a TSV, in order."""
+    _, rows = read_rows(path, (text_column,))
+    return [row[text_column] or "" for _, row in rows]
+
+
 def load_labeled(path, labels: Sequence[str], id_column: str = "id",
                  text_column: str = "text",
                  label_column: str = "label") -> list[LabeledInstance]:
     """Parse a labeled TSV; every label must be in the declared set."""
     allowed = set(labels)
     out = []
-    for line_num, row in _read_rows(path, (id_column, text_column, label_column)):
+    _, rows = read_rows(path, (id_column, text_column, label_column))
+    for line_num, row in rows:
         label = row[label_column]
         if label is None or row[id_column] is None:
             raise DataError(f"{path}:{line_num}: short row")

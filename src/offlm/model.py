@@ -285,6 +285,8 @@ def load_checkpoint(path) -> Model:
     except TypeError as e:  # unknown or missing config key
         raise DataError(f"{manifest_path}: bad config: {e}") from e
     num_classes = field(manifest, "num_classes", "manifest")
+    if type(num_classes) is not int:
+        raise DataError(f"{manifest_path}: num_classes {num_classes!r} is not an integer")
     expected = param_shapes(config, num_classes)
     listed = field(manifest, "params", "manifest")
     if set(listed) != set(expected):

@@ -33,24 +33,19 @@ class AdamState:
 def clip_global_norm(grads: Iterable[Tensor], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
-    Returns the factor applied (1.0 when no clipping was needed).
-    Tensors without a gradient buffer are ignored.
+    Returns the joint norm before clipping. Tensors without a gradient
+    buffer are ignored.
     """
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     tensors = [t for t in grads if t.grad is not None]
-    total = np.sqrt(sum(float((t.grad.astype(np.float64) ** 2).sum()) for t in tensors))
+    total = float(np.sqrt(sum(float((t.grad.astype(np.float64) ** 2).sum()) for t in tensors)))
     if total <= max_norm:
-        return 1.0
+        return total
     factor = max_norm / total
     for t in tensors:
         t.grad *= t.dtype.type(factor)
-    return factor
-
-
-def global_grad_norm(params: Iterable[Tensor]) -> float:
-    tensors = [t for t in params if t.grad is not None]
-    return float(np.sqrt(sum(float((t.grad.astype(np.float64) ** 2).sum()) for t in tensors)))
+    return total
 
 
 def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState,

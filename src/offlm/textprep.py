@@ -26,8 +26,6 @@ _TIE_EPS = 1e-9
 class PrepConfig:
     url_placeholder: str = "URL"
     user_placeholder: str = "USER"
-    emoji_map_path: Optional[str] = None
-    lexicon_path: Optional[str] = None
     min_words: int = 2
     min_chars: int = 18
     # exponent base of the unknown-word penalty: log(1 / (total * base^len))

@@ -21,7 +21,7 @@ from . import autograd as ag
 from .corpus import LabeledInstance, SplitSpec, make_batches, split
 from .errors import ConfigError, DataError, NumericError
 from .model import Model, classify, encode, mlm_logits, save_checkpoint
-from .optim import AdamState, adam_step, clip_global_norm, global_grad_norm
+from .optim import AdamState, adam_step, clip_global_norm
 from .tokenizer import TokenizedSequence, Vocabulary, tokenize
 
 Example = tuple[TokenizedSequence, int]  # a tokenized text and its class id
@@ -273,8 +273,7 @@ def pretrain(texts: Sequence[str], vocab: Vocabulary, model: Model,
                 loss = mlm_batch_loss(model, input_ids, attn, ids, mask,
                                       train_mode=True, rng=dropout_rng)
                 ag.backward(loss)
-                norm = global_grad_norm(tensors)
-                clip_global_norm(tensors, cfg.max_grad_norm)
+                norm = clip_global_norm(tensors, cfg.max_grad_norm)
                 adam_step(named, state, cfg.lr)
             except NumericError as e:
                 raise NumericError(
@@ -416,8 +415,7 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
                     group_loss += float(loss.item())
                     tokens, positions = tokens + int(attn.sum()), positions + attn.size
                 lr = lr_at(opt_step, total_steps, cfg.lr, cfg.warmup_ratio)
-                norm = global_grad_norm(tensors)
-                clip_global_norm(tensors, cfg.max_grad_norm)
+                norm = clip_global_norm(tensors, cfg.max_grad_norm)
                 adam_step(named, state, lr, epsilon=cfg.adam_epsilon)
             except NumericError as e:
                 raise NumericError(

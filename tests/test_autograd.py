@@ -225,6 +225,17 @@ def test_take_integer_rows_grad_matches_fd():
     check_grad(lambda: ag.tensor_sum(ag.mul(ag.take(x, rows), w)), x)
 
 
+def test_take_repeated_rows_accumulate_grad():
+    x = Tensor(np.ones((3, 2)), requires_grad=True)
+    ag.backward(ag.tensor_sum(ag.take(x, np.array([1, 1]))))
+    np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
+    rng = np.random.default_rng(12)
+    y = rand_tensor(rng, (4, 3))
+    w = Tensor(rng.standard_normal((5, 3)))
+    rows = np.array([2, 0, 2, 3, 2])
+    check_grad(lambda: ag.tensor_sum(ag.mul(ag.take(y, rows), w)), y)
+
+
 def test_tensor_sum_axis_semantics():
     x = Tensor(np.ones((2, 3)))
     assert ag.tensor_sum(x).data == 6.0

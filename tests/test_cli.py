@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from offlm.cli import build_parser
+from offlm.model import ModelConfig, init_params, save_checkpoint
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(PKG_ROOT, "tests", "fixtures")
@@ -252,6 +253,34 @@ def test_select_malformed_tsv_exit_3(tmp_path):
     assert ":2:" in proc.stderr
 
 
+def read_tsv(path):
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f, delimiter="\t"))
+
+
+def test_select_honours_id_column(tmp_path):
+    scored = tmp_path / "scored.tsv"
+    scored.write_text("tweet_id\ttext\taverage\nt1\tkeep me\t0.9\n"
+                      "t2\tdrop me\t0.1\n", encoding="utf-8")
+    out = tmp_path / "x.tsv"
+    proc = run_cli("select", "--input", str(scored), "--lo", "0.5",
+                   "--id-column", "tweet_id", "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert [r["tweet_id"] for r in read_tsv(out)] == ["t1"]
+
+
+def test_select_keeps_rows_by_position_when_ids_repeat(tmp_path):
+    scored = tmp_path / "scored.tsv"
+    scored.write_text("id\ttext\taverage\nx\tin the bin\t0.9\n"
+                      "x\tout of the bin\t0.1\n", encoding="utf-8")
+    out = tmp_path / "x.tsv"
+    proc = run_cli("select", "--input", str(scored), "--lo", "0.5",
+                   "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "1 instances" in proc.stdout
+    assert [r["text"] for r in read_tsv(out)] == ["in the bin"]
+
+
 def test_preprocess_matches_golden_fixture(tmp_path):
     out = tmp_path / "prepped.tsv"
     proc = run_cli("preprocess",
@@ -363,6 +392,45 @@ def test_evaluate_malformed_manifest_exit_3(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert str(manifest) in proc.stderr
     assert "params" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+TINY_VOCAB = "[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\na\nb\n"
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_init_checkpoint_shorter_than_max_len_exit_2(tmp_path, command):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(TINY_VOCAB)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init_params(ModelConfig(vocab_size=7, max_position=8), 0),
+                    str(ckpt))
+    data = tmp_path / "data.tsv"
+    data.write_text("id\ttext\tlabel\nr1\ta b\tnot\nr2\tb a\toff\n")
+    out = tmp_path / "out"
+    inputs = (["--corpus", str(data)] if command == "pretrain" else
+              ["--train", str(data), "--labels", "not,off"])
+    proc = run_cli(command, *inputs, "--vocab", str(vocab),
+                   "--init-checkpoint", str(ckpt), "--max-len", "24",
+                   "--output-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "max_position 8" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", ["{}", "{not json", '{"labels": 3}'])
+def test_evaluate_malformed_labels_json_exit_3(tmp_path, content):
+    model_dir = tmp_path / "fine"
+    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0),
+                    str(model_dir / "final"))
+    (model_dir / "vocab.txt").write_text(TINY_VOCAB)
+    labels = model_dir / "labels.json"
+    labels.write_text(content)
+    proc = run_cli("evaluate", "--model-dir", str(model_dir),
+                   "--data", os.path.join(FIXTURES, "labeled.tsv"),
+                   "--output-dir", str(tmp_path / "eval"))
+    assert proc.returncode == 3, proc.stderr
+    assert str(labels) in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
