@@ -42,7 +42,7 @@ class SplitSpec:
             raise ConfigError(f"split ratios sum to {sum(self.ratios)}, not 1")
 
 
-def read_rows(path, required: Sequence[str] = ()) -> tuple[list[str], list[tuple[int, dict]]]:
+def read_rows(path, required: Sequence[str]) -> tuple[list[str], list[tuple[int, dict]]]:
     """The header and the (line number, row) pairs of a TSV. An empty file
     or a header without a required column is a DataError."""
     with open(path, encoding="utf-8", newline="") as f:
@@ -55,9 +55,8 @@ def read_rows(path, required: Sequence[str] = ()) -> tuple[list[str], list[tuple
         return list(reader.fieldnames), [(reader.line_num, row) for row in reader]
 
 
-def parse_scored(path, rows: Sequence[tuple[int, dict]], id_column: str = "id",
-                 text_column: str = "text",
-                 score_column: str = "average") -> list[ScoredInstance]:
+def parse_scored(path, rows: Sequence[tuple[int, dict]], id_column: str,
+                 text_column: str, score_column: str) -> list[ScoredInstance]:
     """One instance per row of `read_rows`, in order. Scores must lie in [0, 1]."""
     out = []
     for line_num, row in rows:
