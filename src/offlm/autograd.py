@@ -12,10 +12,10 @@ raises NumericError instead of propagating silently.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NumericError, ShapeError
 
@@ -201,14 +201,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    cdf = 0.5 * (1.0 + erf(x.data * inv_sqrt2))
-    out = (x.data * cdf).astype(x.dtype)
+    """Exact GELU, x * Phi(x) with Phi the standard normal CDF, computed in
+    the tensor's own dtype (Python-float constants do not promote it)."""
+    # lazy import: scipy adds ~0.3 s to start-up, and most commands never run the model
+    from scipy.special import ndtr
+    cdf = ndtr(x.data)
+    out = x.data * cdf
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x.data * x.data) / np.sqrt(2.0 * np.pi)
-        return ((g * (cdf + x.data * pdf)).astype(x.dtype),)
+        pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / math.sqrt(2.0 * math.pi))
+        return (g * (cdf + x.data * pdf),)
 
     return _from_op(out, "gelu", (x,), bwd)
 
@@ -243,6 +245,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float) -> Tensor:
     return _from_op(out, "layer_norm", (x, gain, bias), bwd)
 
 
+def _scatter_rows(shape: tuple, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """`np.add.at(zeros(shape), rows, g)` for 1-D in-range `rows`, bitwise,
+    but on flat element indices, which take numpy's fast path for
+    `ufunc.at`. A negative row still counts from the end."""
+    width = math.prod(shape[1:])
+    out = np.zeros(math.prod(shape), dtype=g.dtype)
+    flat = (rows.astype(np.intp, copy=False)[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(out, flat, g.reshape(-1))
+    return out.reshape(shape)
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup; gradient scatter-adds into the table."""
     ids = np.asarray(ids)
@@ -252,9 +265,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     out = table.data[ids]
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
-        return (gt,)
+        return (_scatter_rows(table.shape, ids.reshape(-1), g),)
 
     return _from_op(out, "embedding", (table,), bwd)
 
@@ -292,10 +303,12 @@ def transpose(x: Tensor, axes: tuple) -> Tensor:
 
 def take(x: Tensor, key) -> Tensor:
     """Basic (slice/index) selection; gradient scatters into zeros, summing
-    over repeated indices."""
+    over repeated indices. An integer array `key` picks rows of `x`."""
     out = x.data[key]
 
     def bwd(g):
+        if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+            return (_scatter_rows(x.shape, key.reshape(-1), g),)
         gx = np.zeros_like(x.data)
         np.add.at(gx, key, g)
         return (gx,)
@@ -345,7 +358,9 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray,
 
     z = logits.data
     zmax = z.max(axis=1, keepdims=True) if n else np.zeros((0, 1), dtype=z.dtype)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1)) if n else np.zeros(0, dtype=z.dtype)
+    e = np.exp(z - zmax)
+    e_sum = e.sum(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(e_sum[:, 0])
     log_p_target = z[np.arange(n), targets] - lse
     m = mask.astype(z.dtype)
     total = -(m * log_p_target).sum()
@@ -353,7 +368,7 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray,
     out = np.asarray(total * scale, dtype=z.dtype)
 
     def bwd(g):
-        probs = np.exp(z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)))
+        probs = e / e_sum
         probs[np.arange(n), targets] -= 1.0
         return ((g * scale) * m[:, None] * probs,)
 

@@ -43,16 +43,28 @@ class SplitSpec:
 
 
 def read_rows(path, required: Sequence[str]) -> tuple[list[str], list[tuple[int, dict]]]:
-    """The header and the (line number, row) pairs of a TSV. An empty file
-    or a header without a required column is a DataError."""
+    """The header and the (line number, row) pairs of a TSV. An empty file,
+    a header without a required column, a row with more fields than the
+    header and a row the csv module rejects are DataErrors."""
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f, delimiter="\t", quotechar='"')
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: header missing column(s) {missing}")
-        return list(reader.fieldnames), [(reader.line_num, row) for row in reader]
+        try:
+            if reader.fieldnames is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            missing = [c for c in required if c not in reader.fieldnames]
+            if missing:
+                raise DataError(f"{path}: header missing column(s) {missing}")
+            rows = []
+            for row in reader:
+                if None in row:  # DictReader files surplus fields under None
+                    raise DataError(
+                        f"{path}:{reader.line_num}: "
+                        f"{len(reader.fieldnames) + len(row[None])} fields, "
+                        f"header has {len(reader.fieldnames)}")
+                rows.append((reader.line_num, row))
+        except csv.Error as e:  # the DictReader's own line_num lags on errors
+            raise DataError(f"{path}:{reader.reader.line_num}: {e}") from e
+        return list(reader.fieldnames), rows
 
 
 def parse_scored(path, rows: Sequence[tuple[int, dict]], id_column: str,

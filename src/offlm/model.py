@@ -144,10 +144,15 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
            train_mode: bool = False,
            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Run the encoder stack. Returns hidden states [B, n, d].
+    """Run the encoder stack. Returns hidden states [B, n, d]; the rows at
+    padding positions (attention_mask 0) are unspecified.
 
-    Padding keys are excluded from attention by an additive -1e9 score;
-    dropout applies only when train_mode is set (which requires rng).
+    The position-wise layers (embeddings, projections, GELU, residual adds,
+    layer norms, dropout) run on the T real rows only, packed as [T, d].
+    The attention core gathers them into the B*n slots, where padding
+    slots read packed row 0 and are excluded as keys by an additive -1e9
+    score and dropped as queries, so no gradient reaches them. Dropout
+    applies only when train_mode is set (which requires rng).
     """
     cfg = model.config
     p = model.params
@@ -167,6 +172,12 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
             f"min {ids.min()}, max {ids.max()}")
     if train_mode and cfg.dropout_rate > 0 and rng is None:
         raise ConfigError("train_mode with dropout requires an rng")
+    real = np.flatnonzero(attention_mask)  # the slot b*n + j of each real token
+    if real.size == 0:
+        raise DataError("attention_mask has no real position")
+    slot = np.zeros(batch * seq_len, dtype=np.intp)  # packed row read by each slot
+    slot[real] = np.arange(real.size)
+    slot = slot.reshape(batch, seq_len)
 
     def drop(t: Tensor) -> Tensor:
         if train_mode and cfg.dropout_rate > 0:
@@ -174,8 +185,8 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
         return t
 
     dtype = p["token_embedding"].dtype
-    x = ag.add(ag.embedding(p["token_embedding"], ids),
-               ag.take(p["position_embedding"], slice(0, seq_len)))
+    x = ag.add(ag.embedding(p["token_embedding"], ids.reshape(-1)[real]),
+               ag.embedding(p["position_embedding"], real % seq_len))
     x = drop(x)
 
     # [B, 1, 1, n] additive bias: 0 on real keys, -1e9 on padding
@@ -185,8 +196,8 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
     heads, head_size = cfg.num_heads, cfg.head_size
     scale = 1.0 / math.sqrt(head_size)
 
-    def split_heads(t: Tensor) -> Tensor:
-        t = ag.reshape(t, (batch, seq_len, heads, head_size))
+    def split_heads(t: Tensor) -> Tensor:  # packed [T, d] -> [B, h, n, head_size]
+        t = ag.reshape(ag.take(t, slot), (batch, seq_len, heads, head_size))
         return ag.transpose(t, (0, 2, 1, 3))
 
     for i in range(cfg.num_layers):
@@ -198,7 +209,7 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
         probs = ag.softmax(ag.add(scores, key_bias), axis=-1)
         probs = drop(probs)
         context = ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3))
-        context = ag.reshape(context, (batch, seq_len, cfg.hidden_size))
+        context = ag.take(ag.reshape(context, (batch * seq_len, cfg.hidden_size)), real)
         attn_out = drop(_linear(context, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"]))
         x = ag.layer_norm(ag.add(x, attn_out), p[f"{pre}.attn_norm.gain"],
                           p[f"{pre}.attn_norm.bias"], cfg.layer_norm_epsilon)
@@ -206,7 +217,7 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
         ffn_out = drop(_linear(hidden, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"]))
         x = ag.layer_norm(ag.add(x, ffn_out), p[f"{pre}.ffn_norm.gain"],
                           p[f"{pre}.ffn_norm.bias"], cfg.layer_norm_epsilon)
-    return x
+    return ag.take(x, slot)
 
 
 def mlm_logits(hidden: Tensor, model: Model) -> Tensor:

@@ -100,7 +100,7 @@ class StepRecord:
     lr: float
     grad_norm: float
     tokens: int     # real (attention 1) tokens in the step's batch(es)
-    positions: int  # B x n positions encoded, after the cut to n
+    positions: int  # B x n positions of the collated batch, after the cut to n
 
 
 @dataclass

@@ -125,6 +125,17 @@ def test_gelu_against_definition():
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
+def test_gelu_float32_within_2_ulp_of_float64():
+    rng = np.random.default_rng(14)
+    xs = np.concatenate([np.linspace(-10.0, 10.0, 20001),
+                         3.0 * rng.standard_normal(20000)]).astype(np.float32)
+    out = ag.gelu(Tensor(xs)).data
+    assert out.dtype == np.float32
+    reference = ag.gelu(Tensor(xs.astype(np.float64))).data
+    ulp = np.spacing(np.abs(reference).astype(np.float32))
+    assert np.all(np.abs(out - reference) <= 2 * ulp)
+
+
 def test_gelu_grad_matches_fd():
     rng = np.random.default_rng(6)
     x = rand_tensor(rng, (4, 4))
@@ -173,6 +184,21 @@ def test_embedding_grad_accumulates_repeated_ids():
     np.testing.assert_array_equal(table.grad[0], [3.0, 3.0])
     np.testing.assert_array_equal(table.grad[1], [1.0, 1.0])
     np.testing.assert_array_equal(table.grad[2], [0.0, 0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 6),
+       st.lists(st.integers(0, 8), max_size=40),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2 ** 32 - 1))
+def test_scatter_rows_is_bitwise_add_at(vocab, width, rows, dtype, seed):
+    """Repeated, negative and zero rows, both float dtypes, a [V, d] table."""
+    rows = np.array(rows, dtype=np.int64) % (2 * vocab) - vocab  # in [-V, V)
+    g = np.random.default_rng(seed).standard_normal((rows.size, width)).astype(dtype)
+    expected = np.zeros((vocab, width), dtype=dtype)
+    np.add.at(expected, rows, g)
+    got = ag._scatter_rows((vocab, width), rows, g)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_dropout_rate_zero_is_identity():
@@ -281,6 +307,22 @@ def test_masked_cross_entropy_grad_is_gated_softmax_minus_onehot():
     probs[np.arange(5), targets] -= 1.0
     probs *= mask[:, None]
     np.testing.assert_allclose(logits.grad, probs, atol=1e-12)
+
+
+def test_masked_cross_entropy_grad_matches_recomputed_softmax():
+    """The backward reuses the forward's exponentials; it must agree with
+    recomputing the softmax from the logits."""
+    rng = np.random.default_rng(15)
+    z = 2.0 * rng.standard_normal((9, 31))
+    targets = rng.integers(31, size=9)
+    mask = np.array([1, 0, 1, 1, 1, 0, 1, 1, 0])
+    logits = Tensor(z.copy(), requires_grad=True)
+    ag.backward(ag.masked_cross_entropy(logits, targets, mask, reduction="mean"))
+    zmax = z.max(axis=1, keepdims=True)
+    probs = np.exp(z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)))
+    probs[np.arange(9), targets] -= 1.0
+    np.testing.assert_allclose(logits.grad, probs * mask[:, None] / mask.sum(),
+                               rtol=1e-12)
 
 
 def test_masked_cross_entropy_validates_shapes():

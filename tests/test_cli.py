@@ -36,6 +36,15 @@ def run_cli(*args, env_extra=None, cwd=None):
         capture_output=True, text=True, env=env, cwd=cwd or PKG_ROOT)
 
 
+def test_importing_cli_leaves_scipy_unloaded():
+    """Commands that never run the model do not pay for importing scipy."""
+    code = "import sys, offlm.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env(), cwd=PKG_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_no_arguments_shows_usage_and_exits_2():
     proc = run_cli()
     assert proc.returncode == 2
@@ -279,6 +288,26 @@ def test_select_keeps_rows_by_position_when_ids_repeat(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "1 instances" in proc.stdout
     assert [r["text"] for r in read_tsv(out)] == ["in the bin"]
+
+
+MALFORMED_ROWS = {
+    "extra_field": "r1\tsome text\t0.9\textra\n",
+    "oversized_field": "r1\t" + "x" * 140_000 + "\t0.9\n",
+}
+
+
+@pytest.mark.parametrize("command", ["select", "preprocess"])
+@pytest.mark.parametrize("defect", sorted(MALFORMED_ROWS))
+def test_malformed_row_exit_3_names_line(tmp_path, command, defect):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("id\ttext\taverage\nr0\tfine\t0.5\n" + MALFORMED_ROWS[defect],
+                   encoding="utf-8")
+    args = ("--lo", "0.5") if command == "select" else ()
+    proc = run_cli(command, "--input", str(bad), *args,
+                   "--output", str(tmp_path / "x.tsv"))
+    assert proc.returncode == 3, proc.stderr
+    assert f"{bad}:3:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_preprocess_matches_golden_fixture(tmp_path):

@@ -1,9 +1,12 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from offlm import autograd as ag
+from offlm.autograd import Tensor
 from offlm.errors import ConfigError, DataError, ShapeError
 from offlm.model import (
     Model,
@@ -108,6 +111,8 @@ def test_encode_validates_shapes():
     with pytest.raises(DataError):
         encode(np.zeros((2, TINY.max_position + 1), dtype=np.int64),
                np.ones((2, TINY.max_position + 1), dtype=np.int64), m)
+    with pytest.raises(DataError, match="no real position"):
+        encode(ids, np.zeros((2, 6), dtype=np.int64), m)
 
 
 def test_padding_does_not_change_real_positions():
@@ -130,6 +135,87 @@ def test_pad_token_content_is_irrelevant():
     a = encode(np.array([[2, 6, 7, 0, 0]]), attn, m).data
     b = encode(np.array([[2, 6, 7, 9, 13]]), attn, m).data
     np.testing.assert_allclose(a[0, :3], b[0, :3], atol=1e-5)
+
+
+def padded_encode(ids, attention_mask, model):
+    """The encoder before packing: every layer runs on all B x n positions.
+    The oracle for `encode` with dropout off."""
+    cfg = model.config
+    p = model.params
+    batch, seq_len = ids.shape
+    dtype = p["token_embedding"].dtype
+    x = ag.add(ag.embedding(p["token_embedding"], ids),
+               ag.take(p["position_embedding"], slice(0, seq_len)))
+    key_bias = ((1.0 - attention_mask.astype(dtype)) * np.asarray(-1e9, dtype))
+    key_bias = Tensor(key_bias[:, None, None, :])
+    heads, head_size = cfg.num_heads, cfg.head_size
+    scale = 1.0 / math.sqrt(head_size)
+
+    def linear(t, w, b):
+        return ag.add(ag.matmul(t, p[w]), p[b])
+
+    def split_heads(t):
+        t = ag.reshape(t, (batch, seq_len, heads, head_size))
+        return ag.transpose(t, (0, 2, 1, 3))
+
+    for i in range(cfg.num_layers):
+        pre = f"layer{i}"
+        q = split_heads(linear(x, f"{pre}.attn.wq", f"{pre}.attn.bq"))
+        k = split_heads(linear(x, f"{pre}.attn.wk", f"{pre}.attn.bk"))
+        v = split_heads(linear(x, f"{pre}.attn.wv", f"{pre}.attn.bv"))
+        scores = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))) * scale
+        probs = ag.softmax(ag.add(scores, key_bias), axis=-1)
+        context = ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3))
+        context = ag.reshape(context, (batch, seq_len, cfg.hidden_size))
+        attn_out = linear(context, f"{pre}.attn.wo", f"{pre}.attn.bo")
+        x = ag.layer_norm(ag.add(x, attn_out), p[f"{pre}.attn_norm.gain"],
+                          p[f"{pre}.attn_norm.bias"], cfg.layer_norm_epsilon)
+        hidden = ag.gelu(linear(x, f"{pre}.ffn.w1", f"{pre}.ffn.b1"))
+        ffn_out = linear(hidden, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
+        x = ag.layer_norm(ag.add(x, ffn_out), p[f"{pre}.ffn_norm.gain"],
+                          p[f"{pre}.ffn_norm.bias"], cfg.layer_norm_epsilon)
+    return x
+
+
+def test_packed_encode_matches_padded_oracle():
+    """Real-position states and every parameter gradient of an MLM plus
+    classification loss agree with the all-positions encoder in float64."""
+    cfg = ModelConfig(vocab_size=23, num_layers=2, hidden_size=12, num_heads=3,
+                      max_position=9, dropout_rate=0.0)
+    lengths = [7, 3, 5, 2]
+    rng = np.random.default_rng(21)
+    ids = rng.integers(5, cfg.vocab_size, size=(len(lengths), 7))
+    attn = (np.arange(7) < np.array(lengths)[:, None]).astype(np.int64)
+    ids[attn == 0] = 0
+    ids[:, 0] = 2
+    masked = np.flatnonzero(attn & (rng.random(attn.shape) < 0.5))
+    targets = rng.integers(5, cfg.vocab_size, size=masked.size)
+    classes = np.array([0, 1, 1, 0])
+
+    def run(encoder):
+        model = init_params(cfg, seed=3, dtype=np.float64)
+        hidden = encoder(ids, attn, model)
+        rows = ag.take(ag.reshape(hidden, (-1, cfg.hidden_size)), masked)
+        loss = ag.add(
+            ag.masked_cross_entropy(mlm_logits(rows, model), targets,
+                                    np.ones_like(targets), reduction="mean"),
+            ag.masked_cross_entropy(classify(hidden, model), classes,
+                                    np.ones_like(classes), reduction="mean"))
+        ag.backward(loss)
+        return hidden.data, {name: t.grad for name, t in model.params.items()}
+
+    hidden, grads = run(encode)
+    want_hidden, want_grads = run(padded_encode)
+    real = attn.astype(bool)
+    np.testing.assert_allclose(hidden[real], want_hidden[real], rtol=1e-10)
+    assert set(grads) == set(want_grads)
+    for name, grad in grads.items():
+        if name.endswith(".attn.bk"):
+            # true gradient 0: softmax ignores a constant added to every score
+            # of a query, so both hold rounding noise only
+            assert np.abs(grad).max() < 1e-15 and np.abs(want_grads[name]).max() < 1e-15
+        else:
+            np.testing.assert_allclose(grad, want_grads[name], rtol=1e-10, err_msg=name)
 
 
 def test_mlm_logits_shape_and_weight_tying():
