@@ -3,7 +3,8 @@
 Provides exactly the primitives the encoder, the losses, and the
 optimizer need: broadcast-aware elementwise arithmetic, matmul, softmax,
 GELU, tanh, layer norm, embedding lookup, dropout, slicing/reshaping,
-summation, and a fused masked cross-entropy. Working precision is
+summation, a fused multi-head self-attention over packed rows, and a
+fused masked cross-entropy. Working precision is
 float32; float64 is supported end to end for gradient verification.
 
 Every completed operation validates that its result is finite: NaN/Inf
@@ -243,6 +244,91 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float) -> Tensor:
         return dx, dgain, dbias
 
     return _from_op(out, "layer_norm", (x, gain, bias), bwd)
+
+
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, bq: Tensor,
+              bk: Tensor, bv: Tensor, attention_mask: np.ndarray, heads: int,
+              rate: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Multi-head self-attention over packed rows, as one node.
+
+    `x` holds the [T, d] real rows of a [B, n] `attention_mask` in
+    row-major order; the result is the [T, d] context, before the output
+    projection. Q, K and V come from one GEMM against the joined [d, 3d]
+    weights. A batch without padding reshapes straight into heads; with
+    padding the rows are scattered into their B*n slots, where zero rows
+    are hidden as keys by a -1e9 score and dropped as queries. With
+    `rate` > 0 the probabilities are dropped out with one `rng.random`
+    draw of shape [B, h, n, n].
+    """
+    mask = np.asarray(attention_mask)
+    if mask.ndim != 2 or x.data.ndim != 2:
+        raise ShapeError(f"attention needs [T, d] rows and a [B, n] mask, "
+                         f"got {x.shape} and {mask.shape}")
+    batch, seq_len = mask.shape
+    rows, width = x.shape
+    real = np.flatnonzero(mask)
+    if rows != real.size or width % heads:
+        raise ShapeError(f"attention: {x.shape} rows for {real.size} real positions "
+                         f"and {heads} heads")
+    padded = real.size != batch * seq_len
+    head_size = width // heads
+    dtype = x.dtype
+    w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    qkv = x.data @ w
+    qkv += np.concatenate([bq.data, bk.data, bv.data])
+    if padded:
+        slots = np.zeros((batch * seq_len, 3 * width), dtype=dtype)
+        slots[real] = qkv
+        qkv = slots
+    # [3, B, h, n, head_size] views of the joined rows
+    q, k, v = qkv.reshape(batch, seq_len, 3, heads, head_size).transpose(2, 0, 3, 1, 4)
+    scale = np.asarray(1.0 / math.sqrt(head_size), dtype)
+    probs = np.matmul(q, np.swapaxes(k, -1, -2))
+    probs *= scale
+    if padded:
+        probs += ((1.0 - mask.astype(dtype)) * np.asarray(-1e9, dtype))[:, None, None, :]
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    keep = None
+    dropped = probs
+    if rate > 0.0:
+        keep = (rng.random(probs.shape) >= rate).astype(dtype) / (1.0 - rate)
+        dropped = probs * keep
+
+    context = np.matmul(dropped, v).transpose(0, 2, 1, 3).reshape(batch * seq_len, width)
+    out = context[real] if padded else context
+
+    def bwd(g):
+        if padded:
+            full = np.zeros((batch * seq_len, width), dtype=g.dtype)
+            full[real] = g
+            g = full
+        g_ctx = g.reshape(batch, seq_len, heads, head_size).transpose(0, 2, 1, 3)
+        g_qkv = np.empty((batch, seq_len, 3, heads, head_size), dtype=g.dtype)
+        g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(np.swapaxes(dropped, -1, -2), g_ctx, out=g_v)
+        g_scores = np.matmul(g_ctx, np.swapaxes(v, -1, -2))
+        if keep is not None:
+            g_scores *= keep
+        g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)  # softmax backward
+        g_scores *= probs
+        g_scores *= scale
+        np.matmul(g_scores, k, out=g_q)
+        g_k[...] = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_scores), -1, -2)
+        g_qkv = g_qkv.reshape(batch * seq_len, 3 * width)
+        if padded:
+            g_qkv = g_qkv[real]
+        g_w = np.matmul(x.data.T, g_qkv)
+        g_b = g_qkv.sum(axis=0)
+        parts = [slice(i * width, (i + 1) * width) for i in range(3)]
+        return (tuple(np.matmul(g_qkv[:, part], wt.data.T) for part, wt in zip(parts, (wq, wk, wv)))
+                + tuple(g_w[:, part] for part in parts) + tuple(g_b[part] for part in parts))
+
+    # x is a parent once per projection, so backward adds its three input
+    # gradients to x's one at a time, in the order that separate Q, K and V
+    # projections did: seeded runs keep their floats
+    return _from_op(out, "attention", (x, x, x, wq, wk, wv, bq, bk, bv), bwd)
 
 
 def _scatter_rows(shape: tuple, rows: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -24,13 +24,15 @@ import typing
 from dataclasses import asdict
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .corpus import (load_labeled, load_scored, load_texts, parse_scored,
                      read_rows, select_by_threshold)
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .evaluation import (confusion, make_report, render, render_sweep,
                          threshold_sweep)
 from .model import (Model, ModelConfig, init_params, load_checkpoint,
-                    save_checkpoint)
+                    parameter_count, save_checkpoint)
 from .textprep import Lexicon, PrepConfig, keep_instance, load_emoji_map, prepare
 from .tokenizer import build_vocab, load_vocab
 from .training import (FinetuneConfig, PretrainConfig, finetune,
@@ -54,9 +56,21 @@ def _hash_inputs(paths: Sequence) -> dict[str, str]:
     return {str(p): _sha256_file(p) for p in paths if p}
 
 
+def _environment() -> dict:
+    """The interpreter and numeric libraries a run used."""
+    import scipy  # not at module level: importing it slows every command's start
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas}
+
+
 def _write_manifest(path, payload: dict) -> None:
     payload = {"schema_version": MANIFEST_SCHEMA_VERSION,
-               "rng": "pcg64", **payload}
+               "rng": "pcg64", "environment": _environment(), **payload}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -271,6 +285,7 @@ def cmd_pretrain(args) -> int:
                              "pretrain": asdict(pcfg)},
         "inputs": _hash_inputs([args.corpus, args.vocab]),
         "outputs": ["final", "trainlog.jsonl", "vocab.txt"],
+        "parameter_count": parameter_count(model.config, model.num_classes),
         "seeds": {"model_init": model.init_seed, "pretrain": pcfg.seed},
         "stop_reason": log.stop_reason,
         "num_texts": len(texts),
@@ -308,6 +323,7 @@ def cmd_finetune(args) -> int:
         "inputs": _hash_inputs([args.train, args.vocab]),
         "outputs": ["best", "final", "trainlog.jsonl", "vocab.txt",
                     "labels.json"],
+        "parameter_count": parameter_count(model.config, model.num_classes),
         "seeds": {"model_init": model.init_seed, "finetune": fcfg.seed},
         "stop_reason": log.stop_reason,
         "num_examples": len(train),

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
+import shutil
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -147,12 +147,12 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
     """Run the encoder stack. Returns hidden states [B, n, d]; the rows at
     padding positions (attention_mask 0) are unspecified.
 
-    The position-wise layers (embeddings, projections, GELU, residual adds,
-    layer norms, dropout) run on the T real rows only, packed as [T, d].
-    The attention core gathers them into the B*n slots, where padding
-    slots read packed row 0 and are excluded as keys by an additive -1e9
-    score and dropped as queries, so no gradient reaches them. Dropout
-    applies only when train_mode is set (which requires rng).
+    Every layer runs on the T real rows only, packed as [T, d]; the
+    attention core is the one fused `ag.attention` node per layer, which
+    places the rows in their B*n slots itself when there is padding. The
+    result is reshaped to [B, n, d] when there is no padding and gathered
+    into the slots otherwise. Dropout applies only when train_mode is set
+    (which requires rng).
     """
     cfg = model.config
     p = model.params
@@ -175,41 +175,21 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
     real = np.flatnonzero(attention_mask)  # the slot b*n + j of each real token
     if real.size == 0:
         raise DataError("attention_mask has no real position")
-    slot = np.zeros(batch * seq_len, dtype=np.intp)  # packed row read by each slot
-    slot[real] = np.arange(real.size)
-    slot = slot.reshape(batch, seq_len)
 
     def drop(t: Tensor) -> Tensor:
         if train_mode and cfg.dropout_rate > 0:
             return ag.dropout(t, cfg.dropout_rate, rng)
         return t
 
-    dtype = p["token_embedding"].dtype
     x = ag.add(ag.embedding(p["token_embedding"], ids.reshape(-1)[real]),
                ag.embedding(p["position_embedding"], real % seq_len))
     x = drop(x)
-
-    # [B, 1, 1, n] additive bias: 0 on real keys, -1e9 on padding
-    key_bias = ((1.0 - attention_mask.astype(dtype)) * np.asarray(-1e9, dtype))
-    key_bias = Tensor(key_bias[:, None, None, :])
-
-    heads, head_size = cfg.num_heads, cfg.head_size
-    scale = 1.0 / math.sqrt(head_size)
-
-    def split_heads(t: Tensor) -> Tensor:  # packed [T, d] -> [B, h, n, head_size]
-        t = ag.reshape(ag.take(t, slot), (batch, seq_len, heads, head_size))
-        return ag.transpose(t, (0, 2, 1, 3))
-
+    attn_rate = cfg.dropout_rate if train_mode else 0.0
     for i in range(cfg.num_layers):
         pre = f"layer{i}"
-        q = split_heads(_linear(x, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"]))
-        k = split_heads(_linear(x, p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"]))
-        v = split_heads(_linear(x, p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"]))
-        scores = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))) * scale
-        probs = ag.softmax(ag.add(scores, key_bias), axis=-1)
-        probs = drop(probs)
-        context = ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3))
-        context = ag.take(ag.reshape(context, (batch * seq_len, cfg.hidden_size)), real)
+        context = ag.attention(
+            x, *(p[f"{pre}.attn.{name}"] for name in ("wq", "wk", "wv", "bq", "bk", "bv")),
+            attention_mask, cfg.num_heads, attn_rate, rng)
         attn_out = drop(_linear(context, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"]))
         x = ag.layer_norm(ag.add(x, attn_out), p[f"{pre}.attn_norm.gain"],
                           p[f"{pre}.attn_norm.bias"], cfg.layer_norm_epsilon)
@@ -217,7 +197,11 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
         ffn_out = drop(_linear(hidden, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"]))
         x = ag.layer_norm(ag.add(x, ffn_out), p[f"{pre}.ffn_norm.gain"],
                           p[f"{pre}.ffn_norm.bias"], cfg.layer_norm_epsilon)
-    return ag.take(x, slot)
+    if real.size == batch * seq_len:
+        return ag.reshape(x, (batch, seq_len, cfg.hidden_size))
+    slot = np.zeros(batch * seq_len, dtype=np.intp)  # packed row read by each slot
+    slot[real] = np.arange(real.size)
+    return ag.take(x, slot.reshape(batch, seq_len))
 
 
 def mlm_logits(hidden: Tensor, model: Model) -> Tensor:
@@ -244,13 +228,22 @@ def _param_filename(name: str) -> str:
 
 def save_checkpoint(model: Model, path) -> None:
     """Write a checkpoint directory: manifest.json plus one flat
-    little-endian float32 file per parameter."""
-    os.makedirs(path, exist_ok=True)
+    little-endian float32 file per parameter.
+
+    The files are written to the sibling `<path>.tmp`. Then an existing
+    `path` is moved aside to `<path>.old`, the new directory is renamed
+    into place and the old one deleted (`os.replace` cannot replace a
+    non-empty directory). A save interrupted at any point leaves the
+    previous checkpoint or the new one for `load_checkpoint(path)`."""
+    path = os.path.normpath(os.fspath(path))
+    tmp, old = path + ".tmp", path + ".old"
+    shutil.rmtree(tmp, ignore_errors=True)  # an earlier save's unfinished write
+    os.makedirs(tmp)
     entries = {}
     for name, tensor in model.params.items():
         raw = np.ascontiguousarray(tensor.data.astype("<f4")).tobytes()
         digest = hashlib.sha256(raw).hexdigest()
-        with open(os.path.join(path, _param_filename(name)), "wb") as f:
+        with open(os.path.join(tmp, _param_filename(name)), "wb") as f:
             f.write(raw)
         entries[name] = {"shape": list(tensor.shape), "sha256": digest}
     manifest = {
@@ -261,14 +254,38 @@ def save_checkpoint(model: Model, path) -> None:
         "rng": "pcg64",
         "params": entries,
     }
-    with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as f:
+    with open(os.path.join(tmp, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
+    if os.path.isdir(path):
+        shutil.rmtree(old, ignore_errors=True)
+        os.rename(path, old)
+    os.rename(tmp, path)
+    shutil.rmtree(old, ignore_errors=True)
+
+
+def _saved_dir(path) -> str:
+    """The directory holding the last complete save to `path`: `path`
+    itself, or `<path>.old` when a save stopped between moving it aside
+    and renaming the new one into place. A lone `<path>.tmp` is a first
+    save that never finished, a DataError naming it."""
+    path = os.path.normpath(os.fspath(path))
+    if os.path.isdir(path):
+        return path
+    if os.path.isdir(path + ".old"):
+        return path + ".old"
+    if os.path.isdir(path + ".tmp"):
+        raise DataError(f"{path}.tmp: unfinished checkpoint write, and no "
+                        f"complete checkpoint at {path}")
+    return path
 
 
 def load_checkpoint(path) -> Model:
     """Read a checkpoint directory back into a Model. Rejects unknown
     format versions, shape drift, and corrupted parameter files; a
-    manifest with a missing or unknown key is a DataError naming it."""
+    manifest with a missing or unknown key is a DataError naming it.
+    Leftovers of an interrupted `save_checkpoint` are resolved as
+    `_saved_dir` describes."""
+    path = _saved_dir(path)
     manifest_path = os.path.join(path, "manifest.json")
     try:
         with open(manifest_path, encoding="utf-8") as f:

@@ -67,9 +67,6 @@ class Vocabulary:
             raise DataError(f"token id {token_id} out of range [0, {len(self.tokens)})")
         return self.tokens[token_id]
 
-    def non_special_ids(self) -> list[int]:
-        return self.non_special_id_array.tolist()
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             for tok in self.tokens:

@@ -262,6 +262,35 @@ def test_take_repeated_rows_accumulate_grad():
     check_grad(lambda: ag.tensor_sum(ag.mul(ag.take(y, rows), w)), y)
 
 
+ATTENTION_CASES = {  # mask, dropout rate
+    "padded": (np.array([[1, 1, 1, 1], [1, 1, 0, 0]]), 0.0),
+    "unpadded": (np.ones((2, 3), dtype=np.int64), 0.0),
+    "dropout": (np.array([[1, 1, 1, 1], [1, 1, 1, 0]]), 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_attention_grad_matches_fd(case):
+    """Every input's gradient, with the key bias active (padding), on the
+    reshape-only path (no padding) and with dropout under a fixed mask."""
+    mask, rate = ATTENTION_CASES[case]
+    rng = np.random.default_rng(14)
+    rows, width = int(mask.sum()), 6
+    x = rand_tensor(rng, (rows, width))
+    weights = [Tensor(0.5 * rng.standard_normal((width, width)), requires_grad=True)
+               for _ in range(3)]
+    biases = [rand_tensor(rng, (width,)) for _ in range(3)]
+    w = Tensor(rng.standard_normal((rows, width)))
+
+    def build(rate=rate):  # a fresh generator per evaluation keeps the mask fixed
+        out = ag.attention(x, *weights, *biases, mask, 2, rate, np.random.default_rng(5))
+        return ag.tensor_sum(ag.mul(out, w))
+
+    if rate:
+        assert build().data != build(0.0).data
+    check_grad(build, x, *weights, *biases)
+
+
 def test_tensor_sum_axis_semantics():
     x = Tensor(np.ones((2, 3)))
     assert ag.tensor_sum(x).data == 6.0

@@ -7,10 +7,11 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from offlm.cli import build_parser
-from offlm.model import ModelConfig, init_params, save_checkpoint
+from offlm.model import ModelConfig, init_params, parameter_count, save_checkpoint
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(PKG_ROOT, "tests", "fixtures")
@@ -237,6 +238,8 @@ def test_select_writes_rows_table_and_manifest(tmp_path):
     digest = hashlib.sha256(open(source, "rb").read()).hexdigest()
     assert digest in manifest["inputs"].values()
     assert "timestamp" not in manifest
+    assert manifest["environment"]["numpy"] == np.__version__
+    assert set(manifest["environment"]) == {"python", "numpy", "scipy", "blas"}
 
 
 def test_select_inverted_bounds_exit_2(tmp_path):
@@ -445,6 +448,26 @@ def test_init_checkpoint_shorter_than_max_len_exit_2(tmp_path, command):
     assert proc.returncode == 2, proc.stderr
     assert "max_position 8" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_training_manifest_records_parameter_count(tmp_path, command):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(TINY_VOCAB)
+    data = tmp_path / "data.tsv"
+    data.write_text("id\ttext\tlabel\n" + "".join(
+        f"r{i}\ta b a\t{('not', 'off')[i % 2]}\n" for i in range(10)))
+    out = tmp_path / "out"
+    inputs = (["--corpus", str(data)] if command == "pretrain" else
+              ["--train", str(data), "--labels", "not,off"])
+    proc = run_cli(command, *inputs, "--vocab", str(vocab), "--epochs", "1",
+                   "--max-len", "8", "--num-layers", "1", "--hidden-size", "8",
+                   "--num-heads", "2", "--output-dir", str(out))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    config = ModelConfig(**manifest["effective_config"]["model"])
+    on_disk = sum(os.path.getsize(f) for f in (out / "final").glob("*.bin")) // 4
+    assert manifest["parameter_count"] == parameter_count(config, 2) == on_disk
 
 
 @pytest.mark.parametrize("content", ["{}", "{not json", '{"labels": 3}'])

@@ -218,6 +218,82 @@ def test_packed_encode_matches_padded_oracle():
             np.testing.assert_allclose(grad, want_grads[name], rtol=1e-10, err_msg=name)
 
 
+def test_unpadded_encode_matches_padded_oracle():
+    """The no-padding path (a reshape, no slot gathers) against the
+    all-positions encoder: states and every parameter gradient, float64."""
+    cfg = ModelConfig(vocab_size=23, num_layers=2, hidden_size=12, num_heads=3,
+                      max_position=9, dropout_rate=0.0)
+    rng = np.random.default_rng(22)
+    ids = rng.integers(5, cfg.vocab_size, size=(4, 7))
+    ids[:, 0] = 2
+    attn = np.ones_like(ids)
+    masked = np.flatnonzero(rng.random(attn.shape) < 0.5)
+    targets = rng.integers(5, cfg.vocab_size, size=masked.size)
+    classes = np.array([0, 1, 1, 0])
+
+    def run(encoder):
+        model = init_params(cfg, seed=3, dtype=np.float64)
+        hidden = encoder(ids, attn, model)
+        rows = ag.take(ag.reshape(hidden, (-1, cfg.hidden_size)), masked)
+        loss = ag.add(
+            ag.masked_cross_entropy(mlm_logits(rows, model), targets,
+                                    np.ones_like(targets), reduction="mean"),
+            ag.masked_cross_entropy(classify(hidden, model), classes,
+                                    np.ones_like(classes), reduction="mean"))
+        ag.backward(loss)
+        return hidden.data, {name: t.grad for name, t in model.params.items()}
+
+    hidden, grads = run(encode)
+    want_hidden, want_grads = run(padded_encode)
+    np.testing.assert_allclose(hidden, want_hidden, rtol=1e-10)
+    assert set(grads) == set(want_grads)
+    for name, grad in grads.items():
+        if name.endswith(".attn.bk"):  # true gradient 0, as in the padded case
+            assert np.abs(grad).max() < 1e-15 and np.abs(want_grads[name]).max() < 1e-15
+        else:
+            np.testing.assert_allclose(grad, want_grads[name], rtol=1e-10, err_msg=name)
+
+
+def test_encode_draws_dropout_masks_in_layer_order():
+    """Seeded runs keep their draws: the embedding mask [T, d], then per
+    layer the attention-probability mask [B, h, n, n] and the two [T, d]
+    residual-branch masks."""
+    cfg = ModelConfig(**{**TINY.__dict__, "num_layers": 2, "dropout_rate": 0.1})
+    ids, attn = sample_batch(np.random.default_rng(6), cfg)
+    rng = np.random.default_rng(17)
+    encode(ids, attn, init_params(cfg, seed=0), train_mode=True, rng=rng)
+    want = np.random.default_rng(17)
+    (batch, seq_len), rows, width = attn.shape, int(attn.sum()), cfg.hidden_size
+    want.random((rows, width))
+    for _ in range(cfg.num_layers):
+        want.random((batch, cfg.num_heads, seq_len, seq_len))
+        want.random((rows, width))
+        want.random((rows, width))
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_encode_runs_one_attention_node_per_layer(padded):
+    """No per-layer gathers, transposes, softmax or reshapes: the only
+    shape op left is the final reshape (no padding) or gather (padding)."""
+    cfg = ModelConfig(**{**TINY.__dict__, "num_layers": 2})
+    ids, attn = sample_batch(np.random.default_rng(7), cfg)
+    if not padded:
+        attn = np.ones_like(attn)
+    hidden = encode(ids, attn, init_params(cfg, seed=0))
+    ops, stack, seen = [], [hidden], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node.ctx is None:
+            continue
+        seen.add(id(node))
+        ops.append(node.ctx.op)
+        stack.extend(node.ctx.parents)
+    assert ops.count("attention") == cfg.num_layers
+    assert ops[0] == ("take" if padded else "reshape")
+    assert not {"take", "reshape", "transpose", "softmax"} & set(ops[1:])
+
+
 def test_mlm_logits_shape_and_weight_tying():
     m = tiny_model()
     rng = np.random.default_rng(1)
@@ -272,6 +348,51 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     ids, attn = sample_batch(rng, TINY)
     np.testing.assert_array_equal(encode(ids, attn, m).data,
                                   encode(ids, attn, loaded).data)
+
+
+def assert_params_bitwise(model, want):
+    for name, t in want.params.items():
+        assert model.params[name].data.tobytes() == t.data.tobytes(), name
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    """A save that fails on its second parameter file leaves the previous
+    checkpoint loadable, bitwise; the next save replaces it cleanly."""
+    path = tmp_path / "best"
+    first, second = tiny_model(seed=1), tiny_model(seed=2)
+    save_checkpoint(first, path)
+    writes = []
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if mode == "wb":
+            writes.append(file)
+            if len(writes) == 2:
+                raise OSError("no space left on device")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("offlm.model.open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(second, path)
+    monkeypatch.undo()
+    assert_params_bitwise(load_checkpoint(path), first)
+    save_checkpoint(second, path)
+    assert_params_bitwise(load_checkpoint(path), second)
+    assert os.listdir(tmp_path) == ["best"]
+
+
+def test_load_recovers_checkpoint_moved_aside(tmp_path):
+    """A save stopped between moving the old directory aside and renaming
+    the new one into place still loads the old one."""
+    m = tiny_model(seed=3)
+    save_checkpoint(m, tmp_path / "best")
+    os.rename(tmp_path / "best", tmp_path / "best.old")
+    assert_params_bitwise(load_checkpoint(tmp_path / "best"), m)
+
+
+def test_load_rejects_unfinished_first_save(tmp_path):
+    (tmp_path / "best.tmp").mkdir()
+    with pytest.raises(DataError, match="best.tmp"):
+        load_checkpoint(tmp_path / "best")
 
 
 def test_checkpoint_manifest_contents(tmp_path):

@@ -31,7 +31,7 @@ def test_vocabulary_rejects_duplicates_and_missing_specials():
 
 
 def test_non_special_ids_excludes_all_specials(small_vocab):
-    ids = small_vocab.non_special_ids()
+    ids = small_vocab.non_special_id_array
     assert small_vocab.pad_id not in ids
     assert small_vocab.mask_id not in ids
     assert len(ids) == len(small_vocab) - 5

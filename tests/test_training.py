@@ -141,7 +141,7 @@ def _mask_tokens_oracle(seq, vocab, cfg, rng):
         input_ids[positions[to_mask]] = vocab.mask_id
         rand_positions = positions[to_random]
         if rand_positions.size:
-            pool = np.asarray(vocab.non_special_ids(), dtype=np.int64)
+            pool = vocab.non_special_id_array
             input_ids[rand_positions] = pool[rng.integers(pool.size,
                                                           size=rand_positions.size)]
     return MaskingOutcome(input_ids=input_ids, target_ids=ids,
@@ -154,7 +154,7 @@ def _mask_tokens_oracle(seq, vocab, cfg, rng):
                    replace_random_frac=0.7, keep_frac=0.1),
 ])
 def test_mask_tokens_matches_pre_change_oracle(cfg):
-    assert VOCAB.non_special_ids() == [
+    assert VOCAB.non_special_id_array.tolist() == [
         i for i in range(len(VOCAB)) if i not in VOCAB.special_ids]
     for seed in range(6):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
