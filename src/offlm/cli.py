@@ -336,11 +336,18 @@ def cmd_evaluate(args) -> int:
     if model_dir and not os.path.isdir(model_dir):
         raise DataError(f"model directory {model_dir} does not exist")
 
-    def in_model_dir(name: str) -> Optional[str]:
+    def in_model_dir(name: str, *leftovers: str) -> Optional[str]:
+        """`name` inside --model-dir if it, or `name` plus one of the
+        `leftovers` suffixes, is present there."""
         path = os.path.join(model_dir, name) if model_dir else None
-        return path if path and os.path.exists(path) else None
+        found = path and any(os.path.exists(path + suffix)
+                             for suffix in ("",) + leftovers)
+        return path if found else None
 
-    checkpoint = args.checkpoint or in_model_dir("final") or model_dir
+    # load_checkpoint resolves the `.old` left by a save interrupted
+    # between its renames, and names a lone `.tmp` in its DataError.
+    checkpoint = (args.checkpoint or in_model_dir("final", ".old", ".tmp")
+                  or model_dir)
     if not checkpoint:
         raise ConfigError("give --model-dir or --checkpoint")
     vocab_path = args.vocab or in_model_dir("vocab.txt")

@@ -234,9 +234,17 @@ def save_checkpoint(model: Model, path) -> None:
     `path` is moved aside to `<path>.old`, the new directory is renamed
     into place and the old one deleted (`os.replace` cannot replace a
     non-empty directory). A save interrupted at any point leaves the
-    previous checkpoint or the new one for `load_checkpoint(path)`."""
+    previous checkpoint or the new one for `load_checkpoint(path)`. An
+    existing `path` that is neither an empty directory nor a checkpoint
+    (a directory holding manifest.json) is a DataError naming it, and is
+    left untouched."""
     path = os.path.normpath(os.fspath(path))
     tmp, old = path + ".tmp", path + ".old"
+    replaces = os.path.isfile(os.path.join(path, "manifest.json"))
+    if os.path.lexists(path) and not replaces and not (
+            os.path.isdir(path) and not os.listdir(path)):
+        raise DataError(f"{path}: exists and is not a checkpoint directory; "
+                        "not overwriting it")
     shutil.rmtree(tmp, ignore_errors=True)  # an earlier save's unfinished write
     os.makedirs(tmp)
     entries = {}
@@ -256,9 +264,11 @@ def save_checkpoint(model: Model, path) -> None:
     }
     with open(os.path.join(tmp, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
-    if os.path.isdir(path):
+    if replaces:
         shutil.rmtree(old, ignore_errors=True)
         os.rename(path, old)
+    elif os.path.isdir(path):
+        os.rmdir(path)
     os.rename(tmp, path)
     shutil.rmtree(old, ignore_errors=True)
 

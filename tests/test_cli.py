@@ -486,6 +486,37 @@ def test_evaluate_malformed_labels_json_exit_3(tmp_path, content):
     assert "Traceback" not in proc.stderr
 
 
+def test_evaluate_model_dir_resolves_interrupted_final_save(tmp_path):
+    """A fine-tuning run killed between the two renames of its `final/`
+    save leaves only `final.old/`; `evaluate --model-dir` loads it rather
+    than reading the run's own manifest.json as a checkpoint. A lone
+    `final.tmp/` is a DataError naming it."""
+    model_dir = tmp_path / "fine"
+    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0),
+                    str(model_dir / "final"))
+    (model_dir / "vocab.txt").write_text(TINY_VOCAB)
+    (model_dir / "labels.json").write_text('{"labels": ["not", "off"]}\n')
+    (model_dir / "manifest.json").write_text('{"command": "finetune"}\n')
+
+    def evaluate(out):
+        return run_cli("evaluate", "--model-dir", str(model_dir),
+                       "--data", os.path.join(FIXTURES, "labeled.tsv"),
+                       "--output-dir", str(tmp_path / out))
+
+    proc = evaluate("intact")
+    assert proc.returncode == 0, proc.stderr
+    os.rename(model_dir / "final", model_dir / "final.old")
+    proc = evaluate("moved-aside")
+    assert proc.returncode == 0, proc.stderr
+    assert ((tmp_path / "moved-aside" / "predictions.tsv").read_bytes()
+            == (tmp_path / "intact" / "predictions.tsv").read_bytes())
+    os.rename(model_dir / "final.old", model_dir / "final.tmp")
+    proc = evaluate("unfinished")
+    assert proc.returncode == 3, proc.stderr
+    assert "final.tmp" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def declared_entry_point():
     tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(PKG_ROOT, "pyproject.toml"), "rb") as f:

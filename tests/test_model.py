@@ -395,6 +395,24 @@ def test_load_rejects_unfinished_first_save(tmp_path):
         load_checkpoint(tmp_path / "best")
 
 
+def test_save_refuses_directory_that_is_not_a_checkpoint(tmp_path):
+    """Saving over a directory without manifest.json leaves its files in
+    place; an empty directory is simply filled."""
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    (notes / "todo.txt").write_text("keep me")
+    with pytest.raises(DataError, match="notes"):
+        save_checkpoint(tiny_model(), notes)
+    assert os.listdir(notes) == ["todo.txt"]
+    assert (notes / "todo.txt").read_text() == "keep me"
+    assert sorted(os.listdir(tmp_path)) == ["notes"]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    m = tiny_model(seed=4)
+    save_checkpoint(m, empty)
+    assert_params_bitwise(load_checkpoint(empty), m)
+
+
 def test_checkpoint_manifest_contents(tmp_path):
     m = tiny_model(seed=9)
     save_checkpoint(m, tmp_path / "ckpt")
