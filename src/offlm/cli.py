@@ -26,15 +26,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import (load_labeled, load_scored, load_texts, parse_scored,
-                     read_rows, select_by_threshold)
+from .corpus import (LabeledInstance, load_labeled, load_scored, load_texts,
+                     parse_scored, read_rows, select_by_threshold)
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .evaluation import (confusion, make_report, render, render_sweep,
-                         threshold_sweep)
+from .evaluation import (EvalReport, SweepRow, SweepTable, confusion,
+                         make_report, render, render_sweep)
 from .model import (Model, ModelConfig, init_params, load_checkpoint,
                     parameter_count, save_checkpoint)
 from .textprep import Lexicon, PrepConfig, keep_instance, load_emoji_map, prepare
-from .tokenizer import build_vocab, load_vocab
+from .tokenizer import Vocabulary, build_vocab, load_vocab
 from .training import (FinetuneConfig, PretrainConfig, finetune,
                        predict_class_ids, pretrain)
 
@@ -265,6 +265,100 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
+def _pretrain(texts: Sequence[str], corpus_path: str, vocab: Vocabulary,
+              vocab_path: str, model: Model, pcfg: PretrainConfig,
+              output_dir: str) -> None:
+    """Pretrain `model` on `texts` and write what `pretrain` writes to
+    `output_dir`: checkpoints, trainlog.jsonl, vocab.txt, manifest.json."""
+    os.makedirs(output_dir, exist_ok=True)
+    log = pretrain(texts, vocab, model, pcfg, checkpoint_dir=output_dir)
+    log.save_jsonl(os.path.join(output_dir, "trainlog.jsonl"))
+    shutil.copyfile(vocab_path, os.path.join(output_dir, "vocab.txt"))
+    final_loss = log.steps[-1].loss if log.steps else "n/a"
+    print(f"pretrained {len(log.steps)} steps on {len(texts)} texts "
+          f"-> {output_dir} (last loss {final_loss})")
+    _write_manifest(os.path.join(output_dir, "manifest.json"), {
+        "command": "pretrain",
+        "effective_config": {"model": asdict(model.config),
+                             "pretrain": asdict(pcfg)},
+        "inputs": _hash_inputs([corpus_path, vocab_path]),
+        "outputs": ["final", "trainlog.jsonl", "vocab.txt"],
+        "parameter_count": parameter_count(model.config, model.num_classes),
+        "seeds": {"model_init": model.init_seed, "pretrain": pcfg.seed},
+        "stop_reason": log.stop_reason,
+        "num_texts": len(texts),
+    })
+
+
+def _finetune(train: Sequence[LabeledInstance], train_path: str,
+              vocab: Vocabulary, vocab_path: str, model: Model,
+              fcfg: FinetuneConfig, labels: list[str], output_dir: str) -> None:
+    """Fine-tune `model` on `train` and write what `finetune` writes to
+    `output_dir`: best/, final/, trainlog.jsonl, vocab.txt, labels.json,
+    manifest.json."""
+    os.makedirs(output_dir, exist_ok=True)
+    log = finetune(train, vocab, model, fcfg, labels, checkpoint_dir=output_dir)
+    save_checkpoint(model, os.path.join(output_dir, "final"))
+    log.save_jsonl(os.path.join(output_dir, "trainlog.jsonl"))
+    shutil.copyfile(vocab_path, os.path.join(output_dir, "vocab.txt"))
+    with open(os.path.join(output_dir, "labels.json"), "w",
+              encoding="utf-8") as f:
+        json.dump({"labels": labels}, f)
+        f.write("\n")
+    best = min((e.loss for e in log.evals), default=None)
+    print(f"fine-tuned {len(log.steps)} steps, {len(log.evals)} evaluations, "
+          f"stop reason {log.stop_reason}, best eval loss {best} "
+          f"-> {output_dir}")
+    _write_manifest(os.path.join(output_dir, "manifest.json"), {
+        "command": "finetune",
+        "effective_config": {"model": asdict(model.config),
+                             "finetune": asdict(fcfg), "labels": labels},
+        "inputs": _hash_inputs([train_path, vocab_path]),
+        "outputs": ["best", "final", "trainlog.jsonl", "vocab.txt",
+                    "labels.json"],
+        "parameter_count": parameter_count(model.config, model.num_classes),
+        "seeds": {"model_init": model.init_seed, "finetune": fcfg.seed},
+        "stop_reason": log.stop_reason,
+        "num_examples": len(train),
+    })
+
+
+def _evaluate(data: Sequence[LabeledInstance], data_path: str,
+              vocab: Vocabulary, model: Model, labels: list[str],
+              max_len: int, output_dir: str, fmt: str, dataset_id: str,
+              model_id: str, batch_size: int = 32) -> EvalReport:
+    """Score `model` on `data` and write what `evaluate` writes to
+    `output_dir`: predictions.tsv, the report, manifest.json."""
+    preds_idx = predict_class_ids([d.text for d in data], vocab, model,
+                                  max_len, batch_size=batch_size)
+    preds = [labels[i] for i in preds_idx]
+    gold = [d.label for d in data]
+    cm = confusion(preds, gold, labels)
+    report = make_report(cm, dataset_id, model_id,
+                         {"max_len": max_len, "labels": labels})
+    os.makedirs(output_dir, exist_ok=True)
+    _write_tsv(os.path.join(output_dir, "predictions.tsv"),
+               ["id", "gold", "pred"],
+               [{"id": d.id, "gold": g, "pred": p}
+                for d, g, p in zip(data, gold, preds)])
+    text = render([report], fmt)
+    report_name = f"report.{_REPORT_EXT[fmt]}"
+    with open(os.path.join(output_dir, report_name), "w",
+              encoding="utf-8") as f:
+        f.write(text)
+    print(text, end="")
+    _write_manifest(os.path.join(output_dir, "manifest.json"), {
+        "command": "evaluate",
+        "effective_config": {"labels": labels, "max_len": max_len,
+                             "format": fmt},
+        "inputs": _hash_inputs([data_path]),
+        "outputs": ["predictions.tsv", report_name],
+        "macro_f1": report.macro_f1,
+        "accuracy": report.accuracy,
+    })
+    return report
+
+
 def cmd_pretrain(args) -> int:
     config = _load_config_file(args)
     texts = load_texts(args.corpus, args.text_column)
@@ -272,24 +366,8 @@ def cmd_pretrain(args) -> int:
     pcfg = _config(config, "pretrain", args)
     model = _model(config, args, vocab, pcfg.max_len,
                    checkpoint=args.init_checkpoint)
-    os.makedirs(args.output_dir, exist_ok=True)
-    log = pretrain(texts, vocab, model, pcfg, checkpoint_dir=args.output_dir)
-    log.save_jsonl(os.path.join(args.output_dir, "trainlog.jsonl"))
-    shutil.copyfile(args.vocab, os.path.join(args.output_dir, "vocab.txt"))
-    final_loss = log.steps[-1].loss if log.steps else "n/a"
-    print(f"pretrained {len(log.steps)} steps on {len(texts)} texts "
-          f"-> {args.output_dir} (last loss {final_loss})")
-    _write_manifest(os.path.join(args.output_dir, "manifest.json"), {
-        "command": "pretrain",
-        "effective_config": {"model": asdict(model.config),
-                             "pretrain": asdict(pcfg)},
-        "inputs": _hash_inputs([args.corpus, args.vocab]),
-        "outputs": ["final", "trainlog.jsonl", "vocab.txt"],
-        "parameter_count": parameter_count(model.config, model.num_classes),
-        "seeds": {"model_init": model.init_seed, "pretrain": pcfg.seed},
-        "stop_reason": log.stop_reason,
-        "num_texts": len(texts),
-    })
+    _pretrain(texts, args.corpus, vocab, args.vocab, model, pcfg,
+              args.output_dir)
     return 0
 
 
@@ -302,32 +380,8 @@ def cmd_finetune(args) -> int:
     fcfg = _config(config, "finetune", args)
     model = _model(config, args, vocab, fcfg.max_len, labels,
                    checkpoint=args.init_checkpoint)
-    os.makedirs(args.output_dir, exist_ok=True)
-    log = finetune(train, vocab, model, fcfg, labels,
-                   checkpoint_dir=args.output_dir)
-    save_checkpoint(model, os.path.join(args.output_dir, "final"))
-    log.save_jsonl(os.path.join(args.output_dir, "trainlog.jsonl"))
-    shutil.copyfile(args.vocab, os.path.join(args.output_dir, "vocab.txt"))
-    with open(os.path.join(args.output_dir, "labels.json"), "w",
-              encoding="utf-8") as f:
-        json.dump({"labels": labels}, f)
-        f.write("\n")
-    best = min((e.loss for e in log.evals), default=None)
-    print(f"fine-tuned {len(log.steps)} steps, {len(log.evals)} evaluations, "
-          f"stop reason {log.stop_reason}, best eval loss {best} "
-          f"-> {args.output_dir}")
-    _write_manifest(os.path.join(args.output_dir, "manifest.json"), {
-        "command": "finetune",
-        "effective_config": {"model": asdict(model.config),
-                             "finetune": asdict(fcfg), "labels": labels},
-        "inputs": _hash_inputs([args.train, args.vocab]),
-        "outputs": ["best", "final", "trainlog.jsonl", "vocab.txt",
-                    "labels.json"],
-        "parameter_count": parameter_count(model.config, model.num_classes),
-        "seeds": {"model_init": model.init_seed, "finetune": fcfg.seed},
-        "stop_reason": log.stop_reason,
-        "num_examples": len(train),
-    })
+    _finetune(train, args.train, vocab, args.vocab, model, fcfg, labels,
+              args.output_dir)
     return 0
 
 
@@ -371,34 +425,9 @@ def cmd_evaluate(args) -> int:
                         text_column=args.text_column)
     dataset_id = args.dataset_id or os.path.splitext(
         os.path.basename(args.data))[0]
-    max_len = args.max_len or model.config.max_position
-    preds_idx = predict_class_ids([d.text for d in data], vocab, model,
-                                  max_len, batch_size=args.batch_size)
-    preds = [labels[i] for i in preds_idx]
-    gold = [d.label for d in data]
-    cm = confusion(preds, gold, labels)
-    report = make_report(cm, dataset_id, model_id,
-                         {"max_len": max_len, "labels": labels})
-    os.makedirs(args.output_dir, exist_ok=True)
-    pred_path = os.path.join(args.output_dir, "predictions.tsv")
-    _write_tsv(pred_path, ["id", "gold", "pred"],
-               [{"id": d.id, "gold": g, "pred": p}
-                for d, g, p in zip(data, gold, preds)])
-    text = render([report], args.format)
-    report_path = os.path.join(args.output_dir,
-                               f"report.{_REPORT_EXT[args.format]}")
-    with open(report_path, "w", encoding="utf-8") as f:
-        f.write(text)
-    print(text, end="")
-    _write_manifest(os.path.join(args.output_dir, "manifest.json"), {
-        "command": "evaluate",
-        "effective_config": {"labels": labels, "max_len": max_len,
-                             "format": args.format},
-        "inputs": _hash_inputs([args.data]),
-        "outputs": ["predictions.tsv", os.path.basename(report_path)],
-        "macro_f1": report.macro_f1,
-        "accuracy": report.accuracy,
-    })
+    _evaluate(data, args.data, vocab, model, labels,
+              args.max_len or model.config.max_position, args.output_dir,
+              args.format, dataset_id, model_id, args.batch_size)
     return 0
 
 
@@ -417,36 +446,24 @@ def cmd_sweep(args) -> int:
     vocab = load_vocab(args.vocab)
     pcfg = _config(config, "pretrain", args)
     fcfg = _config(config, "finetune", args)
-    mcfg = _model(config, args, vocab, max(pcfg.max_len, fcfg.max_len),
-                  labels).config
-    os.makedirs(args.output_dir, exist_ok=True)
-    reports = []
-
-    def runner(lo: float, hi: float) -> tuple[int, float]:
-        index = len(reports)
+    table, reports = SweepTable(), []
+    for index, (lo, hi) in enumerate(bins):
         bin_dir = os.path.join(args.output_dir, f"bin-{index}")
+        model = _model(config, args, vocab, max(pcfg.max_len, fcfg.max_len),
+                       labels)
         selected = select_by_threshold(scored, lo, hi)
         if not selected:
             raise DataError(f"bin [{lo}, {hi}] selected no instances")
-        model = init_params(mcfg, args.model_seed, num_classes=len(labels))
-        pretrain([s.text for s in selected], vocab, model, pcfg,
-                 checkpoint_dir=os.path.join(bin_dir, "pretrain"))
-        finetune(train, vocab, model, fcfg, labels,
-                 checkpoint_dir=os.path.join(bin_dir, "finetune"))
-        save_checkpoint(model, os.path.join(bin_dir, "finetune", "final"))
-        preds_idx = predict_class_ids([d.text for d in eval_data], vocab,
-                                      model, fcfg.max_len)
-        preds = [labels[i] for i in preds_idx]
-        cm = confusion(preds, [d.label for d in eval_data], labels)
-        report = make_report(
-            cm, args.dataset_id or "eval",
-            f"bin-{lo:g}-{hi:g}",
-            {"lo": lo, "hi": hi, "pretrain": asdict(pcfg),
-             "finetune": asdict(fcfg), "model": asdict(mcfg)})
+        _pretrain([s.text for s in selected], args.scored, vocab, args.vocab,
+                  model, pcfg, os.path.join(bin_dir, "pretrain"))
+        _finetune(train, args.train, vocab, args.vocab, model, fcfg, labels,
+                  os.path.join(bin_dir, "finetune"))
+        report = _evaluate(eval_data, args.eval or args.train, vocab, model,
+                           labels, fcfg.max_len, os.path.join(bin_dir, "eval"),
+                           args.format, args.dataset_id or "eval",
+                           f"bin-{lo:g}-{hi:g}")
         reports.append(report)
-        return len(selected), report.macro_f1
-
-    table = threshold_sweep(bins, runner)
+        table.rows.append(SweepRow(lo, hi, len(selected), report.macro_f1))
     ext = _REPORT_EXT[args.format]
     for name, text in (("sweep", render_sweep(table, args.format)),
                        ("models", render(reports, args.format))):
@@ -456,7 +473,8 @@ def cmd_sweep(args) -> int:
         print(text, end="")
     _write_manifest(os.path.join(args.output_dir, "manifest.json"), {
         "command": "sweep",
-        "effective_config": {"model": asdict(mcfg), "pretrain": asdict(pcfg),
+        "effective_config": {"model": asdict(model.config),
+                             "pretrain": asdict(pcfg),
                              "finetune": asdict(fcfg), "labels": labels,
                              "bins": [list(b) for b in bins]},
         "inputs": _hash_inputs([args.scored, args.train, args.eval,

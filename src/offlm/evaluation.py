@@ -1,5 +1,5 @@
-"""Confusion matrices, macro-averaged F1, threshold-sweep tables, and
-report rendering (json, markdown, tsv).
+"""Confusion matrices, macro-averaged F1, and json, markdown or tsv
+rendering of reports and of the threshold-sweep table (one row per bin).
 
 Macro F1 averages over every declared class, including classes absent
 from the sample, and defines any 0/0 as 0. That keeps scores comparable
@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -164,23 +164,6 @@ class SweepTable:
                 for r in self.rows
             ],
         }
-
-
-def threshold_sweep(bins: Sequence[tuple[float, float]],
-                    runner: Callable[[float, float], tuple[int, float]],
-                    ) -> SweepTable:
-    """Run the full select/pretrain/finetune/evaluate pipeline per bin.
-
-    The runner gets (lo, hi) and returns (selected instance count,
-    macro F1). Rows keep the caller's bin order.
-    """
-    if not bins:
-        raise ConfigError("at least one threshold bin is required")
-    table = SweepTable()
-    for lo, hi in bins:
-        count, score = runner(lo, hi)
-        table.rows.append(SweepRow(lo, hi, count, score))
-    return table
 
 
 def _bound(x: float) -> str:

@@ -150,21 +150,6 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenizedSequence:
                              original_length=original_length)
 
 
-def detokenize(ids: Sequence[int], vocab: Vocabulary) -> str:
-    """Inverse of tokenize up to whitespace normalization: drop specials,
-    glue continuation pieces, space-separate words."""
-    words: list[str] = []
-    for token_id in ids:
-        token = vocab.token_of(int(token_id))
-        if token in SPECIAL_TOKENS:
-            continue
-        if token.startswith(CONTINUATION_PREFIX) and words:
-            words[-1] += token[len(CONTINUATION_PREFIX):]
-        else:
-            words.append(token)
-    return " ".join(words)
-
-
 def _word_counts(corpus: Iterable[str]) -> Counter:
     counts: Counter = Counter()
     for text in corpus:

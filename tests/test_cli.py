@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from offlm import cli
 from offlm.cli import build_parser
 from offlm.model import ModelConfig, init_params, parameter_count, save_checkpoint
 
@@ -515,6 +516,79 @@ def test_evaluate_model_dir_resolves_interrupted_final_save(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "final.tmp" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+SWEEP_CONFIG = {
+    "model": {"num_layers": 1, "hidden_size": 16, "num_heads": 2,
+              "max_position": 24, "dropout_rate": 0.1},
+    "pretrain": {"epochs": 2, "batch_size": 8, "max_len": 24, "seed": 5},
+    "finetune": {"epochs": 2, "batch_size": 4, "max_len": 16, "seed": 13},
+}
+
+
+def run_main(*args):
+    """One offlm command in this process."""
+    assert cli.main([str(a) for a in args]) == 0
+
+
+@pytest.fixture
+def sweep_inputs(tmp_path, monkeypatch):
+    """Config, scored and labeled fixtures, and a vocabulary built from them."""
+    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(SWEEP_CONFIG))
+    scored = os.path.join(FIXTURES, "scored.tsv")
+    vocab = tmp_path / "vocab.txt"
+    run_main("build-vocab", "--input", scored, "--size", "200",
+             "--output", vocab)
+    return {"config": config, "scored": scored, "vocab": vocab,
+            "labeled": os.path.join(FIXTURES, "labeled.tsv")}
+
+
+def param_digests(checkpoint):
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    return {name: p["sha256"] for name, p in manifest["params"].items()}
+
+
+def test_sweep_bin_matches_its_commands(tmp_path, sweep_inputs):
+    """A one-bin sweep with --eval writes, per stage, what select, pretrain,
+    finetune --init-checkpoint and evaluate write when run by hand."""
+    i = sweep_inputs
+    held_out = tmp_path / "eval.tsv"
+    lines = open(i["labeled"], encoding="utf-8").read().splitlines()
+    held_out.write_text("\n".join([lines[0]] + [f"e{ln}" for ln in lines[:0:-1]])
+                        + "\n")
+    sweep, selected = tmp_path / "sweep", tmp_path / "selected.tsv"
+    by_hand = {stage: tmp_path / stage for stage in ("pretrain", "finetune", "eval")}
+    run_main("sweep", "--config", i["config"], "--scored", i["scored"],
+             "--train", i["labeled"], "--eval", held_out, "--vocab", i["vocab"],
+             "--labels", "not,off", "--bins", "0.7:1.0", "--output-dir", sweep)
+    run_main("select", "--input", i["scored"], "--lo", "0.7", "--hi", "1.0",
+             "--output", selected)
+    run_main("pretrain", "--config", i["config"], "--corpus", selected,
+             "--vocab", i["vocab"], "--output-dir", by_hand["pretrain"])
+    run_main("finetune", "--config", i["config"], "--train", i["labeled"],
+             "--vocab", i["vocab"], "--labels", "not,off",
+             "--init-checkpoint", by_hand["pretrain"] / "final",
+             "--output-dir", by_hand["finetune"])
+    run_main("evaluate", "--model-dir", by_hand["finetune"], "--data", held_out,
+             "--max-len", SWEEP_CONFIG["finetune"]["max_len"],
+             "--output-dir", by_hand["eval"])
+
+    bin_dir = sweep / "bin-0"
+    for stage, hand_dir in by_hand.items():
+        assert (sorted(os.listdir(bin_dir / stage))
+                == sorted(os.listdir(hand_dir))), stage
+    for stage, name in (("pretrain", "final"), ("finetune", "best"),
+                        ("finetune", "final")):
+        assert (param_digests(bin_dir / stage / name)
+                == param_digests(by_hand[stage] / name)), (stage, name)
+    for stage, name in (("pretrain", "trainlog.jsonl"),
+                        ("finetune", "trainlog.jsonl"),
+                        ("finetune", "labels.json"),
+                        ("eval", "predictions.tsv")):
+        assert ((bin_dir / stage / name).read_bytes()
+                == (by_hand[stage] / name).read_bytes()), (stage, name)
 
 
 def declared_entry_point():

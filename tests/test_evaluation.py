@@ -17,7 +17,6 @@ from offlm.evaluation import (
     per_class_metrics,
     render,
     render_sweep,
-    threshold_sweep,
 )
 
 
@@ -155,19 +154,6 @@ def test_render_tsv_has_header_and_rows():
 def test_render_rejects_unknown_format():
     with pytest.raises(ConfigError):
         render([], fmt="yaml")
-
-
-def test_threshold_sweep_invokes_runner_per_bin():
-    calls = []
-
-    def runner(lo, hi):
-        calls.append((lo, hi))
-        return 100 - int(lo * 100), 0.5 + lo / 10
-
-    table = threshold_sweep([(0.5, 1.0), (0.7, 1.0)], runner)
-    assert calls == [(0.5, 1.0), (0.7, 1.0)]
-    assert [r.selected_count for r in table.rows] == [50, 30]
-    assert table.rows[0].macro_f1 == pytest.approx(0.55)
 
 
 def test_render_sweep_markdown_bounds_format():

@@ -3,13 +3,29 @@ from hypothesis import given, settings, strategies as st
 
 from offlm.errors import ConfigError, DataError
 from offlm.tokenizer import (
+    CONTINUATION_PREFIX,
+    SPECIAL_TOKENS,
     TokenizedSequence,
     Vocabulary,
     build_vocab,
-    detokenize,
     load_vocab,
     tokenize,
 )
+
+
+def detokenize(ids, vocab):
+    """Oracle inverse of tokenize up to whitespace normalization: drop
+    specials, glue continuation pieces, space-separate words."""
+    words = []
+    for token_id in ids:
+        token = vocab.token_of(int(token_id))
+        if token in SPECIAL_TOKENS:
+            continue
+        if token.startswith(CONTINUATION_PREFIX) and words:
+            words[-1] += token[len(CONTINUATION_PREFIX):]
+        else:
+            words.append(token)
+    return " ".join(words)
 
 
 def test_vocabulary_exposes_special_ids(small_vocab):
