@@ -26,8 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import (LabeledInstance, load_labeled, load_scored, load_texts,
-                     parse_scored, read_rows, select_by_threshold)
+from .corpus import (LabeledInstance, SplitSpec, load_labeled, load_scored,
+                     load_texts, parse_scored, read_rows, select_by_threshold,
+                     split)
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .evaluation import (EvalReport, SweepRow, SweepTable, confusion,
                          make_report, render, render_sweep)
@@ -439,13 +440,18 @@ def cmd_sweep(args) -> int:
                          text_column=args.text_column)
     train = load_labeled(args.train, labels, label_column=args.label_column,
                          text_column=args.text_column)
-    eval_data = (load_labeled(args.eval, labels,
-                              label_column=args.label_column,
-                              text_column=args.text_column)
-                 if args.eval else train)
     vocab = load_vocab(args.vocab)
     pcfg = _config(config, "pretrain", args)
     fcfg = _config(config, "finetune", args)
+    test_path = args.eval or args.train
+    dataset_id = os.path.splitext(os.path.basename(test_path))[0]
+    if args.eval:
+        test = load_labeled(args.eval, labels, label_column=args.label_column,
+                            text_column=args.text_column)
+    else:  # score each bin on rows carved from --train before fine-tuning
+        train, test = split(train, SplitSpec(
+            (1.0 - fcfg.eval_fraction, fcfg.eval_fraction), fcfg.seed))
+        dataset_id += "-heldout"
     table, reports = SweepTable(), []
     for index, (lo, hi) in enumerate(bins):
         bin_dir = os.path.join(args.output_dir, f"bin-{index}")
@@ -458,10 +464,9 @@ def cmd_sweep(args) -> int:
                   model, pcfg, os.path.join(bin_dir, "pretrain"))
         _finetune(train, args.train, vocab, args.vocab, model, fcfg, labels,
                   os.path.join(bin_dir, "finetune"))
-        report = _evaluate(eval_data, args.eval or args.train, vocab, model,
-                           labels, fcfg.max_len, os.path.join(bin_dir, "eval"),
-                           args.format, args.dataset_id or "eval",
-                           f"bin-{lo:g}-{hi:g}")
+        report = _evaluate(test, test_path, vocab, model, labels, fcfg.max_len,
+                           os.path.join(bin_dir, "eval"), args.format,
+                           args.dataset_id or dataset_id, f"bin-{lo:g}-{hi:g}")
         reports.append(report)
         table.rows.append(SweepRow(lo, hi, len(selected), report.macro_f1))
     ext = _REPORT_EXT[args.format]

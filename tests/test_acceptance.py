@@ -443,6 +443,6 @@ def test_cli_pipeline_end_to_end(tmp_path):
 
         sweep = (tmp_path / "sweep" / "sweep.md").read_text()
         assert "| Threshold | Selected | Macro F1 |" in sweep
-        assert "| 0.5 - 1.0 | 21 | 1.0000 |" in sweep
-        assert "| 0.7 - 1.0 | 10 | 1.0000 |" in sweep
+        assert "| 0.5 - 1.0 | 21 | 0.3333 |" in sweep
+        assert "| 0.7 - 1.0 | 10 | 0.7333 |" in sweep
         assert time.perf_counter() - start < 300.0

@@ -554,12 +554,13 @@ def test_sweep_bin_matches_its_commands(tmp_path, sweep_inputs):
     """A one-bin sweep with --eval writes, per stage, what select, pretrain,
     finetune --init-checkpoint and evaluate write when run by hand."""
     i = sweep_inputs
-    held_out = tmp_path / "eval.tsv"
-    lines = open(i["labeled"], encoding="utf-8").read().splitlines()
-    held_out.write_text("\n".join([lines[0]] + [f"e{ln}" for ln in lines[:0:-1]])
-                        + "\n")
+    with open(i["labeled"], encoding="utf-8") as f:
+        header, *rows = f.read().splitlines()
+    held_out = tmp_path / "held_out.tsv"  # the labeled rows under new ids
+    held_out.write_text("\n".join([header] + ["e" + row for row in rows]) + "\n")
     sweep, selected = tmp_path / "sweep", tmp_path / "selected.tsv"
-    by_hand = {stage: tmp_path / stage for stage in ("pretrain", "finetune", "eval")}
+    by_hand = {stage: tmp_path / stage
+               for stage in ("pretrain", "finetune", "eval")}
     run_main("sweep", "--config", i["config"], "--scored", i["scored"],
              "--train", i["labeled"], "--eval", held_out, "--vocab", i["vocab"],
              "--labels", "not,off", "--bins", "0.7:1.0", "--output-dir", sweep)
@@ -573,7 +574,7 @@ def test_sweep_bin_matches_its_commands(tmp_path, sweep_inputs):
              "--output-dir", by_hand["finetune"])
     run_main("evaluate", "--model-dir", by_hand["finetune"], "--data", held_out,
              "--max-len", SWEEP_CONFIG["finetune"]["max_len"],
-             "--output-dir", by_hand["eval"])
+             "--model-id", "bin-0.7-1", "--output-dir", by_hand["eval"])
 
     bin_dir = sweep / "bin-0"
     for stage, hand_dir in by_hand.items():
@@ -586,9 +587,38 @@ def test_sweep_bin_matches_its_commands(tmp_path, sweep_inputs):
     for stage, name in (("pretrain", "trainlog.jsonl"),
                         ("finetune", "trainlog.jsonl"),
                         ("finetune", "labels.json"),
-                        ("eval", "predictions.tsv")):
+                        ("eval", "predictions.tsv"), ("eval", "report.md")):
         assert ((bin_dir / stage / name).read_bytes()
                 == (by_hand[stage] / name).read_bytes()), (stage, name)
+
+
+def test_sweep_scores_rows_it_did_not_fine_tune_on(tmp_path, sweep_inputs,
+                                                   monkeypatch):
+    """Without --eval, each bin is scored on rows carved from --train
+    before fine-tuning; the rows keep the order of --bins."""
+    trained, finetune = [], cli.finetune
+
+    def recording_finetune(train_data, *rest, **kwargs):
+        trained.append({inst.id for inst in train_data})
+        return finetune(train_data, *rest, **kwargs)
+
+    monkeypatch.setattr(cli, "finetune", recording_finetune)
+    i, sweep = sweep_inputs, tmp_path / "sweep"
+    run_main("sweep", "--config", i["config"], "--scored", i["scored"],
+             "--train", i["labeled"], "--vocab", i["vocab"],
+             "--labels", "not,off", "--bins", "0.7:1.0,0.5:1.0",
+             "--output-dir", sweep)
+
+    assert len(trained) == 2
+    for index, trained_ids in enumerate(trained):
+        predictions = sweep / f"bin-{index}" / "eval" / "predictions.tsv"
+        scored_ids = {row["id"] for row in read_tsv(predictions)}
+        assert scored_ids and not trained_ids & scored_ids
+    rows = [line for line in (sweep / "sweep.md").read_text().splitlines()
+            if line.startswith("| 0.")]
+    assert [row.split(" | ")[:2] for row in rows] == [["| 0.7 - 1.0", "10"],
+                                                      ["| 0.5 - 1.0", "21"]]
+    assert "| labeled-heldout | bin-0.7-1 |" in (sweep / "models.md").read_text()
 
 
 def declared_entry_point():
