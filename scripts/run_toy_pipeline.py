@@ -61,7 +61,7 @@ def main(argv=None) -> int:
         "--labels", "not,off",
         "--init-checkpoint", os.path.join(work, "pretrain", "final"),
         "--output-dir", os.path.join(work, "finetune"))
-    run("evaluate on the labeled set",
+    run("evaluate on the fine-tuning rows (a smoke check, not held out)",
         "evaluate", "--model-dir", os.path.join(work, "finetune"),
         "--data", labeled, "--output-dir", os.path.join(work, "eval"),
         "--format", "markdown")

@@ -30,10 +30,10 @@ from .corpus import (LabeledInstance, SplitSpec, load_labeled, load_scored,
                      load_texts, parse_scored, read_rows, select_by_threshold,
                      split)
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .evaluation import (EvalReport, SweepRow, SweepTable, confusion,
-                         make_report, render, render_sweep)
+from .evaluation import (EvalReport, SweepRow, confusion, make_report, render,
+                         render_sweep)
 from .model import (Model, ModelConfig, init_params, load_checkpoint,
-                    parameter_count, save_checkpoint)
+                    parameter_count, resolve_checkpoint, save_checkpoint)
 from .textprep import Lexicon, PrepConfig, keep_instance, load_emoji_map, prepare
 from .tokenizer import Vocabulary, build_vocab, load_vocab
 from .training import (FinetuneConfig, PretrainConfig, finetune,
@@ -229,9 +229,7 @@ def cmd_preprocess(args) -> int:
     mapping = load_emoji_map(args.emoji_map) if args.emoji_map else None
     fields, rows = read_rows(args.input, (args.text_column,))
     out_rows = []
-    for line_num, row in rows:
-        if row[args.text_column] is None:
-            raise DataError(f"{args.input}:{line_num}: short row")
+    for _, row in rows:
         text = prepare(row[args.text_column], prep, lexicon, mapping)
         if args.keep_all or keep_instance(text, prep):
             out_rows.append({**row, args.text_column: text})
@@ -391,18 +389,13 @@ def cmd_evaluate(args) -> int:
     if model_dir and not os.path.isdir(model_dir):
         raise DataError(f"model directory {model_dir} does not exist")
 
-    def in_model_dir(name: str, *leftovers: str) -> Optional[str]:
-        """`name` inside --model-dir if it, or `name` plus one of the
-        `leftovers` suffixes, is present there."""
+    def in_model_dir(name: str) -> Optional[str]:
+        """`name` inside --model-dir if it is present there."""
         path = os.path.join(model_dir, name) if model_dir else None
-        found = path and any(os.path.exists(path + suffix)
-                             for suffix in ("",) + leftovers)
-        return path if found else None
+        return path if path and os.path.exists(path) else None
 
-    # load_checkpoint resolves the `.old` left by a save interrupted
-    # between its renames, and names a lone `.tmp` in its DataError.
-    checkpoint = (args.checkpoint or in_model_dir("final", ".old", ".tmp")
-                  or model_dir)
+    checkpoint = (args.checkpoint or (model_dir and resolve_checkpoint(
+        os.path.join(model_dir, "final"))) or model_dir)
     if not checkpoint:
         raise ConfigError("give --model-dir or --checkpoint")
     vocab_path = args.vocab or in_model_dir("vocab.txt")
@@ -438,6 +431,10 @@ def cmd_sweep(args) -> int:
     bins = _parse_bins(args.bins)
     scored = load_scored(args.scored, score_column=args.score_column,
                          text_column=args.text_column)
+    selections = [select_by_threshold(scored, lo, hi) for lo, hi in bins]
+    for (lo, hi), selected in zip(bins, selections):
+        if not selected:  # checked for every bin before any bin trains
+            raise DataError(f"bin [{lo}, {hi}] selected no instances")
     train = load_labeled(args.train, labels, label_column=args.label_column,
                          text_column=args.text_column)
     vocab = load_vocab(args.vocab)
@@ -452,14 +449,11 @@ def cmd_sweep(args) -> int:
         train, test = split(train, SplitSpec(
             (1.0 - fcfg.eval_fraction, fcfg.eval_fraction), fcfg.seed))
         dataset_id += "-heldout"
-    table, reports = SweepTable(), []
-    for index, (lo, hi) in enumerate(bins):
+    rows, reports = [], []
+    for index, ((lo, hi), selected) in enumerate(zip(bins, selections)):
         bin_dir = os.path.join(args.output_dir, f"bin-{index}")
         model = _model(config, args, vocab, max(pcfg.max_len, fcfg.max_len),
                        labels)
-        selected = select_by_threshold(scored, lo, hi)
-        if not selected:
-            raise DataError(f"bin [{lo}, {hi}] selected no instances")
         _pretrain([s.text for s in selected], args.scored, vocab, args.vocab,
                   model, pcfg, os.path.join(bin_dir, "pretrain"))
         _finetune(train, args.train, vocab, args.vocab, model, fcfg, labels,
@@ -468,9 +462,9 @@ def cmd_sweep(args) -> int:
                            os.path.join(bin_dir, "eval"), args.format,
                            args.dataset_id or dataset_id, f"bin-{lo:g}-{hi:g}")
         reports.append(report)
-        table.rows.append(SweepRow(lo, hi, len(selected), report.macro_f1))
+        rows.append(SweepRow(lo, hi, len(selected), report.macro_f1))
     ext = _REPORT_EXT[args.format]
-    for name, text in (("sweep", render_sweep(table, args.format)),
+    for name, text in (("sweep", render_sweep(rows, args.format)),
                        ("models", render(reports, args.format))):
         with open(os.path.join(args.output_dir, f"{name}.{ext}"), "w",
                   encoding="utf-8") as f:
@@ -488,7 +482,7 @@ def cmd_sweep(args) -> int:
                    + [f"bin-{i}" for i in range(len(bins))],
         "seeds": {"model_init": args.model_seed, "pretrain": pcfg.seed,
                   "finetune": fcfg.seed},
-        "rows": [asdict(r) for r in table.rows],
+        "rows": [asdict(r) for r in rows],
     })
     return 0
 

@@ -45,7 +45,8 @@ class SplitSpec:
 def read_rows(path, required: Sequence[str]) -> tuple[list[str], list[tuple[int, dict]]]:
     """The header and the (line number, row) pairs of a TSV. An empty file,
     a header without a required column, a row with more fields than the
-    header and a row the csv module rejects are DataErrors."""
+    header, a row without a required field and a row the csv module
+    rejects are DataErrors."""
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f, delimiter="\t", quotechar='"')
         try:
@@ -61,6 +62,8 @@ def read_rows(path, required: Sequence[str]) -> tuple[list[str], list[tuple[int,
                         f"{path}:{reader.line_num}: "
                         f"{len(reader.fieldnames) + len(row[None])} fields, "
                         f"header has {len(reader.fieldnames)}")
+                if any(row[c] is None for c in required):
+                    raise DataError(f"{path}:{reader.line_num}: short row")
                 rows.append((reader.line_num, row))
         except csv.Error as e:  # the DictReader's own line_num lags on errors
             raise DataError(f"{path}:{reader.reader.line_num}: {e}") from e
@@ -73,15 +76,13 @@ def parse_scored(path, rows: Sequence[tuple[int, dict]], id_column: str,
     out = []
     for line_num, row in rows:
         raw = row[score_column]
-        if raw is None or row[id_column] is None:
-            raise DataError(f"{path}:{line_num}: short row")
         try:
             score = float(raw)
         except ValueError as e:
             raise DataError(f"{path}:{line_num}: bad score {raw!r}") from e
         if not 0.0 <= score <= 1.0:
             raise DataError(f"{path}:{line_num}: score {score} outside [0, 1]")
-        out.append(ScoredInstance(row[id_column], row[text_column] or "", score))
+        out.append(ScoredInstance(row[id_column], row[text_column], score))
     return out
 
 
@@ -95,7 +96,7 @@ def load_scored(path, id_column: str = "id", text_column: str = "text",
 def load_texts(path, text_column: str = "text") -> list[str]:
     """The text column of a TSV, in order."""
     _, rows = read_rows(path, (text_column,))
-    return [row[text_column] or "" for _, row in rows]
+    return [row[text_column] for _, row in rows]
 
 
 def load_labeled(path, labels: Sequence[str], id_column: str = "id",
@@ -107,12 +108,10 @@ def load_labeled(path, labels: Sequence[str], id_column: str = "id",
     _, rows = read_rows(path, (id_column, text_column, label_column))
     for line_num, row in rows:
         label = row[label_column]
-        if label is None or row[id_column] is None:
-            raise DataError(f"{path}:{line_num}: short row")
         if label not in allowed:
             raise DataError(
                 f"{path}:{line_num}: label {label!r} not in {sorted(allowed)}")
-        out.append(LabeledInstance(row[id_column], row[text_column] or "", label))
+        out.append(LabeledInstance(row[id_column], row[text_column], label))
     return out
 
 

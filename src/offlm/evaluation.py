@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,34 +49,7 @@ class EvalReport:
     num_examples: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "dataset_id": self.dataset_id,
-            "model_id": self.model_id,
-            "config_hash": self.config_hash,
-            "classes": list(self.classes),
-            "per_class": {
-                name: {"precision": m.precision, "recall": m.recall, "f1": m.f1}
-                for name, m in self.per_class.items()
-            },
-            "macro_f1": self.macro_f1,
-            "accuracy": self.accuracy,
-            "num_examples": self.num_examples,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        if d.get("schema_version") != REPORT_SCHEMA_VERSION:
-            raise DataError(
-                f"report schema version {d.get('schema_version')}, "
-                f"expected {REPORT_SCHEMA_VERSION}")
-        per_class = {
-            name: ClassMetrics(m["precision"], m["recall"], m["f1"])
-            for name, m in d["per_class"].items()
-        }
-        return cls(d["dataset_id"], d["model_id"], d["config_hash"],
-                   tuple(d["classes"]), per_class, d["macro_f1"],
-                   d["accuracy"], d["num_examples"])
+        return {"schema_version": REPORT_SCHEMA_VERSION, **asdict(self)}
 
 
 def config_hash(config: dict) -> str:
@@ -151,40 +124,27 @@ class SweepRow:
     macro_f1: float
 
 
-@dataclass
-class SweepTable:
-    rows: list[SweepRow] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "rows": [
-                {"lo": r.lo, "hi": r.hi, "selected_count": r.selected_count,
-                 "macro_f1": r.macro_f1}
-                for r in self.rows
-            ],
-        }
-
-
 def _bound(x: float) -> str:
     s = f"{x:g}"
     return s if "." in s or "e" in s else s + ".0"
 
 
-def render_sweep(table: SweepTable, fmt: str) -> str:
+def render_sweep(rows: Sequence[SweepRow], fmt: str) -> str:
     """Threshold-grid rendering: one row per bin, scores as given."""
     if fmt == "json":
-        return json.dumps(table.to_dict(), indent=2, sort_keys=True)
+        return json.dumps({"schema_version": REPORT_SCHEMA_VERSION,
+                           "rows": [asdict(r) for r in rows]},
+                          indent=2, sort_keys=True)
     if fmt == "tsv":
         lines = ["threshold\tselected\tmacro_f1"]
-        for r in table.rows:
+        for r in rows:
             lines.append(f"{_bound(r.lo)} - {_bound(r.hi)}"
                          f"\t{r.selected_count}\t{r.macro_f1:.4f}")
         return "\n".join(lines) + "\n"
     if fmt == "markdown":
         lines = ["| Threshold | Selected | Macro F1 |",
                  "|-----------|----------|----------|"]
-        for r in table.rows:
+        for r in rows:
             lines.append(f"| {_bound(r.lo)} - {_bound(r.hi)} "
                          f"| {r.selected_count} | {r.macro_f1:.4f} |")
         return "\n".join(lines) + "\n"

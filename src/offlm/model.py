@@ -273,11 +273,12 @@ def save_checkpoint(model: Model, path) -> None:
     shutil.rmtree(old, ignore_errors=True)
 
 
-def _saved_dir(path) -> str:
+def resolve_checkpoint(path) -> Optional[str]:
     """The directory holding the last complete save to `path`: `path`
     itself, or `<path>.old` when a save stopped between moving it aside
-    and renaming the new one into place. A lone `<path>.tmp` is a first
-    save that never finished, a DataError naming it."""
+    and renaming the new one into place; None when nothing was saved
+    there. A lone `<path>.tmp` is a first save that never finished, a
+    DataError naming it."""
     path = os.path.normpath(os.fspath(path))
     if os.path.isdir(path):
         return path
@@ -286,7 +287,7 @@ def _saved_dir(path) -> str:
     if os.path.isdir(path + ".tmp"):
         raise DataError(f"{path}.tmp: unfinished checkpoint write, and no "
                         f"complete checkpoint at {path}")
-    return path
+    return None
 
 
 def load_checkpoint(path) -> Model:
@@ -294,8 +295,8 @@ def load_checkpoint(path) -> Model:
     format versions, shape drift, and corrupted parameter files; a
     manifest with a missing or unknown key is a DataError naming it.
     Leftovers of an interrupted `save_checkpoint` are resolved as
-    `_saved_dir` describes."""
-    path = _saved_dir(path)
+    `resolve_checkpoint` describes."""
+    path = resolve_checkpoint(path) or path
     manifest_path = os.path.join(path, "manifest.json")
     try:
         with open(manifest_path, encoding="utf-8") as f:

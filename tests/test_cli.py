@@ -314,6 +314,35 @@ def test_malformed_row_exit_3_names_line(tmp_path, command, defect):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["select", "preprocess", "build-vocab",
+                                     "pretrain", "finetune", "evaluate"])
+def test_short_row_exit_3_names_line(tmp_path, command):
+    """A row that lacks a column the command reads is exit 3 naming its
+    line, for every command that reads a TSV."""
+    data = tmp_path / "short.tsv"
+    data.write_text("id\ttext\taverage\tlabel\nr0\ta b\t0.5\toff\nr1\n")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(TINY_VOCAB)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0), str(ckpt))
+    out = tmp_path / "out"
+    labels = ("--labels", "not,off")
+    args = {
+        "select": ("--input", data, "--lo", "0.5", "--output", out),
+        "preprocess": ("--input", data, "--output", out),
+        "build-vocab": ("--input", data, "--size", "50", "--output", out),
+        "pretrain": ("--corpus", data, "--vocab", vocab, "--output-dir", out),
+        "finetune": ("--train", data, "--vocab", vocab, *labels,
+                     "--output-dir", out),
+        "evaluate": ("--data", data, "--checkpoint", ckpt, "--vocab", vocab,
+                     *labels, "--output-dir", out),
+    }[command]
+    proc = run_cli(command, *map(str, args))
+    assert proc.returncode == 3, proc.stderr
+    assert f"{data}:3: short row" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_preprocess_matches_golden_fixture(tmp_path):
     out = tmp_path / "prepped.tsv"
     proc = run_cli("preprocess",
@@ -619,6 +648,20 @@ def test_sweep_scores_rows_it_did_not_fine_tune_on(tmp_path, sweep_inputs,
     assert [row.split(" | ")[:2] for row in rows] == [["| 0.7 - 1.0", "10"],
                                                       ["| 0.5 - 1.0", "21"]]
     assert "| labeled-heldout | bin-0.7-1 |" in (sweep / "models.md").read_text()
+
+
+@pytest.mark.parametrize("bins, code", [("0.5:1.0,0.9:0.7", 2),
+                                        ("0.5:1.0,0.96:1.0", 3)])
+def test_sweep_checks_every_bin_before_training(tmp_path, sweep_inputs, bins,
+                                                code):
+    """A bad bin (exit 2) or one that selects nothing (exit 3) fails the
+    sweep before its first bin trains."""
+    i, sweep = sweep_inputs, tmp_path / "sweep"
+    args = ("sweep", "--config", i["config"], "--scored", i["scored"],
+            "--train", i["labeled"], "--vocab", i["vocab"],
+            "--labels", "not,off", "--bins", bins, "--output-dir", sweep)
+    assert cli.main([str(a) for a in args]) == code
+    assert not (sweep / "bin-0").exists()
 
 
 def declared_entry_point():

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from offlm.errors import ConfigError, DataError
 from offlm.evaluation import (
-    EvalReport,
     SweepRow,
-    SweepTable,
     accuracy,
     config_hash,
     confusion,
@@ -112,14 +110,26 @@ def test_config_hash_is_stable_and_order_insensitive():
     assert a != config_hash({"epochs": 4, "lr": 0.001})
 
 
-def test_make_report_round_trips_through_dict():
+def test_render_json_pins_every_report_field():
     report = make_report(small_cm(), dataset_id="dev", model_id="m1",
                          config={"lr": 1e-4})
-    blob = report.to_dict()
-    again = EvalReport.from_dict(blob)
-    assert again == report
-    assert blob["schema_version"] == 1
-    assert blob["num_examples"] == 10
+    [blob] = json.loads(render([report], fmt="json"))
+    assert blob == {
+        "schema_version": 1,
+        "dataset_id": "dev",
+        "model_id": "m1",
+        "config_hash": config_hash({"lr": 1e-4}),
+        "classes": ["not", "off"],
+        "per_class": {
+            "not": {"precision": 3 / 5, "recall": 3 / 4,
+                    "f1": pytest.approx(2 / 3, abs=1e-12)},
+            "off": {"precision": 4 / 5, "recall": 4 / 6,
+                    "f1": pytest.approx(8 / 11, abs=1e-12)},
+        },
+        "macro_f1": pytest.approx((2 / 3 + 8 / 11) / 2, abs=1e-12),
+        "accuracy": 7 / 10,
+        "num_examples": 10,
+    }
 
 
 def test_render_json_is_parseable_and_sorted():
@@ -157,16 +167,25 @@ def test_render_rejects_unknown_format():
 
 
 def test_render_sweep_markdown_bounds_format():
-    table = SweepTable(rows=[SweepRow(0.5, 1.0, 21, 1.0)])
-    out = render_sweep(table, fmt="markdown")
+    out = render_sweep([SweepRow(0.5, 1.0, 21, 1.0)], fmt="markdown")
     lines = out.strip().splitlines()
     assert lines[0] == "| Threshold | Selected | Macro F1 |"
     assert "| 0.5 - 1.0 | 21 | 1.0000 |" in out
 
 
 def test_render_sweep_tsv():
-    table = SweepTable(rows=[SweepRow(0.6, 0.9, 7, 0.25)])
-    out = render_sweep(table, fmt="tsv")
+    out = render_sweep([SweepRow(0.6, 0.9, 7, 0.25)], fmt="tsv")
     lines = out.strip().splitlines()
     assert lines[0].split("\t") == ["threshold", "selected", "macro_f1"]
     assert lines[1].split("\t") == ["0.6 - 0.9", "7", "0.2500"]
+
+
+def test_render_sweep_json():
+    rows = [SweepRow(0.5, 1.0, 21, 0.25), SweepRow(0.7, 1.0, 10, 0.75)]
+    assert json.loads(render_sweep(rows, fmt="json")) == {
+        "schema_version": 1,
+        "rows": [
+            {"lo": 0.5, "hi": 1.0, "selected_count": 21, "macro_f1": 0.25},
+            {"lo": 0.7, "hi": 1.0, "selected_count": 10, "macro_f1": 0.75},
+        ],
+    }

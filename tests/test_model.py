@@ -18,6 +18,7 @@ from offlm.model import (
     mlm_logits,
     param_shapes,
     parameter_count,
+    resolve_checkpoint,
     save_checkpoint,
 )
 
@@ -393,6 +394,20 @@ def test_load_rejects_unfinished_first_save(tmp_path):
     (tmp_path / "best.tmp").mkdir()
     with pytest.raises(DataError, match="best.tmp"):
         load_checkpoint(tmp_path / "best")
+
+
+def test_resolve_checkpoint_names_last_complete_save(tmp_path):
+    """None when nothing was saved, `<path>.old` when only that exists,
+    and a DataError naming a lone `<path>.tmp`."""
+    path = tmp_path / "best"
+    assert resolve_checkpoint(path) is None
+    save_checkpoint(tiny_model(), path)
+    assert resolve_checkpoint(path) == str(path)
+    os.rename(path, tmp_path / "best.old")
+    assert resolve_checkpoint(path) == str(tmp_path / "best.old")
+    os.rename(tmp_path / "best.old", tmp_path / "best.tmp")
+    with pytest.raises(DataError, match="best.tmp"):
+        resolve_checkpoint(path)
 
 
 def test_save_refuses_directory_that_is_not_a_checkpoint(tmp_path):
