@@ -322,12 +322,18 @@ def _finetune(train: Sequence[LabeledInstance], train_path: str,
     })
 
 
+def _check_scorable(data: Sequence[LabeledInstance], data_path: str) -> None:
+    if not data:
+        raise DataError(f"{data_path}: no rows to evaluate")
+
+
 def _evaluate(data: Sequence[LabeledInstance], data_path: str,
               vocab: Vocabulary, model: Model, labels: list[str],
               max_len: int, output_dir: str, fmt: str, dataset_id: str,
               model_id: str, batch_size: int = 32) -> EvalReport:
     """Score `model` on `data` and write what `evaluate` writes to
     `output_dir`: predictions.tsv, the report, manifest.json."""
+    _check_scorable(data, data_path)
     preds_idx = predict_class_ids([d.text for d in data], vocab, model,
                                   max_len, batch_size=batch_size)
     preds = [labels[i] for i in preds_idx]
@@ -449,6 +455,7 @@ def cmd_sweep(args) -> int:
         train, test = split(train, SplitSpec(
             (1.0 - fcfg.eval_fraction, fcfg.eval_fraction), fcfg.seed))
         dataset_id += "-heldout"
+    _check_scorable(test, test_path)  # before any bin trains
     rows, reports = [], []
     for index, ((lo, hi), selected) in enumerate(zip(bins, selections)):
         bin_dir = os.path.join(args.output_dir, f"bin-{index}")

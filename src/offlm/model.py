@@ -143,7 +143,8 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
            train_mode: bool = False,
-           rng: Optional[np.random.Generator] = None) -> Tensor:
+           rng: Optional[np.random.Generator] = None,
+           rows: Optional[np.ndarray] = None) -> Tensor:
     """Run the encoder stack. Returns hidden states [B, n, d]; the rows at
     padding positions (attention_mask 0) are unspecified.
 
@@ -153,6 +154,13 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
     result is reshaped to [B, n, d] when there is no padding and gathered
     into the slots otherwise. Dropout applies only when train_mode is set
     (which requires rng).
+
+    With `rows`, flat slot indices b*n + j of real positions, the result
+    is those rows' states [len(rows), d] in the order given. The last
+    layer's attention still reads all T rows as keys and values, but
+    everything after it (output projection, residual adds, layer norms,
+    FFN, dropout) runs on the requested rows only. A slot that is not a
+    real position is a DataError naming it.
     """
     cfg = model.config
     p = model.params
@@ -175,6 +183,7 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
     real = np.flatnonzero(attention_mask)  # the slot b*n + j of each real token
     if real.size == 0:
         raise DataError("attention_mask has no real position")
+    picked = None if rows is None else _packed_index(real, rows)
 
     def drop(t: Tensor) -> Tensor:
         if train_mode and cfg.dropout_rate > 0:
@@ -190,6 +199,9 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
         context = ag.attention(
             x, *(p[f"{pre}.attn.{name}"] for name in ("wq", "wk", "wv", "bq", "bk", "bv")),
             attention_mask, cfg.num_heads, attn_rate, rng)
+        if picked is not None and i == cfg.num_layers - 1:
+            # no head reads the other rows' final states
+            context, x = ag.take(context, picked), ag.take(x, picked)
         attn_out = drop(_linear(context, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"]))
         x = ag.layer_norm(ag.add(x, attn_out), p[f"{pre}.attn_norm.gain"],
                           p[f"{pre}.attn_norm.bias"], cfg.layer_norm_epsilon)
@@ -197,6 +209,8 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
         ffn_out = drop(_linear(hidden, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"]))
         x = ag.layer_norm(ag.add(x, ffn_out), p[f"{pre}.ffn_norm.gain"],
                           p[f"{pre}.ffn_norm.bias"], cfg.layer_norm_epsilon)
+    if picked is not None:
+        return x
     if real.size == batch * seq_len:
         return ag.reshape(x, (batch, seq_len, cfg.hidden_size))
     slot = np.zeros(batch * seq_len, dtype=np.intp)  # packed row read by each slot
@@ -204,9 +218,21 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
     return ag.take(x, slot.reshape(batch, seq_len))
 
 
+def _packed_index(real: np.ndarray, rows) -> np.ndarray:
+    """The packed row of each slot in `rows`, given the sorted slots `real`
+    of the real positions."""
+    rows = np.asarray(rows)
+    index = np.searchsorted(real, rows)
+    found = real[np.minimum(index, real.size - 1)] == rows
+    if not found.all():
+        raise DataError(f"rows: slot {rows[~found][0]} is not a real position")
+    return index
+
+
 def mlm_logits(hidden: Tensor, model: Model) -> Tensor:
     """Vocabulary scores [..., V] (pre-softmax) for hidden states [..., d],
-    e.g. [B, n, d] or the gathered masked rows [m, d]."""
+    e.g. [B, n, d] or the masked rows [m, d] that `encode(..., rows=...)`
+    returns."""
     if model.config.tie_mlm_weights:
         w = ag.transpose(model.params["token_embedding"], (1, 0))
     else:
@@ -214,10 +240,10 @@ def mlm_logits(hidden: Tensor, model: Model) -> Tensor:
     return ag.add(ag.matmul(hidden, w), model.params["mlm.bias"])
 
 
-def classify(hidden: Tensor, model: Model) -> Tensor:
-    """Class logits [B, C] from the tanh-pooled position-0 state."""
+def classify(first: Tensor, model: Model) -> Tensor:
+    """Class logits [B, C] from the position-0 ([CLS]) states [B, d],
+    tanh-pooled."""
     p = model.params
-    first = ag.take(hidden, (slice(None), 0))
     pooled = ag.tanh(_linear(first, p["cls.pooler_w"], p["cls.pooler_b"]))
     return _linear(pooled, p["cls.out_w"], p["cls.out_b"])
 

@@ -55,7 +55,10 @@ def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState,
 
     The step counter increments once per call, before bias correction.
     Parameters whose grad is None are skipped (their moments still decay
-    on the steps where they do have gradients, not here).
+    on the steps where they do have gradients, not here). The arithmetic is
+    `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g`, then
+    `p -= lr * (m/c1) / (sqrt(v/c2) + eps)`, each operation written into
+    one of two scratch arrays, in the parameter's dtype.
     """
     state.step_count += 1
     t = state.step_count
@@ -70,9 +73,11 @@ def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState,
                 f"{name} of shape {param.data.shape}")
         m, v = state.buffers_for(name, param.data)
         g = param.grad
+        a, b = np.empty_like(param.data), np.empty_like(param.data)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=a)
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        update = (m / c1) / (np.sqrt(v / c2) + epsilon)
-        param.data -= param.dtype.type(lr) * update.astype(param.dtype)
+        v += np.multiply(1.0 - beta2, np.multiply(g, g, out=a), out=a)
+        denom = np.add(np.sqrt(np.divide(v, c2, out=a), out=a), epsilon, out=a)
+        update = np.divide(np.divide(m, c1, out=b), denom, out=b)
+        param.data -= np.multiply(param.dtype.type(lr), update, out=b)

@@ -229,11 +229,10 @@ def mlm_batch_loss(model: Model, input_ids: np.ndarray, attn: np.ndarray,
                    targets: np.ndarray, mask: np.ndarray, train_mode: bool,
                    rng: Optional[np.random.Generator]) -> ag.Tensor:
     """Mean masked cross-entropy over one collated [B, n] batch. Only the
-    masked rows of the hidden states reach the vocabulary projection."""
-    hidden = encode(input_ids, attn, model, train_mode=train_mode, rng=rng)
-    batch, seq_len, width = hidden.shape
+    masked rows leave the encoder's last layer and reach the vocabulary
+    projection."""
     rows = np.flatnonzero(mask)
-    picked = ag.take(ag.reshape(hidden, (batch * seq_len, width)), rows)
+    picked = encode(input_ids, attn, model, train_mode=train_mode, rng=rng, rows=rows)
     return ag.masked_cross_entropy(mlm_logits(picked, model), targets.reshape(-1)[rows],
                                    np.ones_like(rows), reduction="mean")
 
@@ -305,12 +304,22 @@ def tokenize_labeled(data: Sequence[LabeledInstance], vocab: Vocabulary,
     return [(tokenize(x.text, vocab, max_len), label_to_id[x.label]) for x in data]
 
 
+def _first_states(ids: np.ndarray, attn: np.ndarray, model: Model,
+                  train_mode: bool = False,
+                  rng: Optional[np.random.Generator] = None) -> ag.Tensor:
+    """The [B, d] position-0 ([CLS]) states the classifier reads; the
+    encoder's last layer runs on those rows only."""
+    batch, seq_len = ids.shape
+    return encode(ids, attn, model, train_mode=train_mode, rng=rng,
+                  rows=np.arange(batch) * seq_len)
+
+
 def _class_loss(model: Model, batch: Sequence[Example], reduction: str,
                 train_mode: bool = False, rng: Optional[np.random.Generator] = None,
                 ) -> tuple[ag.Tensor, np.ndarray]:
     """Cross-entropy over a batch, and the batch's collated attention mask."""
     ids, attn = _stack_batch([seq for seq, _ in batch])
-    logits = classify(encode(ids, attn, model, train_mode=train_mode, rng=rng), model)
+    logits = classify(_first_states(ids, attn, model, train_mode, rng), model)
     targets = np.array([label for _, label in batch], dtype=np.int64)
     ones = np.ones(len(batch), dtype=np.int64)
     return ag.masked_cross_entropy(logits, targets, ones, reduction=reduction), attn
@@ -330,7 +339,7 @@ def predict_class_ids(texts: Sequence[str], vocab: Vocabulary, model: Model,
     out: list[int] = []
     for chunk in make_batches(texts, batch_size, shuffle=False):
         ids, attn = _stack_batch([tokenize(t, vocab, max_len) for t in chunk])
-        logits = classify(encode(ids, attn, model, train_mode=False, rng=None), model)
+        logits = classify(_first_states(ids, attn, model), model)
         out.extend(int(i) for i in np.argmax(logits.data, axis=-1))
     return out
 

@@ -343,6 +343,25 @@ def test_short_row_exit_3_names_line(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+def test_evaluate_empty_data_exit_3(tmp_path):
+    """A labeled TSV with a header and no rows has nothing to score: exit 3
+    naming it, not a report of 0.0000."""
+    data = tmp_path / "empty.tsv"
+    data.write_text("id\ttext\tlabel\n")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(TINY_VOCAB)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0), str(ckpt))
+    out = tmp_path / "out"
+    proc = run_cli("evaluate", "--data", str(data), "--checkpoint", str(ckpt),
+                   "--vocab", str(vocab), "--labels", "not,off",
+                   "--output-dir", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert f"{data}: no rows" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_preprocess_matches_golden_fixture(tmp_path):
     out = tmp_path / "prepped.tsv"
     proc = run_cli("preprocess",
@@ -661,6 +680,18 @@ def test_sweep_checks_every_bin_before_training(tmp_path, sweep_inputs, bins,
             "--train", i["labeled"], "--vocab", i["vocab"],
             "--labels", "not,off", "--bins", bins, "--output-dir", sweep)
     assert cli.main([str(a) for a in args]) == code
+    assert not (sweep / "bin-0").exists()
+
+
+def test_sweep_empty_eval_fails_before_training(tmp_path, sweep_inputs):
+    """An --eval file with no rows is exit 3 naming it, before any bin trains."""
+    i, sweep = sweep_inputs, tmp_path / "sweep"
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("id\ttext\tlabel\n")
+    args = ("sweep", "--config", i["config"], "--scored", i["scored"],
+            "--train", i["labeled"], "--eval", empty, "--vocab", i["vocab"],
+            "--labels", "not,off", "--bins", "0.7:1.0", "--output-dir", sweep)
+    assert cli.main([str(a) for a in args]) == 3
     assert not (sweep / "bin-0").exists()
 
 

@@ -200,7 +200,7 @@ def test_packed_encode_matches_padded_oracle():
         loss = ag.add(
             ag.masked_cross_entropy(mlm_logits(rows, model), targets,
                                     np.ones_like(targets), reduction="mean"),
-            ag.masked_cross_entropy(classify(hidden, model), classes,
+            ag.masked_cross_entropy(classify(hidden[:, 0], model), classes,
                                     np.ones_like(classes), reduction="mean"))
         ag.backward(loss)
         return hidden.data, {name: t.grad for name, t in model.params.items()}
@@ -239,7 +239,7 @@ def test_unpadded_encode_matches_padded_oracle():
         loss = ag.add(
             ag.masked_cross_entropy(mlm_logits(rows, model), targets,
                                     np.ones_like(targets), reduction="mean"),
-            ag.masked_cross_entropy(classify(hidden, model), classes,
+            ag.masked_cross_entropy(classify(hidden[:, 0], model), classes,
                                     np.ones_like(classes), reduction="mean"))
         ag.backward(loss)
         return hidden.data, {name: t.grad for name, t in model.params.items()}
@@ -295,6 +295,115 @@ def test_encode_runs_one_attention_node_per_layer(padded):
     assert not {"take", "reshape", "transpose", "softmax"} & set(ops[1:])
 
 
+def rows_batch(padded):
+    """A float64 two-layer model's batch, its [CLS] slots and scattered
+    masked slots (unsorted, one of them a [CLS] slot too)."""
+    cfg = ModelConfig(vocab_size=23, num_layers=2, hidden_size=12, num_heads=3,
+                      max_position=9, dropout_rate=0.0)
+    lengths = [7, 3, 5, 2] if padded else [7, 7, 7, 7]
+    rng = np.random.default_rng(23)
+    ids = rng.integers(5, cfg.vocab_size, size=(len(lengths), 7))
+    attn = (np.arange(7) < np.array(lengths)[:, None]).astype(np.int64)
+    ids[attn == 0] = 0
+    ids[:, 0] = 2
+    cls_rows = np.arange(len(lengths)) * 7
+    masked = rng.permutation(np.flatnonzero(attn & (rng.random(attn.shape) < 0.5)))
+    masked = np.append(masked, cls_rows[1])
+    return cfg, ids, attn, cls_rows, masked
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_encode_rows_match_full_encode(padded):
+    """`encode(..., rows=r)` equals the full states taken at r, in r's
+    order, and so does every parameter gradient of an MLM plus
+    classification loss read from those rows, in float64."""
+    cfg, ids, attn, cls_rows, masked = rows_batch(padded)
+    rows = np.concatenate([cls_rows, masked])
+    batch = len(cls_rows)
+    rng = np.random.default_rng(24)
+    targets = rng.integers(5, cfg.vocab_size, size=masked.size)
+    classes = np.array([0, 1, 1, 0])
+
+    def run(with_rows):
+        model = init_params(cfg, seed=3, dtype=np.float64)
+        if with_rows:
+            states = encode(ids, attn, model, rows=rows)
+        else:
+            states = ag.take(ag.reshape(encode(ids, attn, model), (-1, cfg.hidden_size)),
+                             rows)
+        loss = ag.add(
+            ag.masked_cross_entropy(mlm_logits(states[batch:], model), targets,
+                                    np.ones_like(targets), reduction="mean"),
+            ag.masked_cross_entropy(classify(states[:batch], model), classes,
+                                    np.ones_like(classes), reduction="mean"))
+        ag.backward(loss)
+        return states.data, {name: t.grad for name, t in model.params.items()}
+
+    states, grads = run(True)
+    want_states, want_grads = run(False)
+    assert states.shape == (rows.size, cfg.hidden_size)
+    np.testing.assert_allclose(states, want_states, rtol=1e-10)
+    assert set(grads) == set(want_grads)
+    for name, grad in grads.items():
+        if name.endswith(".attn.bk"):  # true gradient 0, as in the oracle tests
+            assert np.abs(grad).max() < 1e-15 and np.abs(want_grads[name]).max() < 1e-15
+        else:
+            np.testing.assert_allclose(grad, want_grads[name], rtol=1e-10, err_msg=name)
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_encode_rows_run_last_layer_ffn_on_those_rows(monkeypatch, padded):
+    """Earlier layers' GELU sees all T real rows, the last layer's only
+    the R requested ones."""
+    cfg, ids, attn, cls_rows, masked = rows_batch(padded)
+    seen = []
+    gelu = ag.gelu
+
+    def recording_gelu(x):
+        seen.append(x.shape)
+        return gelu(x)
+
+    monkeypatch.setattr(ag, "gelu", recording_gelu)
+    model = init_params(cfg, seed=0)
+    width, real = cfg.intermediate_size, int(attn.sum())
+    for rows in (cls_rows, masked):
+        seen.clear()
+        encode(ids, attn, model, rows=rows)
+        assert seen == [(real, width), (rows.size, width)]
+
+
+def test_encode_rows_draws_dropout_masks_in_layer_order():
+    """With `rows`, the last layer's attention mask still spans the batch,
+    and its two residual-branch masks cover the R requested rows."""
+    cfg = ModelConfig(**{**TINY.__dict__, "num_layers": 2, "dropout_rate": 0.1})
+    ids, attn = sample_batch(np.random.default_rng(6), cfg)
+    rows = np.array([0, 3, 6])
+    rng = np.random.default_rng(17)
+    encode(ids, attn, init_params(cfg, seed=0), train_mode=True, rng=rng, rows=rows)
+    want = np.random.default_rng(17)
+    (batch, seq_len), real, width = attn.shape, int(attn.sum()), cfg.hidden_size
+    want.random((real, width))
+    for _ in range(cfg.num_layers - 1):
+        want.random((batch, cfg.num_heads, seq_len, seq_len))
+        want.random((real, width))
+        want.random((real, width))
+    want.random((batch, cfg.num_heads, seq_len, seq_len))
+    want.random((rows.size, width))
+    want.random((rows.size, width))
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("slot", [11, 12, -1, 40])
+def test_encode_rows_must_be_real_positions(slot):
+    """A padding slot (11 is [1, 5]) or one outside the [2, 6] batch is a
+    DataError naming it."""
+    m = tiny_model()
+    ids, attn = sample_batch(np.random.default_rng(0), TINY)
+    assert attn.reshape(-1)[10] == 0 and attn.reshape(-1)[11] == 0
+    with pytest.raises(DataError, match=rf"slot {slot} is not a real position"):
+        encode(ids, attn, m, rows=np.array([0, slot]))
+
+
 def test_mlm_logits_shape_and_weight_tying():
     m = tiny_model()
     rng = np.random.default_rng(1)
@@ -313,7 +422,7 @@ def test_classify_shape():
     m = tiny_model()
     rng = np.random.default_rng(2)
     ids, attn = sample_batch(rng, TINY)
-    logits = classify(encode(ids, attn, m), m)
+    logits = classify(encode(ids, attn, m)[:, 0], m)
     assert logits.shape == (2, 2)
 
 

@@ -50,6 +50,60 @@ def test_three_steps_match_manual_recurrence():
     assert state.step_count == 3
 
 
+def reference_adam_step(named_params, state, lr, beta1=0.9, beta2=0.999,
+                        epsilon=1e-8):
+    """Adam as first written, one temporary array per operation: the
+    oracle for the in-place `adam_step`."""
+    state.step_count += 1
+    t = state.step_count
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for name, param in named_params:
+        if param.grad is None:
+            continue
+        m, v = state.buffers_for(name, param.data)
+        g = param.grad
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        update = (m / c1) / (np.sqrt(v / c2) + epsilon)
+        param.data -= param.dtype.type(lr) * update.astype(param.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_is_bitwise_the_reference_formula(dtype):
+    """Several steps over matrices, vectors and a parameter whose grad is
+    None on some steps: parameters and moments bitwise equal the oracle."""
+    rng = np.random.default_rng(5)
+    shapes = {"w": (7, 5), "b": (5,), "idle": (3,)}
+    start = {name: rng.standard_normal(shape).astype(dtype)
+             for name, shape in shapes.items()}
+
+    def params():
+        return [(name, Tensor(start[name].copy(), requires_grad=True)) for name in shapes]
+
+    got, want = params(), params()
+    got_state, want_state = AdamState(), AdamState()
+    for step in range(6):
+        for (name, a), (_, b) in zip(got, want):
+            if name == "idle" and step % 3 != 2:
+                a.grad = b.grad = None
+            else:
+                a.grad = (rng.standard_normal(shapes[name]) * 10.0 ** (step - 3)).astype(dtype)
+                b.grad = a.grad.copy()
+        lr = 1e-3 * (step + 1)
+        adam_step(got, got_state, lr, epsilon=1e-6)
+        reference_adam_step(want, want_state, lr, epsilon=1e-6)
+        for (name, a), (_, b) in zip(got, want):
+            assert a.data.dtype == dtype
+            assert a.data.tobytes() == b.data.tobytes(), name
+    for moments in ("first_moment", "second_moment"):
+        for name in shapes:
+            assert (getattr(got_state, moments)[name].tobytes()
+                    == getattr(want_state, moments)[name].tobytes()), (moments, name)
+
+
 def test_moment_buffers_keyed_by_name():
     a, b = leaf([1.0]), leaf([2.0])
     a.grad = np.array([1.0])

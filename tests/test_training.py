@@ -447,8 +447,8 @@ def test_batch_max_padding_matches_max_len_classification_oracle():
     ids, attn = _stack_batch(seqs)
     full_ids, full_attn = _max_len_collate(seqs)
     assert ids.shape == (len(MIXED), 8) and full_ids.shape == (len(MIXED), 12)
-    np.testing.assert_allclose(classify(encode(ids, attn, model), model).data,
-                               classify(encode(full_ids, full_attn, model), model).data,
+    np.testing.assert_allclose(classify(encode(ids, attn, model)[:, 0], model).data,
+                               classify(encode(full_ids, full_attn, model)[:, 0], model).data,
                                rtol=1e-10)
 
     label_to_id = {"feline": 0, "canine": 1}
@@ -458,7 +458,7 @@ def test_batch_max_padding_matches_max_len_classification_oracle():
     total = 0.0
     for start in (0, 2):
         full_ids, full_attn = _max_len_collate(seqs[start:start + 2])
-        logits = classify(encode(full_ids, full_attn, model), model)
+        logits = classify(encode(full_ids, full_attn, model)[:, 0], model)
         total += ag.masked_cross_entropy(logits, targets[start:start + 2],
                                          np.ones(2, dtype=np.int64)).item()
     got = evaluation_loss(model, tokenize_labeled(data, VOCAB, label_to_id, 12),
