@@ -11,7 +11,8 @@ once in the base tree and once in the working tree, alternating which of
 the two goes first from one seed to the next. It prints, per end-to-end
 metric of BENCHMARK.json, the base and change medians with their
 quartiles, the median change, and in how many seed pairs the change did
-better; each run's metrics go to standard error as it ends. It exits 1
+better, the same or worse; each run's metrics go to standard error as it
+ends. It exits 1
 if any run fails a check (`failed` > 0), exits nonzero or prints no
 result line.
 """
@@ -79,7 +80,8 @@ def spread(values: list[float]) -> str:
 
 
 def report(workload: str, spec: dict, runs: dict[str, list[dict]]) -> None:
-    print(f"== {workload}: base -> change, median [quartiles], wins of the change")
+    print(f"== {workload}: base -> change, median [quartiles], "
+          "seed pairs where the change is better/equal/worse")
     for metric in spec["end_to_end"]:
         name = metric["name"]
         pairs = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -89,11 +91,13 @@ def report(workload: str, spec: dict, runs: dict[str, list[dict]]) -> None:
             continue
         base, change = [b for b, _ in pairs], [c for _, c in pairs]
         sign = 1.0 if metric["better"] == "higher" else -1.0
-        wins = sum(sign * (c - b) > 0 for b, c in pairs)
+        gains = [sign * (c - b) for b, c in pairs]
+        better, worse = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
         b_med, c_med = statistics.median(base), statistics.median(change)
         delta = f"{100.0 * (c_med - b_med) / b_med:+.2f}%" if b_med else "n/a"
         print(f"   {name:18s} {spread(base):>30s} -> {spread(change):30s} "
-              f"{delta:>9s}  {wins}/{len(pairs)} better ({metric['better']} is better)")
+              f"{delta:>9s}  {better}/{len(pairs) - better - worse}/{worse} "
+              f"better/equal/worse ({metric['better']} is better)")
 
 
 def main(argv=None) -> int:

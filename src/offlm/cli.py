@@ -425,8 +425,8 @@ def cmd_evaluate(args) -> int:
                         text_column=args.text_column)
     dataset_id = args.dataset_id or os.path.splitext(
         os.path.basename(args.data))[0]
-    _evaluate(data, args.data, vocab, model, labels,
-              args.max_len or model.config.max_position, args.output_dir,
+    max_len = model.config.max_position if args.max_len is None else args.max_len
+    _evaluate(data, args.data, vocab, model, labels, max_len, args.output_dir,
               args.format, dataset_id, model_id, args.batch_size)
     return 0
 

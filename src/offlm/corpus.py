@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, not_utf8
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ def read_rows(path, required: Sequence[str]) -> tuple[list[str], list[tuple[int,
                 rows.append((reader.line_num, row))
         except csv.Error as e:  # the DictReader's own line_num lags on errors
             raise DataError(f"{path}:{reader.reader.line_num}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise not_utf8(path) from e
         return list(reader.fieldnames), rows
 
 

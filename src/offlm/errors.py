@@ -23,3 +23,16 @@ class ShapeError(ToolkitError):
 
 class NumericError(ToolkitError):
     """Non-finite values or a degenerate numeric condition."""
+
+
+def not_utf8(path) -> DataError:
+    """The DataError for a file that is not UTF-8, naming the line of its
+    first undecodable byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        return DataError(f"{path}:{line}: not UTF-8 ({e.reason} at byte {e.start})")
+    return DataError(f"{path}: not UTF-8")

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _MENTION_RE = re.compile(r"@[A-Za-z0-9_]+")
@@ -33,9 +33,9 @@ class PrepConfig:
 
     def __post_init__(self):
         if not self.url_placeholder or not self.user_placeholder:
-            raise DataError("placeholders must be non-empty")
+            raise ConfigError("placeholders must be non-empty")
         if self.min_words < 1 or self.min_chars < 0:
-            raise DataError("min_words must be >= 1 and min_chars >= 0")
+            raise ConfigError("min_words must be >= 1 and min_chars >= 0")
 
 
 class Lexicon:

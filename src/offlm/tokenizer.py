@@ -1,5 +1,6 @@
 """WordPiece vocabulary handling, sequence construction, and a
-deterministic desk-scale vocabulary trainer.
+deterministic desk-scale vocabulary trainer. Sequences stay unpadded
+until collation pads a batch to its longest one.
 
 Vocab file convention: UTF-8, one token per line, id = zero-based line
 number. [PAD] must sit on line 0 and all five special tokens must be
@@ -10,12 +11,11 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, not_utf8
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
@@ -73,24 +73,12 @@ class Vocabulary:
                 f.write(tok + "\n")
 
 
-@dataclass
-class TokenizedSequence:
-    """Token ids framed with [CLS]/[SEP] and padded to a fixed length.
-
-    `original_length` is the word-piece count before truncation;
-    attention_mask is 1 on real tokens, 0 exactly on padding.
-    """
-
-    ids: list[int]
-    attention_mask: list[int]
-    original_length: int
-
-
 def load_vocab(path) -> Vocabulary:
-    tokens = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            tokens.append(line.rstrip("\n"))
+    try:
+        with open(path, encoding="utf-8") as f:
+            tokens = [line.rstrip("\n") for line in f]
+    except UnicodeDecodeError as e:
+        raise not_utf8(path) from e
     if tokens and tokens[-1] == "":
         tokens.pop()
     return Vocabulary(tokens)
@@ -124,11 +112,12 @@ def _wordpiece(word: str, vocab: Vocabulary) -> list[str] | None:
     return pieces
 
 
-def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenizedSequence:
-    """Whitespace pre-split, greedy WordPiece per word, frame, pad.
+def tokenize(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
+    """Whitespace pre-split, greedy WordPiece per word, frame.
 
     Unmatched or over-long words become a single [UNK]. The piece stream
-    is tail-truncated to max_len - 2 before framing with [CLS]/[SEP].
+    is tail-truncated to max_len - 2 before framing with [CLS]/[SEP]. The
+    ids are not padded; collation pads a batch to its longest sequence.
     """
     if max_len < 3:
         raise ConfigError(f"max_len must be >= 3, got {max_len}")
@@ -139,15 +128,8 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> TokenizedSequence:
             continue
         segmented = _wordpiece(word, vocab) if len(word) <= MAX_WORD_CHARS else None
         pieces.extend(segmented if segmented is not None else [UNK])
-    original_length = len(pieces)
-    pieces = pieces[: max_len - 2]
-    ids = [vocab.cls_id] + [vocab.id_of(p) for p in pieces] + [vocab.sep_id]
-    attention = [1] * len(ids)
-    while len(ids) < max_len:
-        ids.append(vocab.pad_id)
-        attention.append(0)
-    return TokenizedSequence(ids=ids, attention_mask=attention,
-                             original_length=original_length)
+    return ([vocab.cls_id] + [vocab.id_of(p) for p in pieces[: max_len - 2]]
+            + [vocab.sep_id])
 
 
 def _word_counts(corpus: Iterable[str]) -> Counter:

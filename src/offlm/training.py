@@ -22,9 +22,9 @@ from .corpus import LabeledInstance, SplitSpec, make_batches, split
 from .errors import ConfigError, DataError, NumericError
 from .model import Model, classify, encode, mlm_logits, save_checkpoint
 from .optim import AdamState, adam_step, clip_global_norm
-from .tokenizer import TokenizedSequence, Vocabulary, tokenize
+from .tokenizer import Vocabulary, tokenize
 
-Example = tuple[TokenizedSequence, int]  # a tokenized text and its class id
+Example = tuple[list[int], int]  # a text's unpadded token ids and its class id
 
 
 @dataclass
@@ -126,20 +126,20 @@ class TrainLog:
             f.write(json.dumps({"kind": "stop", "reason": self.stop_reason}) + "\n")
 
 
-def mask_tokens(seq: TokenizedSequence, vocab: Vocabulary, cfg: PretrainConfig,
+def mask_tokens(ids: Sequence[int], vocab: Vocabulary, cfg: PretrainConfig,
                 rng: np.random.Generator) -> MaskingOutcome:
-    """Corrupt a tokenized sequence for masked-token prediction.
+    """Corrupt one text's token ids for masked-token prediction.
 
-    Each real, non-special position is selected independently with
+    Each non-special position is selected independently with
     probability mask_prob; a selected position becomes [MASK], a random
     non-special token, or stays put, per the configured fractions.
-    Targets are always the original ids. Special tokens (including
-    padding) are never selected.
+    Targets are always the original ids. Special tokens are never selected.
     """
-    ids = np.asarray(seq.ids, dtype=np.int64)
-    attn = np.asarray(seq.attention_mask, dtype=np.int64)
-    maskable = (attn == 1) & ~np.isin(ids, vocab.special_id_array)
-    selected = maskable & (rng.random(ids.shape) < cfg.mask_prob)
+    ids = np.asarray(ids, dtype=np.int64)
+    # One uniform per position of the sequence padded to max_len, though only
+    # len(ids) are read: seeded pretraining keeps the masks it always drew.
+    draws = rng.random(max(cfg.max_len, ids.size))[: ids.size]
+    selected = ~np.isin(ids, vocab.special_id_array) & (draws < cfg.mask_prob)
     input_ids = ids.copy()
     positions = np.flatnonzero(selected)
     if positions.size:
@@ -216,13 +216,16 @@ def _spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
-def _stack_batch(seqs: Sequence[TokenizedSequence], *columns) -> tuple[np.ndarray, ...]:
+def _stack_batch(seqs: Sequence[Sequence[int]], *columns) -> tuple[np.ndarray, ...]:
     """Collate into int64 [B, n] ids, attention mask, then one array per extra
-    column of rows; n is the longest real length, so only trailing padding is cut."""
-    attn = np.array([s.attention_mask for s in seqs], dtype=np.int64)
-    n = int(attn.sum(axis=1).max())
-    rows = ([s.ids for s in seqs], attn, *columns)
-    return tuple(np.asarray(r, dtype=np.int64)[:, :n] for r in rows)
+    column of rows as long as `seqs`. n is the longest sequence; shorter rows
+    are padded with 0, the [PAD] id. Nothing else pads a batch."""
+    lengths = np.array([len(s) for s in seqs])
+    real = np.arange(lengths.max()) < lengths[:, None]
+    padded = [np.zeros(real.shape, dtype=np.int64) for _ in range(1 + len(columns))]
+    for out, rows in zip(padded, (seqs, *columns)):
+        out[real] = np.concatenate(rows)
+    return (padded[0], real.astype(np.int64), *padded[1:])
 
 
 def mlm_batch_loss(model: Model, input_ids: np.ndarray, attn: np.ndarray,
@@ -304,25 +307,25 @@ def tokenize_labeled(data: Sequence[LabeledInstance], vocab: Vocabulary,
     return [(tokenize(x.text, vocab, max_len), label_to_id[x.label]) for x in data]
 
 
-def _first_states(ids: np.ndarray, attn: np.ndarray, model: Model,
-                  train_mode: bool = False,
-                  rng: Optional[np.random.Generator] = None) -> ag.Tensor:
-    """The [B, d] position-0 ([CLS]) states the classifier reads; the
-    encoder's last layer runs on those rows only."""
-    batch, seq_len = ids.shape
-    return encode(ids, attn, model, train_mode=train_mode, rng=rng,
-                  rows=np.arange(batch) * seq_len)
+def _class_logits(model: Model, seqs: Sequence[Sequence[int]], train_mode: bool = False,
+                  rng: Optional[np.random.Generator] = None) -> tuple[ag.Tensor, np.ndarray]:
+    """Collate `seqs` and classify each from its [CLS] state, the only row the
+    encoder's last layer runs on; also the batch's collated attention mask."""
+    ids, attn = _stack_batch(seqs)
+    first = encode(ids, attn, model, train_mode=train_mode, rng=rng,
+                   rows=np.arange(len(seqs)) * ids.shape[1])
+    return classify(first, model), attn
 
 
 def _class_loss(model: Model, batch: Sequence[Example], reduction: str,
                 train_mode: bool = False, rng: Optional[np.random.Generator] = None,
                 ) -> tuple[ag.Tensor, np.ndarray]:
     """Cross-entropy over a batch, and the batch's collated attention mask."""
-    ids, attn = _stack_batch([seq for seq, _ in batch])
-    logits = classify(_first_states(ids, attn, model, train_mode, rng), model)
-    targets = np.array([label for _, label in batch], dtype=np.int64)
-    ones = np.ones(len(batch), dtype=np.int64)
-    return ag.masked_cross_entropy(logits, targets, ones, reduction=reduction), attn
+    seqs, labels = zip(*batch)
+    logits, attn = _class_logits(model, seqs, train_mode, rng)
+    targets = np.array(labels, dtype=np.int64)
+    return ag.masked_cross_entropy(logits, targets, np.ones_like(targets),
+                                   reduction=reduction), attn
 
 
 def evaluation_loss(model: Model, examples: Sequence[Example], batch_size: int) -> float:
@@ -338,8 +341,7 @@ def predict_class_ids(texts: Sequence[str], vocab: Vocabulary, model: Model,
     """Argmax class index per text."""
     out: list[int] = []
     for chunk in make_batches(texts, batch_size, shuffle=False):
-        ids, attn = _stack_batch([tokenize(t, vocab, max_len) for t in chunk])
-        logits = classify(_first_states(ids, attn, model), model)
+        logits, _ = _class_logits(model, [tokenize(t, vocab, max_len) for t in chunk])
         out.extend(int(i) for i in np.argmax(logits.data, axis=-1))
     return out
 

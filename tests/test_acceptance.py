@@ -28,11 +28,12 @@ from offlm.model import (
     load_checkpoint,
     mlm_logits,
 )
-from offlm.tokenizer import SPECIAL_TOKENS, TokenizedSequence, Vocabulary, build_vocab, tokenize
+from offlm.tokenizer import SPECIAL_TOKENS, Vocabulary, build_vocab, tokenize
 from offlm.training import (
     EarlyStopper,
     FinetuneConfig,
     PretrainConfig,
+    _stack_batch,
     finetune,
     lr_at,
     mask_tokens,
@@ -154,11 +155,7 @@ def test_masking_statistics_over_many_positions():
             ids[0] = 2
             ids[-1] = 3
             ids[1:-1] = rng.integers(5, len(vocab), size=body)
-            seq = TokenizedSequence(
-                ids=ids,
-                attention_mask=np.ones(body + 2, dtype=np.int64),
-                original_length=body)
-            out = mask_tokens(seq, vocab, cfg, rng)
+            out = mask_tokens(ids, vocab, cfg, rng)
             assert np.array_equal(out.target_ids, ids)
             picks = out.mask_indicator.astype(bool)
             special_hits += int(picks[0]) + int(picks[-1])
@@ -381,9 +378,7 @@ def test_seeded_runs_are_bitwise_identical(tmp_path):
                     == (outs[1] / name).read_bytes()), name
 
         loaded = load_checkpoint(str(outs[0]))
-        seqs = [tokenize(t, vocab, 12) for t in texts[:3]]
-        ids = np.stack([np.asarray(s.ids) for s in seqs])
-        attn = np.stack([np.asarray(s.attention_mask) for s in seqs])
+        ids, attn = _stack_batch([tokenize(t, vocab, 12) for t in texts[:3]])
         from_training = encode(ids, attn, models[0], train_mode=False).data
         from_disk = encode(ids, attn, loaded, train_mode=False).data
         assert from_training.tobytes() == from_disk.tobytes()

@@ -566,6 +566,64 @@ def test_evaluate_model_dir_resolves_interrupted_final_save(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("field,value", [("min_words", 0), ("url_placeholder", "")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_invalid_prep_config_exit_2(tmp_path, field, value, source):
+    """A PrepConfig value it rejects is a config error, from a flag or a file."""
+    if source == "flag":
+        args = ("--" + field.replace("_", "-"), str(value))
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prep": {field: value}}))
+        args = ("--config", str(cfg))
+    proc = run_cli("preprocess", "--input", os.path.join(FIXTURES, "scored.tsv"),
+                   "--output", str(tmp_path / "out.tsv"), *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert not (tmp_path / "out.tsv").exists()
+
+
+@pytest.mark.parametrize("max_len", ["0", "2"])
+def test_evaluate_max_len_below_frame_exit_2(tmp_path, max_len):
+    """--max-len 0 is a given value, not "use the model's max_position"."""
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(TINY_VOCAB)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0), str(ckpt))
+    out = tmp_path / "out"
+    proc = run_cli("evaluate", "--data", os.path.join(FIXTURES, "labeled.tsv"),
+                   "--checkpoint", str(ckpt), "--vocab", str(vocab),
+                   "--labels", "not,off", "--max-len", max_len,
+                   "--output-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "max_len" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["select", "build-vocab", "pretrain"])
+def test_non_utf8_input_exit_3_names_file_and_line(tmp_path, command):
+    """A byte that is not UTF-8, in a TSV or in a vocabulary file, is a
+    data error naming the file and the line it sits on."""
+    tsv = tmp_path / "in.tsv"
+    tsv.write_bytes(b"id\ttext\taverage\nr0\tfine text\t0.5\n")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(TINY_VOCAB)
+    bad = vocab if command == "pretrain" else tsv
+    with open(bad, "ab") as f:
+        f.write(b"r1\tcaf\xff\t0.5\n" if bad == tsv else b"caf\xff\n")
+    line = 3 if bad == tsv else 8
+    out = tmp_path / "out"
+    args = {
+        "select": ("--input", tsv, "--lo", "0.5", "--output", out),
+        "build-vocab": ("--input", tsv, "--size", "50", "--output", out),
+        "pretrain": ("--corpus", tsv, "--vocab", vocab, "--output-dir", out),
+    }[command]
+    proc = run_cli(command, *map(str, args))
+    assert proc.returncode == 3, proc.stderr
+    assert f"{bad}:{line}: not UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 SWEEP_CONFIG = {
     "model": {"num_layers": 1, "hidden_size": 16, "num_heads": 2,
               "max_position": 24, "dropout_rate": 0.1},

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,6 @@ from offlm.errors import ConfigError, DataError
 from offlm.tokenizer import (
     CONTINUATION_PREFIX,
     SPECIAL_TOKENS,
-    TokenizedSequence,
     Vocabulary,
     build_vocab,
     load_vocab,
@@ -55,39 +56,38 @@ def test_non_special_ids_excludes_all_specials(small_vocab):
 
 def test_greedy_longest_match_prefers_whole_word(small_vocab):
     seq = tokenize("unaffable", small_vocab, max_len=8)
-    pieces = [small_vocab.token_of(i) for i in seq.ids if i != small_vocab.pad_id]
+    pieces = [small_vocab.token_of(i) for i in seq if i != small_vocab.pad_id]
     assert pieces == ["[CLS]", "un", "##aff", "##able", "[SEP]"]
 
 
 def test_unknown_word_maps_to_unk(small_vocab):
     seq = tokenize("zzz cat", small_vocab, max_len=8)
-    real = [small_vocab.token_of(i) for i in seq.ids[:4]]
+    real = [small_vocab.token_of(i) for i in seq[:4]]
     assert real == ["[CLS]", "[UNK]", "cat", "[SEP]"]
 
 
 def test_frame_and_padding(small_vocab):
     seq = tokenize("the cat", small_vocab, max_len=6)
-    assert seq.ids[0] == small_vocab.cls_id
-    assert seq.ids[3] == small_vocab.sep_id
-    assert seq.ids[4:] == [small_vocab.pad_id, small_vocab.pad_id]
-    assert seq.attention_mask == [1, 1, 1, 1, 0, 0]
-    # original_length counts word pieces before the frame was added
-    assert seq.original_length == 2
+    assert seq[0] == small_vocab.cls_id
+    assert seq[3] == small_vocab.sep_id
+    # no padding: collation pads a batch, not tokenize
+    assert len(seq) == 4
+    assert small_vocab.pad_id not in seq
 
 
 def test_truncation_keeps_head(small_vocab):
     seq = tokenize("the cat sat on mat", small_vocab, max_len=5)
-    pieces = [small_vocab.token_of(i) for i in seq.ids]
+    pieces = [small_vocab.token_of(i) for i in seq]
     assert pieces == ["[CLS]", "the", "cat", "sat", "[SEP]"]
-    assert len(seq.ids) == 5
+    assert len(seq) == 5
 
 
 def test_tokenize_lowercases_and_strips_accents(small_vocab):
     a = tokenize("CAT", small_vocab, max_len=6)
     b = tokenize("cat", small_vocab, max_len=6)
-    assert a.ids == b.ids
+    assert a == b
     c = tokenize("cát", small_vocab, max_len=6)  # á -> a, then no match
-    assert c.ids != b.ids or "cát" not in small_vocab.token_to_id
+    assert c != b or "cát" not in small_vocab.token_to_id
 
 
 def test_max_len_must_fit_frame(small_vocab):
@@ -97,18 +97,17 @@ def test_max_len_must_fit_frame(small_vocab):
 
 def test_detokenize_rejoins_continuations(small_vocab):
     seq = tokenize("unaffable cat", small_vocab, max_len=10)
-    assert detokenize(seq.ids, small_vocab) == "unaffable cat"
+    assert detokenize(seq, small_vocab) == "unaffable cat"
 
 
 def test_detokenize_skips_frame_and_padding(small_vocab):
     seq = tokenize("dog ran", small_vocab, max_len=12)
-    assert detokenize(seq.ids, small_vocab) == "dog ran"
+    assert detokenize(seq, small_vocab) == "dog ran"
 
 
 def test_empty_text_gives_frame_only(small_vocab):
     seq = tokenize("", small_vocab, max_len=4)
-    assert seq.ids[:2] == [small_vocab.cls_id, small_vocab.sep_id]
-    assert seq.original_length == 0
+    assert seq == [small_vocab.cls_id, small_vocab.sep_id]
 
 
 def test_build_vocab_contains_specials_and_chars():
@@ -164,11 +163,19 @@ def test_load_vocab_missing_file_raises(tmp_path):
         load_vocab(tmp_path / "nope.txt")
 
 
+def test_load_vocab_not_utf8_is_data_error_naming_line(tmp_path, small_vocab):
+    path = tmp_path / "vocab.txt"
+    small_vocab.save(path)
+    with open(path, "ab") as f:
+        f.write(b"caf\xe9\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:{len(small_vocab) + 1}: not UTF-8")):
+        load_vocab(path)
+
+
 def test_tokenized_sequence_is_plain_data(small_vocab):
     seq = tokenize("cat", small_vocab, max_len=5)
-    assert isinstance(seq, TokenizedSequence)
-    assert isinstance(seq.ids, list)
-    assert isinstance(seq.attention_mask, list)
+    assert isinstance(seq, list)
+    assert all(type(i) is int for i in seq)
 
 
 _PROP_VOCAB = Vocabulary([
@@ -183,15 +190,12 @@ _PROP_VOCAB = Vocabulary([
        max_len=st.integers(min_value=3, max_value=16))
 def test_tokenize_invariants(text, max_len):
     seq = tokenize(text, _PROP_VOCAB, max_len)
-    assert len(seq.ids) == max_len
-    assert len(seq.attention_mask) == max_len
-    assert all(0 <= i < len(_PROP_VOCAB) for i in seq.ids)
-    # mask is a block of ones followed by zeros covering pieces + frame
-    ones = sum(seq.attention_mask)
-    assert seq.attention_mask == [1] * ones + [0] * (max_len - ones)
-    assert ones == min(seq.original_length, max_len - 2) + 2
-    assert seq.ids[0] == _PROP_VOCAB.cls_id
-    assert _PROP_VOCAB.sep_id in seq.ids
+    assert all(0 <= i < len(_PROP_VOCAB) for i in seq)
+    assert _PROP_VOCAB.pad_id not in seq
+    # the frame around the head of the untruncated piece stream
+    pieces = tokenize(text, _PROP_VOCAB, max_len=len(text) + 3)[1:-1]
+    assert len(seq) == min(len(pieces), max_len - 2) + 2
+    assert seq == [_PROP_VOCAB.cls_id] + pieces[: max_len - 2] + [_PROP_VOCAB.sep_id]
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,4 +204,4 @@ def test_tokenize_invariants(text, max_len):
 def test_known_words_round_trip(words):
     text = " ".join(words)
     seq = tokenize(text, _PROP_VOCAB, max_len=len(words) + 2)
-    assert detokenize(seq.ids, _PROP_VOCAB) == text
+    assert detokenize(seq, _PROP_VOCAB) == text

@@ -66,24 +66,24 @@ def labeled_pair_data():
 
 def test_mask_targets_are_always_originals():
     seq = tokenize(TEXTS[0], VOCAB, max_len=10)
-    out = mask_tokens(seq, VOCAB, PretrainConfig(), np.random.default_rng(0))
-    np.testing.assert_array_equal(out.target_ids, np.asarray(seq.ids))
+    out = mask_tokens(seq, VOCAB, PretrainConfig(max_len=10), np.random.default_rng(0))
+    np.testing.assert_array_equal(out.target_ids, np.asarray(seq))
 
 
 def test_mask_never_touches_special_positions():
-    cfg = PretrainConfig(mask_prob=1.0, replace_mask_frac=1.0,
+    cfg = PretrainConfig(max_len=12, mask_prob=1.0, replace_mask_frac=1.0,
                          replace_random_frac=0.0, keep_frac=0.0)
     seq = tokenize(TEXTS[1], VOCAB, max_len=12)
     out = mask_tokens(seq, VOCAB, cfg, np.random.default_rng(1))
-    ids = np.asarray(seq.ids)
+    ids = np.asarray(seq)
     special = np.isin(ids, sorted(VOCAB.special_ids))
     assert out.mask_indicator[special].sum() == 0
-    assert out.mask_indicator[~special & (np.asarray(seq.attention_mask) == 1)].all()
+    assert out.mask_indicator[~special].all()
     np.testing.assert_array_equal(out.input_ids[special], ids[special])
 
 
 def test_mask_prob_zero_changes_nothing():
-    cfg = PretrainConfig(mask_prob=0.0)
+    cfg = PretrainConfig(max_len=12, mask_prob=0.0)
     seq = tokenize(TEXTS[2], VOCAB, max_len=12)
     out = mask_tokens(seq, VOCAB, cfg, np.random.default_rng(2))
     assert out.mask_indicator.sum() == 0
@@ -91,7 +91,7 @@ def test_mask_prob_zero_changes_nothing():
 
 
 def test_mask_branch_replacements_are_well_formed():
-    cfg = PretrainConfig()
+    cfg = PretrainConfig(max_len=12)
     rng = np.random.default_rng(3)
     for text in TEXTS:
         seq = tokenize(text, VOCAB, max_len=12)
@@ -106,7 +106,7 @@ def test_mask_branch_replacements_are_well_formed():
 
 def test_mask_deterministic_under_seed():
     seq = tokenize(TEXTS[3], VOCAB, max_len=12)
-    cfg = PretrainConfig()
+    cfg = PretrainConfig(max_len=12)
     a = mask_tokens(seq, VOCAB, cfg, np.random.default_rng(7))
     b = mask_tokens(seq, VOCAB, cfg, np.random.default_rng(7))
     np.testing.assert_array_equal(a.input_ids, b.input_ids)
@@ -118,18 +118,18 @@ def test_mask_deterministic_under_seed():
        text=st.sampled_from(TEXTS))
 def test_mask_invariants_hold_for_any_seed(seed, text):
     seq = tokenize(text, VOCAB, max_len=12)
-    out = mask_tokens(seq, VOCAB, PretrainConfig(), np.random.default_rng(seed))
-    ids = np.asarray(seq.ids)
-    attn = np.asarray(seq.attention_mask)
-    assert out.mask_indicator[attn == 0].sum() == 0
+    out = mask_tokens(seq, VOCAB, PretrainConfig(max_len=12), np.random.default_rng(seed))
+    ids = np.asarray(seq)
+    assert out.mask_indicator.shape == ids.shape  # nothing past the real tokens
     assert out.mask_indicator[np.isin(ids, sorted(VOCAB.special_ids))].sum() == 0
     np.testing.assert_array_equal(out.target_ids, ids)
 
 
-def _mask_tokens_oracle(seq, vocab, cfg, rng):
-    """mask_tokens as it was before the vocabulary cached its id arrays."""
-    ids = np.asarray(seq.ids, dtype=np.int64)
-    attn = np.asarray(seq.attention_mask, dtype=np.int64)
+def _mask_tokens_oracle(ids, attention_mask, vocab, cfg, rng):
+    """mask_tokens as it was before the vocabulary cached its id arrays, on
+    a sequence padded to max_len."""
+    ids = np.asarray(ids, dtype=np.int64)
+    attn = np.asarray(attention_mask, dtype=np.int64)
     maskable = (attn == 1) & ~np.isin(ids, sorted(vocab.special_ids))
     selected = maskable & (rng.random(ids.shape) < cfg.mask_prob)
     input_ids = ids.copy()
@@ -149,8 +149,8 @@ def _mask_tokens_oracle(seq, vocab, cfg, rng):
 
 
 @pytest.mark.parametrize("cfg", [
-    PretrainConfig(),
-    PretrainConfig(mask_prob=0.6, replace_mask_frac=0.2,
+    PretrainConfig(max_len=12),
+    PretrainConfig(max_len=12, mask_prob=0.6, replace_mask_frac=0.2,
                    replace_random_frac=0.7, keep_frac=0.1),
 ])
 def test_mask_tokens_matches_pre_change_oracle(cfg):
@@ -161,10 +161,12 @@ def test_mask_tokens_matches_pre_change_oracle(cfg):
         for text in TEXTS + MIXED:
             seq = tokenize(text, VOCAB, max_len=12)
             got = mask_tokens(seq, VOCAB, cfg, rng)
-            want = _mask_tokens_oracle(seq, VOCAB, cfg, oracle_rng)
+            padded, attn = _max_len_collate([seq])
+            want = _mask_tokens_oracle(padded[0], attn[0], VOCAB, cfg, oracle_rng)
             for field in ("input_ids", "target_ids", "mask_indicator"):
                 np.testing.assert_array_equal(getattr(got, field),
-                                              getattr(want, field))
+                                              getattr(want, field)[:len(seq)])
+            assert not want.mask_indicator[len(seq):].any()
         assert rng.random() == oracle_rng.random()  # same number of draws
 
 
@@ -386,7 +388,7 @@ def test_trainlog_jsonl_round_trip(tmp_path):
     assert kinds[-1] == "stop"
     assert lines[-1]["reason"] == "epochs_exhausted"
     assert all("loss" in rec for rec in lines if rec["kind"] == "step")
-    lengths = [sum(tokenize(t, VOCAB, 12).attention_mask) for t in MIXED]
+    lengths = [len(tokenize(t, VOCAB, 12)) for t in MIXED]
     for rec in (r for r in lines if r["kind"] == "step"):
         assert rec["tokens"] == sum(lengths)
         assert rec["positions"] == len(MIXED) * max(lengths) < len(MIXED) * 12
@@ -395,11 +397,51 @@ def test_trainlog_jsonl_round_trip(tmp_path):
 # --- collation and the masked-row MLM head (float64 oracles) ---------------
 
 
-def _max_len_collate(seqs):
+def _max_len_collate(seqs, max_len=12):
     """The collation that padded every batch to max_len."""
-    ids = np.stack([np.asarray(s.ids, dtype=np.int64) for s in seqs])
-    attn = np.stack([np.asarray(s.attention_mask, dtype=np.int64) for s in seqs])
+    ids = np.zeros((len(seqs), max_len), dtype=np.int64)
+    attn = np.zeros_like(ids)
+    for row, seq in enumerate(seqs):
+        ids[row, :len(seq)] = seq
+        attn[row, :len(seq)] = 1
     return ids, attn
+
+
+def _pad_then_cut(seqs, *columns, max_len):
+    """The collation before sequences stayed unpadded: every row padded to
+    max_len, then the batch cut to its longest real length."""
+    ids, attn = _max_len_collate(seqs, max_len)
+    n = int(attn.sum(axis=1).max())
+    padded = [_max_len_collate(c, max_len)[0] for c in columns]
+    return tuple(a[:, :n] for a in (ids, attn, *padded))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stack_batch_matches_pad_then_cut_oracle(data):
+    max_len = data.draw(st.integers(min_value=3, max_value=16))
+    lengths = data.draw(st.lists(st.integers(min_value=1, max_value=max_len),
+                                 min_size=1, max_size=6))
+
+    def rows():
+        return [data.draw(st.lists(st.integers(min_value=0, max_value=10**6),
+                                   min_size=n, max_size=n)) for n in lengths]
+
+    seqs = rows()
+    num_columns = data.draw(st.integers(min_value=0, max_value=2))
+    # extra columns come as lists or, like masking outcomes, as arrays
+    columns = [rows(), [np.asarray(r, dtype=np.int64) for r in rows()]][:num_columns]
+    got = _stack_batch(seqs, *columns)
+    want = _pad_then_cut(seqs, *columns, max_len=max_len)
+    assert len(got) == 2 + len(columns)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+    ids, attn = got[:2]
+    assert attn.shape == (len(seqs), max(lengths))
+    for padded in (ids, *got[2:]):
+        assert not padded[attn == 0].any()
+    assert attn.sum() == sum(lengths)
 
 
 def _full_projection_loss(model, input_ids, attn, targets, mask):
@@ -420,7 +462,7 @@ def _loss_and_grads(model, build):
 
 def test_masked_row_loss_and_grads_match_full_projection():
     model = small_model(seed=12, dtype=np.float64)
-    cfg = PretrainConfig(mask_prob=0.5)
+    cfg = PretrainConfig(max_len=12, mask_prob=0.5)
     rng = np.random.default_rng(0)
     seqs = [tokenize(t, VOCAB, max_len=12) for t in MIXED]
     outcomes = [mask_tokens(s, VOCAB, cfg, rng) for s in seqs]
@@ -464,17 +506,6 @@ def test_batch_max_padding_matches_max_len_classification_oracle():
     got = evaluation_loss(model, tokenize_labeled(data, VOCAB, label_to_id, 12),
                           batch_size=2)
     np.testing.assert_allclose(got, total / len(data), rtol=1e-10)
-
-
-def test_collation_cuts_to_longest_real_sequence():
-    long_text = " ".join(TEXTS[:3])  # 18 words, truncated to fill max_len
-    seqs = [tokenize(t, VOCAB, max_len=12) for t in MIXED[:1] + [long_text]]
-    ids, attn, extra = _stack_batch(seqs, [s.ids for s in seqs])
-    assert ids.shape == attn.shape == extra.shape == (2, 12)
-    ids, attn = _stack_batch([tokenize(t, VOCAB, max_len=12) for t in MIXED])
-    assert ids.shape == (len(MIXED), 8)
-    assert attn.sum() == sum(sum(tokenize(t, VOCAB, 12).attention_mask)
-                             for t in MIXED)
 
 
 def test_pretrain_with_dropout_is_bitwise_repeatable_on_cut_batches():
