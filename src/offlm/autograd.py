@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Provides exactly the primitives the encoder, the losses, and the
-optimizer need: broadcast-aware elementwise arithmetic, matmul, softmax,
-GELU, tanh, layer norm, embedding lookup, dropout, slicing/reshaping,
-summation, a fused multi-head self-attention over packed rows, and a
-fused masked cross-entropy. Working precision is
-float32; float64 is supported end to end for gradient verification.
+optimizer need: broadcast-aware elementwise arithmetic, matmul, GELU,
+tanh, layer norm, embedding lookup, dropout, slicing/reshaping, a fused
+multi-head self-attention over packed rows, and a fused masked
+cross-entropy. Working precision is float32; float64 is supported end
+to end for gradient verification.
 
 Every completed operation validates that its result is finite: NaN/Inf
 raises NumericError instead of propagating silently.
@@ -82,47 +82,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all real work happens in the module-level ops
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
-    def __sub__(self, other):
-        return add(self, mul(_wrap(other, self), _wrap(-1.0, self)))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0, self))
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
             raise TypeError("tensor/tensor division is not a supported primitive")
-        return mul(self, _wrap(1.0 / other, self))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return take(self, key)
-
-
-def _wrap(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.dtype))
+        return mul(self, Tensor(np.asarray(1.0 / other, dtype=self.dtype)))
 
 
 def _from_op(data: np.ndarray, op: str, parents: Sequence[Tensor],
@@ -186,21 +152,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(out, "matmul", (a, b), bwd)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Probability-normalize along `axis`, max-subtracted for stability."""
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _from_op(out, "softmax", (x,), bwd)
-
-
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x) with Phi the standard normal CDF, computed in
     the tensor's own dtype (Python-float constants do not promote it)."""
@@ -248,17 +199,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float) -> Tensor:
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, bq: Tensor,
               bk: Tensor, bv: Tensor, attention_mask: np.ndarray, heads: int,
-              rate: float, rng: Optional[np.random.Generator]) -> Tensor:
+              rate: float, rng: Optional[np.random.Generator],
+              queries: Optional[np.ndarray] = None) -> Tensor:
     """Multi-head self-attention over packed rows, as one node.
 
     `x` holds the [T, d] real rows of a [B, n] `attention_mask` in
-    row-major order; the result is the [T, d] context, before the output
-    projection. Q, K and V come from one GEMM against the joined [d, 3d]
+    row-major order. `queries` picks the R rows that attend: packed row
+    indices into `x`, in any order and possibly repeated; by default
+    every row. The result is their [R, d] context in `queries` order,
+    before the output projection.
+
+    K and V come from one GEMM of all T rows against the joined [d, 2d]
     weights. A batch without padding reshapes straight into heads; with
     padding the rows are scattered into their B*n slots, where zero rows
-    are hidden as keys by a -1e9 score and dropped as queries. With
-    `rate` > 0 the probabilities are dropped out with one `rng.random`
-    draw of shape [B, h, n, n].
+    are hidden as keys by a -1e9 score. Q comes from a GEMM of the query
+    rows only. Each query goes to cell (b, rank) of a [B, m] grid: b is
+    its sequence, rank its place among that sequence's queries, and m
+    the most queries of any one sequence. With every row a query, on a
+    batch padded to its longest sequence, m = n and the cells are the
+    slots. Scores, softmax, dropout and the weighted sum span
+    [B, h, m, n]. With `rate` > 0 the probabilities are dropped out with
+    one `rng.random` draw of that shape.
     """
     mask = np.asarray(attention_mask)
     if mask.ndim != 2 or x.data.ndim != 2:
@@ -270,18 +231,31 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, bq: Tensor,
     if rows != real.size or width % heads:
         raise ShapeError(f"attention: {x.shape} rows for {real.size} real positions "
                          f"and {heads} heads")
+    every = queries is None
+    queries = np.arange(rows) if every else np.asarray(queries)
     padded = real.size != batch * seq_len
     head_size = width // heads
     dtype = x.dtype
-    w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    qkv = x.data @ w
-    qkv += np.concatenate([bq.data, bk.data, bv.data])
+    kv = x.data @ np.concatenate([wk.data, wv.data], axis=1)
+    kv += np.concatenate([bk.data, bv.data])
     if padded:
-        slots = np.zeros((batch * seq_len, 3 * width), dtype=dtype)
-        slots[real] = qkv
-        qkv = slots
-    # [3, B, h, n, head_size] views of the joined rows
-    q, k, v = qkv.reshape(batch, seq_len, 3, heads, head_size).transpose(2, 0, 3, 1, 4)
+        slots = np.zeros((batch * seq_len, 2 * width), dtype=dtype)
+        slots[real] = kv
+        kv = slots
+    # [2, B, h, n, head_size] views of the joined rows
+    k, v = kv.reshape(batch, seq_len, 2, heads, head_size).transpose(2, 0, 3, 1, 4)
+
+    xq = x.data if every else x.data[queries]
+    q = xq @ wq.data
+    q += bq.data
+    cell, per_seq = _query_cells(real[queries] // seq_len, batch)
+    scattered = not np.array_equal(cell, np.arange(batch * per_seq))
+    if scattered:
+        grid = np.zeros((batch * per_seq, width), dtype=dtype)
+        grid[cell] = q
+        q = grid
+    q = q.reshape(batch, per_seq, heads, head_size).transpose(0, 2, 1, 3)
+
     scale = np.asarray(1.0 / math.sqrt(head_size), dtype)
     probs = np.matmul(q, np.swapaxes(k, -1, -2))
     probs *= scale
@@ -296,17 +270,17 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, bq: Tensor,
         keep = (rng.random(probs.shape) >= rate).astype(dtype) / (1.0 - rate)
         dropped = probs * keep
 
-    context = np.matmul(dropped, v).transpose(0, 2, 1, 3).reshape(batch * seq_len, width)
-    out = context[real] if padded else context
+    context = np.matmul(dropped, v).transpose(0, 2, 1, 3).reshape(batch * per_seq, width)
+    out = context[cell] if scattered else context
 
     def bwd(g):
-        if padded:
-            full = np.zeros((batch * seq_len, width), dtype=g.dtype)
-            full[real] = g
+        if scattered:
+            full = np.zeros((batch * per_seq, width), dtype=g.dtype)
+            full[cell] = g
             g = full
-        g_ctx = g.reshape(batch, seq_len, heads, head_size).transpose(0, 2, 1, 3)
-        g_qkv = np.empty((batch, seq_len, 3, heads, head_size), dtype=g.dtype)
-        g_q, g_k, g_v = g_qkv.transpose(2, 0, 3, 1, 4)
+        g_ctx = g.reshape(batch, per_seq, heads, head_size).transpose(0, 2, 1, 3)
+        g_kv = np.empty((batch, seq_len, 2, heads, head_size), dtype=g.dtype)
+        g_k, g_v = g_kv.transpose(2, 0, 3, 1, 4)
         np.matmul(np.swapaxes(dropped, -1, -2), g_ctx, out=g_v)
         g_scores = np.matmul(g_ctx, np.swapaxes(v, -1, -2))
         if keep is not None:
@@ -314,21 +288,40 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, bq: Tensor,
         g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)  # softmax backward
         g_scores *= probs
         g_scores *= scale
-        np.matmul(g_scores, k, out=g_q)
+        g_q = np.empty((batch, per_seq, heads, head_size), dtype=g.dtype)
+        np.matmul(g_scores, k, out=g_q.transpose(0, 2, 1, 3))
         g_k[...] = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_scores), -1, -2)
-        g_qkv = g_qkv.reshape(batch * seq_len, 3 * width)
+        g_q = g_q.reshape(batch * per_seq, width)
+        if scattered:
+            g_q = g_q[cell]
+        g_kv = g_kv.reshape(batch * seq_len, 2 * width)
         if padded:
-            g_qkv = g_qkv[real]
-        g_w = np.matmul(x.data.T, g_qkv)
-        g_b = g_qkv.sum(axis=0)
-        parts = [slice(i * width, (i + 1) * width) for i in range(3)]
-        return (tuple(np.matmul(g_qkv[:, part], wt.data.T) for part, wt in zip(parts, (wq, wk, wv)))
-                + tuple(g_w[:, part] for part in parts) + tuple(g_b[part] for part in parts))
+            g_kv = g_kv[real]
+        g_xq = np.matmul(g_q, wq.data.T)
+        if not every:
+            g_xq = _scatter_rows(x.shape, queries, g_xq)
+        g_wkv = np.matmul(x.data.T, g_kv)
+        return (g_xq, np.matmul(g_kv[:, :width], wk.data.T),
+                np.matmul(g_kv[:, width:], wv.data.T), np.matmul(xq.T, g_q),
+                g_wkv[:, :width], g_wkv[:, width:], g_q.sum(axis=0),
+                *np.split(g_kv.sum(axis=0), 2))
 
     # x is a parent once per projection, so backward adds its three input
     # gradients to x's one at a time, in the order that separate Q, K and V
     # projections did: seeded runs keep their floats
     return _from_op(out, "attention", (x, x, x, wq, wk, wv, bq, bk, bv), bwd)
+
+
+def _query_cells(seq: np.ndarray, batch: int) -> tuple[np.ndarray, int]:
+    """The cell b*m + rank of each query of sequence `seq[i]`, rank counting
+    that sequence's earlier queries, and m, the most queries of any one
+    sequence."""
+    counts = np.bincount(seq, minlength=batch)
+    order = np.argsort(seq, kind="stable")
+    rank = np.empty_like(seq)
+    rank[order] = np.arange(seq.size) - (np.cumsum(counts) - counts)[seq[order]]
+    per_seq = int(counts.max())
+    return seq * per_seq + rank, per_seq
 
 
 def _scatter_rows(shape: tuple, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -400,18 +393,6 @@ def take(x: Tensor, key) -> Tensor:
         return (gx,)
 
     return _from_op(out, "take", (x,), bwd)
-
-
-def tensor_sum(x: Tensor, axis: Optional[int] = None) -> Tensor:
-    out = x.data.sum(axis=axis)
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).astype(x.dtype).copy(),)
-        expanded = np.expand_dims(g, axis)
-        return (np.broadcast_to(expanded, x.shape).astype(x.dtype).copy(),)
-
-    return _from_op(out, "sum", (x,), bwd)
 
 
 def masked_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray,

@@ -29,7 +29,7 @@ import numpy as np
 from .corpus import (LabeledInstance, SplitSpec, load_labeled, load_scored,
                      load_texts, parse_scored, read_rows, select_by_threshold,
                      split)
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, not_utf8
 from .evaluation import (EvalReport, SweepRow, confusion, make_report, render,
                          render_sweep)
 from .model import (Model, ModelConfig, init_params, load_checkpoint,
@@ -112,6 +112,8 @@ def _load_config_file(args) -> dict:
         raise ConfigError(f"config file {path}: not found") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path}: invalid JSON: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {not_utf8(path)}") from e
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
     unknown = sorted(set(config) - set(_CONFIGS))

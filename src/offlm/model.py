@@ -157,10 +157,11 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
 
     With `rows`, flat slot indices b*n + j of real positions, the result
     is those rows' states [len(rows), d] in the order given. The last
-    layer's attention still reads all T rows as keys and values, but
-    everything after it (output projection, residual adds, layer norms,
-    FFN, dropout) runs on the requested rows only. A slot that is not a
-    real position is a DataError naming it.
+    layer's attention takes them as its only queries, while all T rows
+    stay its keys and values, and everything after it (output
+    projection, residual adds, layer norms, FFN, dropout) runs on the
+    requested rows only. A slot that is not a real position is a
+    DataError naming it.
     """
     cfg = model.config
     p = model.params
@@ -196,12 +197,13 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
     attn_rate = cfg.dropout_rate if train_mode else 0.0
     for i in range(cfg.num_layers):
         pre = f"layer{i}"
+        # no head reads the other rows' final states
+        queries = picked if i == cfg.num_layers - 1 else None
         context = ag.attention(
             x, *(p[f"{pre}.attn.{name}"] for name in ("wq", "wk", "wv", "bq", "bk", "bv")),
-            attention_mask, cfg.num_heads, attn_rate, rng)
-        if picked is not None and i == cfg.num_layers - 1:
-            # no head reads the other rows' final states
-            context, x = ag.take(context, picked), ag.take(x, picked)
+            attention_mask, cfg.num_heads, attn_rate, rng, queries)
+        if queries is not None:
+            x = ag.take(x, queries)
         attn_out = drop(_linear(context, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"]))
         x = ag.layer_norm(ag.add(x, attn_out), p[f"{pre}.attn_norm.gain"],
                           p[f"{pre}.attn_norm.bias"], cfg.layer_norm_epsilon)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, not_utf8
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _MENTION_RE = re.compile(r"@[A-Za-z0-9_]+")
@@ -51,18 +51,13 @@ class Lexicon:
     @classmethod
     def load(cls, path) -> "Lexicon":
         counts: dict[str, int] = {}
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected 'word<TAB>count'")
-                try:
-                    counts[parts[0]] = int(parts[1])
-                except ValueError as e:
-                    raise DataError(f"{path}:{lineno}: bad count {parts[1]!r}") from e
+        for lineno, parts in _tab_lines(path):
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected 'word<TAB>count'")
+            try:
+                counts[parts[0]] = int(parts[1])
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: bad count {parts[1]!r}") from e
         return cls(counts)
 
     def score(self, word: str, penalty_base: float = 10.0) -> float:
@@ -75,16 +70,24 @@ class Lexicon:
 def load_emoji_map(path) -> dict[str, str]:
     """TSV of emoji<TAB>:name:, longest-sequence-first at lookup time."""
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataError(f"{path}:{lineno}: expected 'emoji<TAB>:name:'")
-            mapping[parts[0]] = parts[1]
+    for lineno, parts in _tab_lines(path):
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataError(f"{path}:{lineno}: expected 'emoji<TAB>:name:'")
+        mapping[parts[0]] = parts[1]
     return mapping
+
+
+def _tab_lines(path) -> Iterator[tuple[int, list[str]]]:
+    """The line number and tab-separated fields of each non-blank line of
+    a UTF-8 file; a byte that is not UTF-8 is a DataError naming its line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line.split("\t")
+    except UnicodeDecodeError as e:
+        raise not_utf8(path) from e
 
 
 def normalize(text: str, cfg: PrepConfig) -> str:

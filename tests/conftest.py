@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+import tensor_ops  # noqa: F401 (gives Tensor its operator sugar)
+
 from offlm.tokenizer import Vocabulary
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from offlm import autograd as ag
 from offlm.autograd import Tensor
 from offlm.errors import NumericError, ShapeError
+from tensor_ops import softmax, tensor_sum
 
 
 def fd_grad(f, x, h=1e-6):
@@ -48,7 +49,7 @@ def test_tensor_wraps_data_and_tracks_grad_flag():
 def test_add_backward_is_ones():
     a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     b = Tensor([4.0, 5.0, 6.0], requires_grad=True)
-    ag.backward(ag.tensor_sum(ag.add(a, b)))
+    ag.backward(tensor_sum(ag.add(a, b)))
     np.testing.assert_array_equal(a.grad, np.ones(3))
     np.testing.assert_array_equal(b.grad, np.ones(3))
 
@@ -57,7 +58,7 @@ def test_add_broadcasts_and_unbroadcasts_grad():
     rng = np.random.default_rng(0)
     a = rand_tensor(rng, (4, 3))
     b = rand_tensor(rng, (3,))
-    check_grad(lambda: ag.tensor_sum(ag.mul(ag.add(a, b), ag.add(a, b))), a, b)
+    check_grad(lambda: tensor_sum(ag.mul(ag.add(a, b), ag.add(a, b))), a, b)
     assert b.grad.shape == (3,)
 
 
@@ -65,14 +66,14 @@ def test_mul_grad_matches_fd():
     rng = np.random.default_rng(1)
     a = rand_tensor(rng, (2, 5))
     b = rand_tensor(rng, (2, 5))
-    check_grad(lambda: ag.tensor_sum(ag.mul(a, b)), a, b)
+    check_grad(lambda: tensor_sum(ag.mul(a, b)), a, b)
 
 
 def test_scalar_operator_sugar():
     t = Tensor([1.0, 2.0], requires_grad=True)
     out = (2.0 * t + 1.0 - 0.5) / 2.0
     np.testing.assert_allclose(out.data, [1.25, 2.25])
-    ag.backward(ag.tensor_sum(out))
+    ag.backward(tensor_sum(out))
     np.testing.assert_allclose(t.grad, [1.0, 1.0])
 
 
@@ -86,27 +87,27 @@ def test_matmul_grad_matches_fd():
     rng = np.random.default_rng(2)
     a = rand_tensor(rng, (3, 4))
     b = rand_tensor(rng, (4, 2))
-    check_grad(lambda: ag.tensor_sum(ag.matmul(a, b)), a, b)
+    check_grad(lambda: tensor_sum(ag.matmul(a, b)), a, b)
 
 
 def test_matmul_batched_grad_matches_fd():
     rng = np.random.default_rng(3)
     a = rand_tensor(rng, (2, 3, 4))
     b = rand_tensor(rng, (2, 4, 3))
-    check_grad(lambda: ag.tensor_sum(ag.matmul(a, b)), a, b)
+    check_grad(lambda: tensor_sum(ag.matmul(a, b)), a, b)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(4)
     x = rand_tensor(rng, (5, 7))
-    out = ag.softmax(x)
+    out = softmax(x)
     np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(5), atol=1e-12)
 
 
 def test_softmax_is_shift_invariant():
     x = np.array([[1.0, 2.0, 3.0]])
-    a = ag.softmax(Tensor(x))
-    b = ag.softmax(Tensor(x + 1000.0))
+    a = softmax(Tensor(x))
+    b = softmax(Tensor(x + 1000.0))
     np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
 
@@ -114,7 +115,7 @@ def test_softmax_grad_matches_fd():
     rng = np.random.default_rng(5)
     x = rand_tensor(rng, (3, 6))
     w = Tensor(rng.standard_normal((3, 6)))
-    check_grad(lambda: ag.tensor_sum(ag.mul(ag.softmax(x), w)), x)
+    check_grad(lambda: tensor_sum(ag.mul(softmax(x), w)), x)
 
 
 def test_gelu_against_definition():
@@ -139,13 +140,13 @@ def test_gelu_float32_within_2_ulp_of_float64():
 def test_gelu_grad_matches_fd():
     rng = np.random.default_rng(6)
     x = rand_tensor(rng, (4, 4))
-    check_grad(lambda: ag.tensor_sum(ag.gelu(x)), x)
+    check_grad(lambda: tensor_sum(ag.gelu(x)), x)
 
 
 def test_tanh_grad_matches_fd():
     rng = np.random.default_rng(7)
     x = rand_tensor(rng, (10,))
-    check_grad(lambda: ag.tensor_sum(ag.mul(ag.tanh(x), ag.tanh(x))), x)
+    check_grad(lambda: tensor_sum(ag.mul(ag.tanh(x), ag.tanh(x))), x)
 
 
 def test_layer_norm_standardizes_rows():
@@ -165,7 +166,7 @@ def test_layer_norm_grad_matches_fd():
     bias = rand_tensor(rng, (8,))
     w = Tensor(rng.standard_normal((3, 8)))
     check_grad(
-        lambda: ag.tensor_sum(ag.mul(ag.layer_norm(x, gain, bias, 1e-12), w)),
+        lambda: tensor_sum(ag.mul(ag.layer_norm(x, gain, bias, 1e-12), w)),
         x, gain, bias, atol=1e-5)
 
 
@@ -180,7 +181,7 @@ def test_embedding_gathers_rows():
 def test_embedding_grad_accumulates_repeated_ids():
     table = Tensor(np.zeros((4, 2)), requires_grad=True)
     ids = np.array([0, 0, 0, 1])
-    ag.backward(ag.tensor_sum(ag.embedding(table, ids)))
+    ag.backward(tensor_sum(ag.embedding(table, ids)))
     np.testing.assert_array_equal(table.grad[0], [3.0, 3.0])
     np.testing.assert_array_equal(table.grad[1], [1.0, 1.0])
     np.testing.assert_array_equal(table.grad[2], [0.0, 0.0])
@@ -227,7 +228,7 @@ def test_reshape_transpose_round_trip_grad():
     rng = np.random.default_rng(11)
     x = rand_tensor(rng, (2, 3, 4))
     check_grad(
-        lambda: ag.tensor_sum(
+        lambda: tensor_sum(
             ag.mul(ag.transpose(ag.reshape(x, (6, 4)), (1, 0)),
                    ag.transpose(ag.reshape(x, (6, 4)), (1, 0)))),
         x)
@@ -237,7 +238,7 @@ def test_take_selects_and_scatters_grad():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     out = ag.take(x, (slice(None), 1))
     np.testing.assert_array_equal(out.data, [1.0, 5.0, 9.0])
-    ag.backward(ag.tensor_sum(out))
+    ag.backward(tensor_sum(out))
     expected = np.zeros((3, 4))
     expected[:, 1] = 1.0
     np.testing.assert_array_equal(x.grad, expected)
@@ -248,43 +249,53 @@ def test_take_integer_rows_grad_matches_fd():
     x = rand_tensor(rng, (6, 3))
     w = Tensor(rng.standard_normal((3, 3)))
     rows = np.array([0, 2, 5])  # sorted and distinct, as np.flatnonzero gives
-    check_grad(lambda: ag.tensor_sum(ag.mul(ag.take(x, rows), w)), x)
+    check_grad(lambda: tensor_sum(ag.mul(ag.take(x, rows), w)), x)
 
 
 def test_take_repeated_rows_accumulate_grad():
     x = Tensor(np.ones((3, 2)), requires_grad=True)
-    ag.backward(ag.tensor_sum(ag.take(x, np.array([1, 1]))))
+    ag.backward(tensor_sum(ag.take(x, np.array([1, 1]))))
     np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
     rng = np.random.default_rng(12)
     y = rand_tensor(rng, (4, 3))
     w = Tensor(rng.standard_normal((5, 3)))
     rows = np.array([2, 0, 2, 3, 2])
-    check_grad(lambda: ag.tensor_sum(ag.mul(ag.take(y, rows), w)), y)
+    check_grad(lambda: tensor_sum(ag.mul(ag.take(y, rows), w)), y)
 
 
-ATTENTION_CASES = {  # mask, dropout rate
-    "padded": (np.array([[1, 1, 1, 1], [1, 1, 0, 0]]), 0.0),
-    "unpadded": (np.ones((2, 3), dtype=np.int64), 0.0),
-    "dropout": (np.array([[1, 1, 1, 1], [1, 1, 1, 0]]), 0.3),
+THREE_SEQUENCES = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]])
+# unsorted, row 7 twice and no row of the middle sequence, both under
+# THREE_SEQUENCES and under a [3, 3] mask without padding: m = 2
+SOME_ROWS = np.array([7, 2, 0, 7])
+
+ATTENTION_CASES = {  # mask, dropout rate, queries
+    "padded": (np.array([[1, 1, 1, 1], [1, 1, 0, 0]]), 0.0, None),
+    "unpadded": (np.ones((2, 3), dtype=np.int64), 0.0, None),
+    "dropout": (np.array([[1, 1, 1, 1], [1, 1, 1, 0]]), 0.3, None),
+    "queries-padded": (THREE_SEQUENCES, 0.0, SOME_ROWS),
+    "queries-unpadded": (np.ones((3, 3), dtype=np.int64), 0.0, SOME_ROWS),
+    "queries-dropout": (THREE_SEQUENCES, 0.3, SOME_ROWS),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
 def test_attention_grad_matches_fd(case):
     """Every input's gradient, with the key bias active (padding), on the
-    reshape-only path (no padding) and with dropout under a fixed mask."""
-    mask, rate = ATTENTION_CASES[case]
+    reshape-only path (no padding), with dropout under a fixed mask, and
+    for a subset of query rows."""
+    mask, rate, queries = ATTENTION_CASES[case]
     rng = np.random.default_rng(14)
     rows, width = int(mask.sum()), 6
     x = rand_tensor(rng, (rows, width))
     weights = [Tensor(0.5 * rng.standard_normal((width, width)), requires_grad=True)
                for _ in range(3)]
     biases = [rand_tensor(rng, (width,)) for _ in range(3)]
-    w = Tensor(rng.standard_normal((rows, width)))
+    w = Tensor(rng.standard_normal((rows if queries is None else queries.size, width)))
 
     def build(rate=rate):  # a fresh generator per evaluation keeps the mask fixed
-        out = ag.attention(x, *weights, *biases, mask, 2, rate, np.random.default_rng(5))
-        return ag.tensor_sum(ag.mul(out, w))
+        out = ag.attention(x, *weights, *biases, mask, 2, rate, np.random.default_rng(5),
+                           queries)
+        return tensor_sum(ag.mul(out, w))
 
     if rate:
         assert build().data != build(0.0).data
@@ -293,8 +304,8 @@ def test_attention_grad_matches_fd(case):
 
 def test_tensor_sum_axis_semantics():
     x = Tensor(np.ones((2, 3)))
-    assert ag.tensor_sum(x).data == 6.0
-    np.testing.assert_array_equal(ag.tensor_sum(x, axis=0).data, [2.0, 2.0, 2.0])
+    assert tensor_sum(x).data == 6.0
+    np.testing.assert_array_equal(tensor_sum(x, axis=0).data, [2.0, 2.0, 2.0])
 
 
 def test_masked_cross_entropy_uniform_logits():
@@ -367,7 +378,7 @@ def test_masked_cross_entropy_validates_shapes():
 def test_backward_accumulates_through_shared_subgraph():
     x = Tensor([3.0], requires_grad=True)
     y = ag.mul(x, x)
-    ag.backward(ag.tensor_sum(ag.add(y, y)))
+    ag.backward(tensor_sum(ag.add(y, y)))
     np.testing.assert_allclose(x.grad, [12.0])
 
 
@@ -379,7 +390,7 @@ def test_backward_requires_scalar():
 
 def test_zero_grads_clears():
     x = Tensor([1.0], requires_grad=True)
-    ag.backward(ag.tensor_sum(ag.mul(x, x)))
+    ag.backward(tensor_sum(ag.mul(x, x)))
     assert x.grad is not None
     ag.zero_grads([x])
     assert x.grad is None
@@ -390,7 +401,7 @@ def test_deep_chain_does_not_recurse():
     y = x
     for _ in range(3000):
         y = y + 1.0
-    ag.backward(ag.tensor_sum(y))
+    ag.backward(tensor_sum(y))
     np.testing.assert_allclose(x.grad, [1.0])
 
 
@@ -411,7 +422,7 @@ def test_broadcast_grad_shapes_match_leaves(rows, cols, seed):
     a = Tensor(rng.standard_normal((rows, cols)), requires_grad=True)
     b = Tensor(rng.standard_normal((cols,)), requires_grad=True)
     c = Tensor(rng.standard_normal((rows, 1)), requires_grad=True)
-    ag.backward(ag.tensor_sum(ag.mul(ag.add(a, b), c)))
+    ag.backward(tensor_sum(ag.mul(ag.add(a, b), c)))
     assert a.grad.shape == a.shape
     assert b.grad.shape == b.shape
     assert c.grad.shape == c.shape

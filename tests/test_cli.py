@@ -442,6 +442,23 @@ def test_malformed_config_file_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("flag", ["--lexicon", "--emoji-map", "--config"])
+def test_preprocess_non_utf8_side_file_exits_cleanly(tmp_path, flag):
+    """A lexicon or emoji map with a byte that is not UTF-8 is a data error
+    naming its file and line (exit 3); such a config file is a config
+    error (exit 2)."""
+    bad = tmp_path / "side"
+    bad.write_bytes({"--lexicon": b"the\t5\ncaf\xe9\t2\n",
+                     "--emoji-map": b"\xf0\x9f\x94\xa5\t:fire:\n\xe9\t:e:\n",
+                     "--config": b'{"prep": {}}\xff'}[flag])
+    proc = run_cli("preprocess", flag, str(bad),
+                   "--input", os.path.join(FIXTURES, "scored.tsv"),
+                   "--output", str(tmp_path / "out.tsv"))
+    assert proc.returncode == (2 if flag == "--config" else 3), proc.stderr
+    assert f"{bad}:{1 if flag == '--config' else 2}: not UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_config_section_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pretraining": {"epochs": 1}}))

@@ -21,6 +21,7 @@ from offlm.model import (
     resolve_checkpoint,
     save_checkpoint,
 )
+from tensor_ops import softmax
 
 TINY = ModelConfig(vocab_size=16, num_layers=1, hidden_size=8, num_heads=2,
                    max_position=8, dropout_rate=0.0)
@@ -165,7 +166,7 @@ def padded_encode(ids, attention_mask, model):
         k = split_heads(linear(x, f"{pre}.attn.wk", f"{pre}.attn.bk"))
         v = split_heads(linear(x, f"{pre}.attn.wv", f"{pre}.attn.bv"))
         scores = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))) * scale
-        probs = ag.softmax(ag.add(scores, key_bias), axis=-1)
+        probs = softmax(ag.add(scores, key_bias), axis=-1)
         context = ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3))
         context = ag.reshape(context, (batch, seq_len, cfg.hidden_size))
         attn_out = linear(context, f"{pre}.attn.wo", f"{pre}.attn.bo")
@@ -373,24 +374,27 @@ def test_encode_rows_run_last_layer_ffn_on_those_rows(monkeypatch, padded):
 
 
 def test_encode_rows_draws_dropout_masks_in_layer_order():
-    """With `rows`, the last layer's attention mask still spans the batch,
-    and its two residual-branch masks cover the R requested rows."""
+    """With `rows`, the last layer's attention mask spans [B, h, m, n], m
+    the most requested rows of one sequence ([CLS] rows: 1; slots 0 and 3
+    of sequence 0: 2; a repeated slot counts twice), and its two
+    residual-branch masks cover the R requested rows."""
     cfg = ModelConfig(**{**TINY.__dict__, "num_layers": 2, "dropout_rate": 0.1})
     ids, attn = sample_batch(np.random.default_rng(6), cfg)
-    rows = np.array([0, 3, 6])
-    rng = np.random.default_rng(17)
-    encode(ids, attn, init_params(cfg, seed=0), train_mode=True, rng=rng, rows=rows)
-    want = np.random.default_rng(17)
     (batch, seq_len), real, width = attn.shape, int(attn.sum()), cfg.hidden_size
-    want.random((real, width))
-    for _ in range(cfg.num_layers - 1):
-        want.random((batch, cfg.num_heads, seq_len, seq_len))
+    for rows, per_seq in (([0, 6], 1), ([0, 3, 6], 2), ([9, 0, 9], 2)):
+        rows = np.array(rows)
+        rng = np.random.default_rng(17)
+        encode(ids, attn, init_params(cfg, seed=0), train_mode=True, rng=rng, rows=rows)
+        want = np.random.default_rng(17)
         want.random((real, width))
-        want.random((real, width))
-    want.random((batch, cfg.num_heads, seq_len, seq_len))
-    want.random((rows.size, width))
-    want.random((rows.size, width))
-    assert rng.bit_generator.state == want.bit_generator.state
+        for _ in range(cfg.num_layers - 1):
+            want.random((batch, cfg.num_heads, seq_len, seq_len))
+            want.random((real, width))
+            want.random((real, width))
+        want.random((batch, cfg.num_heads, per_seq, seq_len))
+        want.random((rows.size, width))
+        want.random((rows.size, width))
+        assert rng.bit_generator.state == want.bit_generator.state, rows
 
 
 @pytest.mark.parametrize("slot", [11, 12, -1, 40])

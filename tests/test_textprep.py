@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,14 @@ def test_normalize_handles_www_and_collapses_whitespace():
 def test_normalize_custom_placeholders():
     cfg = PrepConfig(url_placeholder="<link>", user_placeholder="<who>")
     assert normalize("@a http://b.c", cfg) == "<who> <link>"
+
+
+@pytest.mark.parametrize("loader", [Lexicon.load, load_emoji_map])
+def test_side_files_that_are_not_utf8_name_file_and_line(tmp_path, loader):
+    path = tmp_path / "side.tsv"
+    path.write_bytes(b"ok\t1\n\ncaf\xe9\t2\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: not UTF-8")):
+        loader(path)
 
 
 def test_load_emoji_map_parses_packaged_table():
