@@ -58,15 +58,13 @@ def _hash_inputs(paths: Sequence) -> dict[str, str]:
 
 
 def _environment() -> dict:
-    """The interpreter and numeric libraries a run used."""
-    import scipy  # not at module level: importing it slows every command's start
-
+    """The interpreter and numeric library a run used."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     except (TypeError, KeyError):
         blas = "unknown"
     return {"python": sys.version.split()[0], "numpy": np.__version__,
-            "scipy": scipy.__version__, "blas": blas}
+            "blas": blas}
 
 
 def _write_manifest(path, payload: dict) -> None:
@@ -181,6 +179,8 @@ def _parse_labels(raw: Optional[str]) -> list[str]:
     labels = [x.strip() for x in raw.split(",") if x.strip()]
     if len(labels) < 2:
         raise ConfigError(f"need at least 2 labels, got {labels}")
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"duplicate label names in {labels}")
     return labels
 
 
@@ -410,15 +410,21 @@ def cmd_evaluate(args) -> int:
     if not vocab_path:
         raise ConfigError("no vocabulary: give --vocab or a --model-dir "
                           "containing vocab.txt")
-    labels_raw, labels_path = args.labels, in_model_dir("labels.json")
-    if not labels_raw and labels_path:
+    labels_path = in_model_dir("labels.json")
+    labels = (_parse_labels(args.labels) if args.labels or not labels_path
+              else None)
+    if labels_path:
         try:
             with open(labels_path, encoding="utf-8") as f:
-                labels_raw = ",".join(json.load(f)["labels"])
+                saved = _parse_labels(",".join(json.load(f)["labels"]))
         except (ValueError, KeyError, TypeError) as e:
             raise DataError(f"{labels_path}: expected an object with a "
                             f"'labels' list of names: {e!r}") from e
-    labels = _parse_labels(labels_raw)
+        if labels not in (None, saved):
+            raise ConfigError(f"--labels {labels} disagree with {saved}, the "
+                              f"labels the model was fine-tuned with "
+                              f"({labels_path})")
+        labels = saved
     vocab = load_vocab(vocab_path)
     model = _model({}, args, vocab, args.max_len, labels, checkpoint=checkpoint)
     model_id = args.model_id or os.path.basename(

@@ -1,3 +1,6 @@
+import math
+from decimal import Context, Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +144,78 @@ def test_gelu_grad_matches_fd():
     rng = np.random.default_rng(6)
     x = rand_tensor(rng, (4, 4))
     check_grad(lambda: tensor_sum(ag.gelu(x)), x)
+
+
+DIGITS_50 = Context(prec=50)
+
+
+def oracle_gelu(x: float) -> float:
+    """x * Phi(x) from math.erfc alone. The argument -x/sqrt(2) is carried
+    to 50 digits and its rounding error corrected to first order: erfc
+    would amplify that error by 2z^2 (3e-13 relative at x = -37)."""
+    z_exact = DIGITS_50.multiply(Decimal(-x), DIGITS_50.sqrt(Decimal("0.5")))
+    z = float(z_exact)
+    dz = float(DIGITS_50.subtract(z_exact, Decimal(z)))
+    erfc = math.erfc(z) - dz * 2.0 / math.sqrt(math.pi) * math.exp(-z * z)
+    return x * 0.5 * erfc
+
+
+def test_gelu_matches_erfc_oracle():
+    """float64 within 1e-14 relative of the oracle over [-37, 37] (below
+    that, Phi is subnormal in float64); float32 within 2 ulp of it. The
+    kernel's float64 error is about 1e-15; rounding x*x in the tail's
+    exp(-x*x/2) alone would cost up to 1.1e-13."""
+    rng = np.random.default_rng(15)
+    xs = np.concatenate([np.linspace(-37.0, 37.0, 7401),
+                         np.linspace(-1.6, 1.6, 3201),
+                         rng.standard_normal(2000)])
+    reference = np.array([oracle_gelu(float(x)) for x in xs])
+    np.testing.assert_allclose(ag.gelu(Tensor(xs)).data, reference,
+                               rtol=1e-14, atol=0.0)
+
+    xs32 = xs.astype(np.float32)
+    out = ag.gelu(Tensor(xs32)).data
+    reference = np.array([oracle_gelu(float(x)) for x in xs32])
+    ulp = np.spacing(np.abs(reference).astype(np.float32))
+    assert np.all(np.abs(out - reference) <= 2 * ulp)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_is_bitwise_independent_of_blocking(dtype):
+    """Cutting the input at and around the 16,384-element block edge
+    leaves every output bit as it was."""
+    rng = np.random.default_rng(16)
+    xs = (2.0 * rng.standard_normal(40000)).astype(dtype)
+    whole = ag.gelu(Tensor(xs.reshape(8, 5000))).data.reshape(-1)
+    pieces = np.split(xs, [1, 16383, 16384, 16385])
+    joined = np.concatenate([ag.gelu(Tensor(p)).data for p in pieces])
+    assert whole.dtype == joined.dtype == dtype
+    assert whole.tobytes() == joined.tobytes()
+
+
+@pytest.mark.parametrize("dtype, step", [
+    (np.float32, None),  # consecutive float32 values
+    # consecutive float64 values are not monotone in any float64 kernel
+    # (scipy's ndtr decreases 11 times within 200 ulp of -1.0): the step
+    # is 2 ulp of Phi at -1.5 against several ulp of rounding. 64 ulp
+    # apart, Phi rises by 1.8e-15 per step, 10x its rounding error.
+    (np.float64, 2.0 ** -46),
+])
+@pytest.mark.parametrize("edge", [-1.5, 1.5])
+def test_gelu_cdf_does_not_decrease_across_region_edge(dtype, step, edge):
+    """Phi steps up, not down, where the central polynomial hands over to
+    the tail formula."""
+    if step is None:
+        below, above = [dtype(edge)], [dtype(edge)]
+        for _ in range(8):
+            below.append(np.nextafter(below[-1], dtype(-np.inf)))
+            above.append(np.nextafter(above[-1], dtype(np.inf)))
+        xs = np.array(below[::-1] + above[1:], dtype=dtype)
+    else:
+        xs = edge + step * np.arange(-8, 9, dtype=dtype)
+    assert np.any(np.abs(xs) < 1.5) and np.any(np.abs(xs) > 1.5)
+    _, cdf = ag._gelu_forward(xs)
+    assert np.all(np.diff(cdf) >= 0)
 
 
 def test_tanh_grad_matches_fd():

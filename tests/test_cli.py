@@ -47,6 +47,30 @@ def test_importing_cli_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_commands_that_run_the_model_do_not_import_scipy(tmp_path):
+    """pretrain, finetune and evaluate succeed with scipy unimportable."""
+    no_scipy = ("import sys; sys.modules['scipy'] = None; "
+                "from offlm.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-c", no_scipy, *map(str, args)],
+                              capture_output=True, text=True, env=child_env(),
+                              cwd=PKG_ROOT)
+        assert proc.returncode == 0, (args[0], proc.stderr)
+
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(TINY_VOCAB)
+    labeled = os.path.join(FIXTURES, "labeled.tsv")
+    model = ("--vocab", vocab, "--epochs", "1", "--max-len", "8",
+             "--num-layers", "1", "--hidden-size", "8", "--num-heads", "2")
+    run("pretrain", "--corpus", os.path.join(FIXTURES, "scored.tsv"), *model,
+        "--output-dir", tmp_path / "pre")
+    run("finetune", "--train", labeled, "--labels", "not,off", *model,
+        "--output-dir", tmp_path / "fine")
+    run("evaluate", "--model-dir", tmp_path / "fine", "--data", labeled,
+        "--output-dir", tmp_path / "eval")
+
+
 def test_no_arguments_shows_usage_and_exits_2():
     proc = run_cli()
     assert proc.returncode == 2
@@ -240,7 +264,7 @@ def test_select_writes_rows_table_and_manifest(tmp_path):
     assert digest in manifest["inputs"].values()
     assert "timestamp" not in manifest
     assert manifest["environment"]["numpy"] == np.__version__
-    assert set(manifest["environment"]) == {"python", "numpy", "scipy", "blas"}
+    assert set(manifest["environment"]) == {"python", "numpy", "blas"}
 
 
 def test_select_inverted_bounds_exit_2(tmp_path):
@@ -552,6 +576,42 @@ def test_evaluate_malformed_labels_json_exit_3(tmp_path, content):
     assert "Traceback" not in proc.stderr
 
 
+def test_evaluate_labels_disagreeing_with_model_dir_exit_2(tmp_path):
+    """--labels that differ from the labels.json the model was fine-tuned
+    with are a config error naming both lists, not a silent relabelling."""
+    model_dir = tmp_path / "fine"
+    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0),
+                    str(model_dir / "final"))
+    (model_dir / "vocab.txt").write_text(TINY_VOCAB)
+    (model_dir / "labels.json").write_text('{"labels": ["not", "off"]}\n')
+
+    def evaluate(labels, out):
+        return run_cli("evaluate", "--model-dir", str(model_dir),
+                       "--labels", labels,
+                       "--data", os.path.join(FIXTURES, "labeled.tsv"),
+                       "--output-dir", str(tmp_path / out))
+
+    proc = evaluate("off,not", "swapped")
+    assert proc.returncode == 2, proc.stderr
+    assert "['off', 'not']" in proc.stderr and "['not', 'off']" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "swapped").exists()
+    proc = evaluate("not,off", "same")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_finetune_duplicate_labels_exit_2(tmp_path):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(TINY_VOCAB)
+    out = tmp_path / "out"
+    proc = run_cli("finetune", "--train", os.path.join(FIXTURES, "labeled.tsv"),
+                   "--labels", "not,not", "--vocab", str(vocab),
+                   "--output-dir", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "duplicate" in proc.stderr and "'not'" in proc.stderr
+    assert not out.exists()
+
+
 def test_evaluate_model_dir_resolves_interrupted_final_save(tmp_path):
     """A fine-tuning run killed between the two renames of its `final/`
     save leaves only `final.old/`; `evaluate --model-dir` loads it rather
@@ -755,6 +815,18 @@ def test_sweep_checks_every_bin_before_training(tmp_path, sweep_inputs, bins,
             "--train", i["labeled"], "--vocab", i["vocab"],
             "--labels", "not,off", "--bins", bins, "--output-dir", sweep)
     assert cli.main([str(a) for a in args]) == code
+    assert not (sweep / "bin-0").exists()
+
+
+def test_sweep_duplicate_labels_fail_before_training(tmp_path, sweep_inputs,
+                                                     capsys):
+    """--labels naming a class twice is exit 2 before any bin pretrains."""
+    i, sweep = sweep_inputs, tmp_path / "sweep"
+    args = ("sweep", "--config", i["config"], "--scored", i["scored"],
+            "--train", i["labeled"], "--vocab", i["vocab"],
+            "--labels", "off,off", "--bins", "0.7:1.0", "--output-dir", sweep)
+    assert cli.main([str(a) for a in args]) == 2
+    assert "duplicate" in capsys.readouterr().err
     assert not (sweep / "bin-0").exists()
 
 

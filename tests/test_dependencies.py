@@ -1,0 +1,40 @@
+import ast
+import os
+import re
+import sys
+
+import pytest
+
+PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(PKG_ROOT, "src", "offlm")
+
+
+def imported_top_level_modules(directory):
+    """Top-level names of every absolute import in the .py files under
+    `directory`, including imports inside functions."""
+    names = set()
+    for root, _, files in os.walk(directory):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names.update(a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names.add(node.module.split(".")[0])
+    return names
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    """A module the package imports that is neither standard library nor in
+    pyproject.toml's dependencies, or a dependency it never imports, fails."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(PKG_ROOT, "pyproject.toml"), "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+                for d in declared}
+    third_party = (imported_top_level_modules(PACKAGE)
+                   - set(sys.stdlib_module_names) - {"offlm"})
+    assert third_party == declared
