@@ -10,9 +10,9 @@ checkout. Then, per workload and seed, it runs
 once in the base tree and once in the working tree, alternating which of
 the two goes first from one seed to the next. It prints, per end-to-end
 metric of BENCHMARK.json, the base and change medians with their
-quartiles, the median change, and in how many seed pairs the change did
-better, the same or worse; each run's metrics go to standard error as it
-ends. It exits 1
+quartiles, the median change, in how many seed pairs the change did
+better, the same or worse, and a verdict (see `verdict`); each run's
+metrics go to standard error as it ends. It exits 1
 if any run fails a check (`failed` > 0), exits nonzero or prints no
 result line.
 """
@@ -71,17 +71,50 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict | None
     return line
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3); a single value stands for all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
 def spread(values: list[float]) -> str:
     """`median [q1-q3]`."""
     if len(values) == 1:
         return f"{values[0]:.4g}"
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, q2, q3 = quartiles(values)
     return f"{q2:.4g} [{q1:.4g}-{q3:.4g}]"
+
+
+def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
+    """The choosing-metrics rule over (base, change) pairs of one metric.
+
+    "gain": of at least ten pairs, the change is better in nine tenths
+    (ties count for neither), and its median is better than the base's by
+    more than the base's interquartile range. "worse than bound": the
+    change median is worse than the base median by more than `bound`, a
+    share of the base median. "unresolved": otherwise, when the base's
+    interquartile range is wider than that bound, unless every change run
+    is better than every base run. Else "within bound".
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    base, change = [sign * b for b, _ in pairs], [sign * c for _, c in pairs]
+    q1, b_med, q3 = quartiles(base)
+    gain = statistics.median(change) - b_med
+    wins = sum(c > b for b, c in zip(base, change))
+    if len(pairs) >= 10 and wins >= 0.9 * len(pairs) and gain > q3 - q1:
+        return "gain"
+    if -gain > bound * abs(b_med):
+        return "worse than bound"
+    if q3 - q1 > bound * abs(b_med) and min(change) <= max(base):
+        return "unresolved"
+    return "within bound"
 
 
 def report(workload: str, spec: dict, runs: dict[str, list[dict]]) -> None:
     print(f"== {workload}: base -> change, median [quartiles], "
-          "seed pairs where the change is better/equal/worse")
+          "seed pairs where the change is better/equal/worse, verdict")
     for metric in spec["end_to_end"]:
         name = metric["name"]
         pairs = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -97,7 +130,8 @@ def report(workload: str, spec: dict, runs: dict[str, list[dict]]) -> None:
         delta = f"{100.0 * (c_med - b_med) / b_med:+.2f}%" if b_med else "n/a"
         print(f"   {name:18s} {spread(base):>30s} -> {spread(change):30s} "
               f"{delta:>9s}  {better}/{len(pairs) - better - worse}/{worse} "
-              f"better/equal/worse ({metric['better']} is better)")
+              f"better/equal/worse ({metric['better']} is better)  "
+              f"{verdict(pairs, metric['better'], metric['bound'])}")
 
 
 def main(argv=None) -> int:

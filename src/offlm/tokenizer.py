@@ -23,10 +23,20 @@ CONTINUATION_PREFIX = "##"
 
 # words longer than this fall straight to [UNK]
 MAX_WORD_CHARS = 100
+# A vocabulary's word table stops growing at this many raw words (about
+# 200 bytes each, so about 50 MB); words first seen after that are
+# segmented on every call.
+MAX_WORD_TABLE_ENTRIES = 1 << 18
 
 
 class Vocabulary:
-    """Immutable token <-> id table with the five special tokens."""
+    """Immutable token <-> id table with the five special tokens.
+
+    It also holds a word table, a cache that maps each raw
+    whitespace-split word to the piece ids `tokenize` emits for it, so
+    each distinct word is cleaned and segmented once per vocabulary. The
+    table never changes the token <-> id mapping.
+    """
 
     def __init__(self, tokens: Sequence[str]):
         self.tokens = list(tokens)
@@ -46,12 +56,27 @@ class Vocabulary:
         self.sep_id = self.token_to_id[SEP]
         self.mask_id = self.token_to_id[MASK]
         self.special_ids = frozenset(self.token_to_id[s] for s in SPECIAL_TOKENS)
-        # sorted, read-only id arrays that masking reads for every sequence
-        self.special_id_array = np.array(sorted(self.special_ids), dtype=np.int64)
-        self.non_special_id_array = np.setdiff1d(
-            np.arange(len(self.tokens), dtype=np.int64), self.special_id_array)
-        self.special_id_array.flags.writeable = False
+        # read-only id tables that masking reads for every sequence
+        self.is_special = np.zeros(len(self.tokens), dtype=bool)
+        self.is_special[list(self.special_ids)] = True
+        self.non_special_id_array = np.flatnonzero(~self.is_special)
+        self.is_special.flags.writeable = False
         self.non_special_id_array.flags.writeable = False
+        # no piece that matches inside a word is longer than this
+        self._longest = max(map(len, self.tokens))
+        self._word_ids: dict[str, tuple[int, ...]] = {}
+
+    def _segment(self, word: str) -> tuple[int, ...]:
+        """Clean and segment one raw word into piece ids, and enter them
+        in the word table while it holds fewer than
+        MAX_WORD_TABLE_ENTRIES words."""
+        cleaned = _clean_word(word)
+        word_ids = _wordpiece(cleaned, self) if len(cleaned) <= MAX_WORD_CHARS else None
+        if word_ids is None:
+            word_ids = (self.unk_id,)
+        if len(self._word_ids) < MAX_WORD_TABLE_ENTRIES:
+            self._word_ids[word] = word_ids
+        return word_ids
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -86,30 +111,34 @@ def load_vocab(path) -> Vocabulary:
 
 def _clean_word(word: str) -> str:
     """Lowercase and strip accents (uncased convention)."""
+    if word.isascii():  # NFD keeps ASCII as it is, and no ASCII char is Mn
+        return word.lower()
     decomposed = unicodedata.normalize("NFD", word.lower())
     return "".join(c for c in decomposed if unicodedata.category(c) != "Mn")
 
 
-def _wordpiece(word: str, vocab: Vocabulary) -> list[str] | None:
-    """Greedy longest-match-first segmentation; None if unsegmentable."""
-    pieces = []
+def _wordpiece(word: str, vocab: Vocabulary) -> tuple[int, ...] | None:
+    """Greedy longest-match-first segmentation into piece ids; None if
+    unsegmentable."""
+    ids = []
     start = 0
     while start < len(word):
-        end = len(word)
+        # a longer candidate cannot match: its piece outgrows every token
+        end = min(len(word), start + vocab._longest)
         found = None
         while start < end:
             piece = word[start:end]
             if start > 0:
                 piece = CONTINUATION_PREFIX + piece
-            if piece in vocab:
-                found = piece
+            found = vocab.token_to_id.get(piece)
+            if found is not None:
                 break
             end -= 1
         if found is None:
             return None
-        pieces.append(found)
+        ids.append(found)
         start = end
-    return pieces
+    return tuple(ids)
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
@@ -118,18 +147,20 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
     Unmatched or over-long words become a single [UNK]. The piece stream
     is tail-truncated to max_len - 2 before framing with [CLS]/[SEP]. The
     ids are not padded; collation pads a batch to its longest sequence.
+    Each word's ids come from the vocabulary's word table.
     """
     if max_len < 3:
         raise ConfigError(f"max_len must be >= 3, got {max_len}")
-    pieces: list[str] = []
+    ids = [vocab.cls_id]
+    table = vocab._word_ids
     for word in text.split():
-        word = _clean_word(word)
-        if not word:
-            continue
-        segmented = _wordpiece(word, vocab) if len(word) <= MAX_WORD_CHARS else None
-        pieces.extend(segmented if segmented is not None else [UNK])
-    return ([vocab.cls_id] + [vocab.id_of(p) for p in pieces[: max_len - 2]]
-            + [vocab.sep_id])
+        word_ids = table.get(word)
+        ids += word_ids if word_ids is not None else vocab._segment(word)
+        if len(ids) >= max_len - 1:
+            del ids[max_len - 1:]
+            break
+    ids.append(vocab.sep_id)
+    return ids
 
 
 def _word_counts(corpus: Iterable[str]) -> Counter:

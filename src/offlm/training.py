@@ -139,7 +139,7 @@ def mask_tokens(ids: Sequence[int], vocab: Vocabulary, cfg: PretrainConfig,
     # One uniform per position of the sequence padded to max_len, though only
     # len(ids) are read: seeded pretraining keeps the masks it always drew.
     draws = rng.random(max(cfg.max_len, ids.size))[: ids.size]
-    selected = ~np.isin(ids, vocab.special_id_array) & (draws < cfg.mask_prob)
+    selected = ~vocab.is_special[ids] & (draws < cfg.mask_prob)
     input_ids = ids.copy()
     positions = np.flatnonzero(selected)
     if positions.size:

@@ -47,13 +47,14 @@ def test_importing_cli_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_commands_that_run_the_model_do_not_import_scipy(tmp_path):
-    """pretrain, finetune and evaluate succeed with scipy unimportable."""
-    no_scipy = ("import sys; sys.modules['scipy'] = None; "
-                "from offlm.cli import main; sys.exit(main(sys.argv[1:]))")
+def run_model_commands_without(module, tmp_path):
+    """Run pretrain, finetune and evaluate on the fixtures in processes where
+    importing `module` fails; each must exit 0."""
+    blocked = (f"import sys; sys.modules[{module!r}] = None; "
+               "from offlm.cli import main; sys.exit(main(sys.argv[1:]))")
 
     def run(*args):
-        proc = subprocess.run([sys.executable, "-c", no_scipy, *map(str, args)],
+        proc = subprocess.run([sys.executable, "-c", blocked, *map(str, args)],
                               capture_output=True, text=True, env=child_env(),
                               cwd=PKG_ROOT)
         assert proc.returncode == 0, (args[0], proc.stderr)
@@ -69,6 +70,17 @@ def test_commands_that_run_the_model_do_not_import_scipy(tmp_path):
         "--output-dir", tmp_path / "fine")
     run("evaluate", "--model-dir", tmp_path / "fine", "--data", labeled,
         "--output-dir", tmp_path / "eval")
+
+
+def test_commands_that_run_the_model_do_not_import_scipy(tmp_path):
+    """pretrain, finetune and evaluate succeed with scipy unimportable."""
+    run_model_commands_without("scipy", tmp_path)
+
+
+def test_commands_that_load_a_vocabulary_do_not_import_numpy_ma(tmp_path):
+    """pretrain, finetune and evaluate succeed with numpy.ma unimportable:
+    loading a vocabulary does not pay for numpy's lazy masked-array import."""
+    run_model_commands_without("numpy.ma", tmp_path)
 
 
 def test_no_arguments_shows_usage_and_exits_2():

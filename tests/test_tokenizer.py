@@ -1,13 +1,18 @@
 import re
+import unicodedata
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from offlm import tokenizer
 from offlm.errors import ConfigError, DataError
 from offlm.tokenizer import (
     CONTINUATION_PREFIX,
+    MAX_WORD_CHARS,
     SPECIAL_TOKENS,
+    UNK,
     Vocabulary,
+    _clean_word,
     build_vocab,
     load_vocab,
     tokenize,
@@ -205,3 +210,142 @@ def test_known_words_round_trip(words):
     text = " ".join(words)
     seq = tokenize(text, _PROP_VOCAB, max_len=len(words) + 2)
     assert detokenize(seq, _PROP_VOCAB) == text
+
+
+# --- the word table and fast paths against the pre-change tokenizer --------
+
+
+def _clean_word_oracle(word):
+    """_clean_word before its ASCII fast path."""
+    decomposed = unicodedata.normalize("NFD", word.lower())
+    return "".join(c for c in decomposed if unicodedata.category(c) != "Mn")
+
+
+def _wordpiece_oracle(word, vocab):
+    """_wordpiece before its longest-token window: every match starts at
+    the end of the word."""
+    pieces = []
+    start = 0
+    while start < len(word):
+        end = len(word)
+        found = None
+        while start < end:
+            piece = word[start:end]
+            if start > 0:
+                piece = CONTINUATION_PREFIX + piece
+            if piece in vocab:
+                found = piece
+                break
+            end -= 1
+        if found is None:
+            return None
+        pieces.append(found)
+        start = end
+    return pieces
+
+
+def _tokenize_oracle(text, vocab, max_len):
+    """tokenize before the word table: every word cleaned and segmented."""
+    pieces = []
+    for word in text.split():
+        word = _clean_word_oracle(word)
+        if not word:
+            continue
+        segmented = (_wordpiece_oracle(word, vocab)
+                     if len(word) <= MAX_WORD_CHARS else None)
+        pieces.extend(segmented if segmented is not None else [UNK])
+    return ([vocab.cls_id] + [vocab.id_of(p) for p in pieces[: max_len - 2]]
+            + [vocab.sep_id])
+
+
+# letters that survive cleaning: ASCII, CJK, an emoji and a Hangul jamo
+_PIECE_CHARS = "abcde\u4e2d\u6587\U0001F600\u1112"
+# plus upper case, accented Latin (NFC and NFD), a Hangul syllable (three
+# jamo after NFD) and a bare combining acute accent
+_WORD_CHARS = _PIECE_CHARS + "ABE\u00e9\u00c9\u00e0e\u0301\ud55c\u0301"
+# words around MAX_WORD_CHARS, before and after cleaning
+_EDGE_WORDS = [
+    "a" * (MAX_WORD_CHARS - 1), "a" * MAX_WORD_CHARS, "A" * (MAX_WORD_CHARS + 1),
+    "\u00e9" * MAX_WORD_CHARS, "\u00e9" * (MAX_WORD_CHARS + 1),
+    "e\u0301" * (MAX_WORD_CHARS // 2 + 1),  # 102 chars, 51 once cleaned
+    "\ud55c" * (MAX_WORD_CHARS // 3 + 1),  # 34 chars, 102 jamo once cleaned
+    "\u0301",
+]
+
+
+@st.composite
+def _vocabularies(draw):
+    """Specials, some single characters in both forms, and longer tokens,
+    some of them long `##` continuations, so the window cap matters."""
+    chars = draw(st.sets(st.sampled_from(_PIECE_CHARS)))
+    tokens = [form for c in sorted(chars) for form in (c, CONTINUATION_PREFIX + c)]
+    for continuation, body in draw(st.lists(
+            st.tuples(st.booleans(), st.text(_PIECE_CHARS, min_size=2, max_size=14)),
+            max_size=12)):
+        tokens.append(CONTINUATION_PREFIX + body if continuation else body)
+    return Vocabulary(list(SPECIAL_TOKENS) + list(dict.fromkeys(tokens)))
+
+
+_words = st.one_of(st.text(_WORD_CHARS, min_size=1, max_size=16),
+                   st.sampled_from(_EDGE_WORDS))
+
+
+@st.composite
+def _texts(draw, vocab):
+    """Texts whose words repeat, drawn from a small pool. Some words
+    join the bodies of vocabulary tokens, so long tokens do match."""
+    bodies = [t.removeprefix(CONTINUATION_PREFIX) for t in vocab.tokens[len(SPECIAL_TOKENS):]]
+    joined = (st.lists(st.sampled_from(bodies), min_size=1, max_size=3).map("".join)
+              if bodies else _words)
+    pool = draw(st.lists(st.one_of(_words, joined), min_size=1, max_size=8))
+    words = draw(st.lists(st.sampled_from(pool), max_size=24))
+    return " ".join(words)
+
+
+@st.composite
+def _vocab_and_texts(draw):
+    vocab = draw(_vocabularies())
+    return vocab, draw(st.lists(_texts(vocab), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_vocab_and_texts(), max_len=st.integers(min_value=3, max_value=40))
+@example(case=(Vocabulary(list(SPECIAL_TOKENS) + ["a", "##a", "abcdefghij", "##bcdefghijk"]),
+               ["abcdefghij Abcdefghijk aa abcdefghijabcdefghijk"]), max_len=12)
+def test_tokenize_matches_pre_change_oracle(case, max_len):
+    vocab, texts = case
+    for text in texts + texts:  # the second pass reads a warm word table
+        assert tokenize(text, vocab, max_len) == _tokenize_oracle(text, vocab, max_len)
+
+
+@settings(max_examples=200, deadline=None)
+@given(word=st.one_of(st.text(), _words))
+def test_clean_word_matches_pre_change_oracle(word):
+    assert _clean_word(word) == _clean_word_oracle(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_vocab_and_texts())
+def test_fresh_and_warm_word_tables_give_the_same_ids(case):
+    vocab, texts = case
+    warm = [tokenize(text, vocab, max_len=64) for text in texts]
+    fresh = Vocabulary(vocab.tokens)
+    assert [tokenize(text, fresh, max_len=64) for text in reversed(texts)] == warm[::-1]
+
+
+def test_changing_a_returned_list_leaves_later_results_unchanged(small_vocab):
+    first = tokenize("unaffable cat unaffable", small_vocab, max_len=16)
+    want = list(first)
+    first[1] = small_vocab.mask_id
+    first.extend([small_vocab.unk_id] * 3)
+    del first[2:4]
+    assert tokenize("unaffable cat unaffable", small_vocab, max_len=16) == want
+    assert tokenize("unaffable", small_vocab, max_len=16) == want[:4] + [small_vocab.sep_id]
+
+
+def test_word_table_stops_growing_at_its_cap(small_vocab, monkeypatch):
+    monkeypatch.setattr(tokenizer, "MAX_WORD_TABLE_ENTRIES", 2)
+    text = "the Cat sat unaffable zzz on The cats mat DOG the sat"
+    for _ in range(2):
+        assert tokenize(text, small_vocab, 32) == _tokenize_oracle(text, small_vocab, 32)
+        assert len(small_vocab._word_ids) == 2
