@@ -26,9 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import (LabeledInstance, SplitSpec, load_labeled, load_scored,
-                     load_texts, parse_scored, read_rows, select_by_threshold,
-                     split)
+from .corpus import (LabeledInstance, load_labeled, load_scored, load_texts,
+                     parse_scored, read_rows, select_by_threshold, split)
 from .errors import ConfigError, DataError, NumericError, ShapeError, not_utf8
 from .evaluation import (EvalReport, SweepRow, confusion, make_report, render,
                          render_sweep)
@@ -460,8 +459,7 @@ def cmd_sweep(args) -> int:
         test = load_labeled(args.eval, labels, label_column=args.label_column,
                             text_column=args.text_column)
     else:  # score each bin on rows carved from --train before fine-tuning
-        train, test = split(train, SplitSpec(
-            (1.0 - fcfg.eval_fraction, fcfg.eval_fraction), fcfg.seed))
+        train, test = split(train, fcfg.eval_fraction, fcfg.seed)
         dataset_id += "-heldout"
     _check_scorable(test, test_path)  # before any bin trains
     rows, reports = [], []

@@ -1,5 +1,5 @@
 """Scored-corpus ingestion, threshold-bin selection, labeled-dataset
-loading, shuffled splits, and batch assembly.
+loading, the seeded held-out split, and batch assembly.
 
 Files are UTF-8 TSVs with a header row. Text fields may contain tabs
 when quoted; parsing goes through the csv module so quoting round-trips.
@@ -28,18 +28,6 @@ class LabeledInstance:
     id: str
     text: str
     label: str
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    ratios: tuple[float, ...]
-    seed: int
-
-    def __post_init__(self):
-        if not self.ratios or any(r <= 0 for r in self.ratios):
-            raise ConfigError("split ratios must be positive")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split ratios sum to {sum(self.ratios)}, not 1")
 
 
 def read_rows(path, required: Sequence[str]) -> tuple[list[str], list[tuple[int, dict]]]:
@@ -125,30 +113,24 @@ def select_by_threshold(instances: Sequence[ScoredInstance], lo: float,
     return [inst for inst in instances if lo <= inst.score <= hi]
 
 
-def split(dataset: Sequence, spec: SplitSpec) -> list[list]:
-    """Seeded shuffle, then contiguous partition by cumulative ratio with
-    largest-remainder rounding. Partitions are disjoint and exhaustive."""
+def split(dataset: Sequence, fraction: float, seed: int) -> tuple[list, list]:
+    """Seeded shuffle, then a cut into the rest and a held-out share of
+    `fraction`, sized by largest-remainder rounding of (1 - fraction,
+    fraction) * n with ties to the rest. The parts are disjoint and
+    exhaustive."""
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"split fraction {fraction} outside (0, 1)")
     n = len(dataset)
-    k = len(spec.ratios)
-    if n == 0 and k > 1:
-        raise DataError("cannot split an empty dataset into multiple parts")
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    order = rng.permutation(n)
+    if n == 0:
+        raise DataError("cannot split an empty dataset")
+    order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
     shuffled = [dataset[i] for i in order]
-
-    exact = [r * n for r in spec.ratios]
+    exact = ((1.0 - fraction) * n, fraction * n)
     sizes = [int(x) for x in exact]
-    short = n - sum(sizes)
-    remainders = sorted(range(k), key=lambda i: (-(exact[i] - sizes[i]), i))
-    for i in remainders[:short]:
+    # stable sort on the negated remainder: the larger one first, ties to the rest
+    for i in sorted((0, 1), key=lambda i: sizes[i] - exact[i])[:n - sum(sizes)]:
         sizes[i] += 1
-
-    parts = []
-    start = 0
-    for size in sizes:
-        parts.append(shuffled[start:start + size])
-        start += size
-    return parts
+    return shuffled[:sizes[0]], shuffled[sizes[0]:]
 
 
 def make_batches(dataset: Sequence, batch_size: int, shuffle: bool,

@@ -129,26 +129,29 @@ def _bound(x: float) -> str:
     return s if "." in s or "e" in s else s + ".0"
 
 
+def _table(header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
+    """A tsv or markdown table; the markdown rule spans each header cell."""
+    if fmt == "tsv":
+        lines = ["\t".join(header)] + ["\t".join(map(str, r)) for r in rows]
+    elif fmt == "markdown":
+        rule = "|" + "|".join("-" * (len(h) + 2) for h in header) + "|"
+        lines = [f"| {' | '.join(header)} |", rule]
+        lines += [f"| {' | '.join(map(str, r))} |" for r in rows]
+    else:
+        raise ConfigError(f"unknown format {fmt!r}; use json, markdown, or tsv")
+    return "\n".join(lines) + "\n"
+
+
 def render_sweep(rows: Sequence[SweepRow], fmt: str) -> str:
     """Threshold-grid rendering: one row per bin, scores as given."""
     if fmt == "json":
         return json.dumps({"schema_version": REPORT_SCHEMA_VERSION,
                            "rows": [asdict(r) for r in rows]},
                           indent=2, sort_keys=True)
-    if fmt == "tsv":
-        lines = ["threshold\tselected\tmacro_f1"]
-        for r in rows:
-            lines.append(f"{_bound(r.lo)} - {_bound(r.hi)}"
-                         f"\t{r.selected_count}\t{r.macro_f1:.4f}")
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        lines = ["| Threshold | Selected | Macro F1 |",
-                 "|-----------|----------|----------|"]
-        for r in rows:
-            lines.append(f"| {_bound(r.lo)} - {_bound(r.hi)} "
-                         f"| {r.selected_count} | {r.macro_f1:.4f} |")
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"unknown format {fmt!r}; use json, markdown, or tsv")
+    header = (("Threshold", "Selected", "Macro F1") if fmt == "markdown"
+              else ("threshold", "selected", "macro_f1"))
+    return _table(header, [(f"{_bound(r.lo)} - {_bound(r.hi)}", r.selected_count,
+                            f"{r.macro_f1:.4f}") for r in rows], fmt)
 
 
 def render(reports: Sequence[EvalReport], fmt: str) -> str:
@@ -157,16 +160,10 @@ def render(reports: Sequence[EvalReport], fmt: str) -> str:
     if fmt == "json":
         return json.dumps([r.to_dict() for r in ordered], indent=2,
                           sort_keys=True)
-    if fmt == "tsv":
-        lines = ["dataset\tmodel\tmacro_f1\taccuracy\tn"]
-        for r in ordered:
-            lines.append(f"{r.dataset_id}\t{r.model_id}\t{r.macro_f1:.4f}"
-                         f"\t{r.accuracy:.4f}\t{r.num_examples}")
-        return "\n".join(lines) + "\n"
     if fmt == "markdown":
-        lines = ["| Dataset | Model | Macro F1 |",
-                 "|---------|-------|----------|"]
-        for r in ordered:
-            lines.append(f"| {r.dataset_id} | {r.model_id} | {r.macro_f1:.4f} |")
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"unknown format {fmt!r}; use json, markdown, or tsv")
+        return _table(("Dataset", "Model", "Macro F1"),
+                      [(r.dataset_id, r.model_id, f"{r.macro_f1:.4f}")
+                       for r in ordered], fmt)
+    return _table(("dataset", "model", "macro_f1", "accuracy", "n"),
+                  [(r.dataset_id, r.model_id, f"{r.macro_f1:.4f}",
+                    f"{r.accuracy:.4f}", r.num_examples) for r in ordered], fmt)

@@ -84,14 +84,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
-    def id_of(self, token: str) -> int:
-        return self.token_to_id[token]
-
-    def token_of(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self.tokens):
-            raise DataError(f"token id {token_id} out of range [0, {len(self.tokens)})")
-        return self.tokens[token_id]
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             for tok in self.tokens:
@@ -164,12 +156,13 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
 
 
 def _word_counts(corpus: Iterable[str]) -> Counter:
+    """Occurrences of each cleaned word; each distinct raw word is cleaned
+    once, and words that clean to "" are skipped."""
     counts: Counter = Counter()
-    for text in corpus:
-        for word in text.split():
-            word = _clean_word(word)
-            if word:
-                counts[word] += 1
+    for word, n in Counter(w for text in corpus for w in text.split()).items():
+        word = _clean_word(word)
+        if word:
+            counts[word] += n
     return counts
 
 

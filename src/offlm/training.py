@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autograd as ag
-from .corpus import LabeledInstance, SplitSpec, make_batches, split
+from .corpus import LabeledInstance, make_batches, split
 from .errors import ConfigError, DataError, NumericError
 from .model import Model, classify, encode, mlm_logits, save_checkpoint
 from .optim import AdamState, adam_step, clip_global_norm
@@ -268,7 +268,8 @@ def pretrain(texts: Sequence[str], vocab: Vocabulary, model: Model,
                 batch, [o.input_ids for o in outcomes],
                 [o.mask_indicator for o in outcomes])
             if not mask.any():
-                log.steps.append(StepRecord(step, 0.0, cfg.lr, 0.0, int(attn.sum()), 0))
+                log.steps.append(StepRecord(step, 0.0, cfg.lr, 0.0, int(attn.sum()),
+                                            attn.size))
                 continue
             try:
                 ag.zero_grads(tensors)
@@ -372,9 +373,9 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
     if len(observed) < 2:
         raise DataError("training data contains a single class; need >= 2")
 
-    carve = SplitSpec((1.0 - cfg.eval_fraction, cfg.eval_fraction), cfg.seed)
     train_set, eval_set = split(
-        tokenize_labeled(train_data, vocab, label_to_id, cfg.max_len), carve)
+        tokenize_labeled(train_data, vocab, label_to_id, cfg.max_len),
+        cfg.eval_fraction, cfg.seed)
     if not train_set or not eval_set:
         raise DataError(
             f"{len(train_data)} examples leave an empty partition at "

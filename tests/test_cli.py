@@ -854,6 +854,20 @@ def test_sweep_empty_eval_fails_before_training(tmp_path, sweep_inputs):
     assert not (sweep / "bin-0").exists()
 
 
+def test_sweep_empty_train_fails_before_training(tmp_path, sweep_inputs, capsys):
+    """Without --eval, a --train file with no rows cannot be split: exit 3,
+    before any bin trains."""
+    i, sweep = sweep_inputs, tmp_path / "sweep"
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("id\ttext\tlabel\n")
+    args = ("sweep", "--config", i["config"], "--scored", i["scored"],
+            "--train", empty, "--vocab", i["vocab"],
+            "--labels", "not,off", "--bins", "0.7:1.0", "--output-dir", sweep)
+    assert cli.main([str(a) for a in args]) == 3
+    assert "empty dataset" in capsys.readouterr().err
+    assert not (sweep / "bin-0").exists()
+
+
 def declared_entry_point():
     tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(PKG_ROOT, "pyproject.toml"), "rb") as f:

@@ -1,4 +1,5 @@
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from offlm.corpus import (
     LabeledInstance,
     ScoredInstance,
-    SplitSpec,
     load_labeled,
     load_scored,
     make_batches,
@@ -100,35 +100,87 @@ def test_select_equals_brute_force(scores, lo, hi):
     assert got == expected
 
 
+@dataclass(frozen=True)
+class SplitSpec:
+    """The k-way split's spec before the two-way split replaced it."""
+    ratios: tuple[float, ...]
+    seed: int
+
+    def __post_init__(self):
+        if not self.ratios or any(r <= 0 for r in self.ratios):
+            raise ConfigError("split ratios must be positive")
+        if abs(sum(self.ratios) - 1.0) > 1e-9:
+            raise ConfigError(f"split ratios sum to {sum(self.ratios)}, not 1")
+
+
+def _split_oracle(dataset, spec):
+    """The k-way split before the two-way split replaced it: seeded shuffle,
+    then a contiguous partition by cumulative ratio with largest-remainder
+    rounding."""
+    n = len(dataset)
+    k = len(spec.ratios)
+    if n == 0 and k > 1:
+        raise DataError("cannot split an empty dataset into multiple parts")
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    order = rng.permutation(n)
+    shuffled = [dataset[i] for i in order]
+
+    exact = [r * n for r in spec.ratios]
+    sizes = [int(x) for x in exact]
+    short = n - sum(sizes)
+    remainders = sorted(range(k), key=lambda i: (-(exact[i] - sizes[i]), i))
+    for i in remainders[:short]:
+        sizes[i] += 1
+
+    parts = []
+    start = 0
+    for size in sizes:
+        parts.append(shuffled[start:start + size])
+        start += size
+    return parts
+
+
 def test_split_partitions_without_loss():
     data = list(range(100))
-    parts = split(data, SplitSpec((0.8, 0.2), seed=7))
-    assert len(parts) == 2
-    assert len(parts[0]) == 80 and len(parts[1]) == 20
-    assert sorted(parts[0] + parts[1]) == data
+    rest, held = split(data, 0.2, seed=7)
+    assert len(rest) == 80 and len(held) == 20
+    assert sorted(rest + held) == data
 
 
 def test_split_deterministic_and_seed_sensitive():
     data = list(range(40))
-    a = split(data, SplitSpec((0.5, 0.5), seed=1))
-    b = split(data, SplitSpec((0.5, 0.5), seed=1))
-    c = split(data, SplitSpec((0.5, 0.5), seed=2))
+    a = split(data, 0.5, seed=1)
+    b = split(data, 0.5, seed=1)
+    c = split(data, 0.5, seed=2)
     assert a == b
     assert a != c
 
 
-def test_split_largest_remainder_sizing():
-    # 0.5/0.3/0.2 of 7 -> exact 3.5/2.1/1.4 -> floors 3/2/1 with one
-    # leftover going to the largest fractional part (the first ratio)
-    parts = split(list(range(7)), SplitSpec((0.5, 0.3, 0.2), seed=0))
-    assert [len(p) for p in parts] == [4, 2, 1]
+def test_split_gives_a_tied_remainder_to_the_rest():
+    # 0.5 of 7 -> exact 3.5/3.5 -> floors 3/3, the leftover to the rest
+    rest, held = split(list(range(7)), 0.5, seed=0)
+    assert (len(rest), len(held)) == (4, 3)
 
 
-def test_split_rejects_bad_ratios():
-    with pytest.raises(ConfigError):
-        split([1, 2], SplitSpec((0.7, 0.7), seed=0))
-    with pytest.raises(ConfigError):
-        split([1, 2], SplitSpec((0.5, 0.5, 0.0), seed=0))
+def test_split_rejects_an_empty_dataset_and_bad_fractions():
+    with pytest.raises(DataError):
+        split([], 0.2, seed=0)
+    for fraction in (0.0, 1.0, -0.1, 1.5):
+        with pytest.raises(ConfigError):
+            split([1, 2], fraction, seed=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=400),
+    fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                       exclude_max=True),
+    seed=st.integers(min_value=0, max_value=2**63),
+)
+def test_split_matches_k_way_oracle(n, fraction, seed):
+    data = list(range(n))
+    expected = _split_oracle(data, SplitSpec((1.0 - fraction, fraction), seed))
+    assert list(split(data, fraction, seed)) == expected
 
 
 @settings(max_examples=50, deadline=None)
@@ -138,10 +190,10 @@ def test_split_rejects_bad_ratios():
 )
 def test_split_is_a_partition(n, seed):
     data = list(range(n))
-    parts = split(data, SplitSpec((0.6, 0.4), seed=seed))
-    assert sum(len(p) for p in parts) == n
-    assert sorted(parts[0] + parts[1]) == data
-    assert abs(len(parts[0]) - round(0.6 * n)) <= 1
+    rest, held = split(data, 0.4, seed=seed)
+    assert len(rest) + len(held) == n
+    assert sorted(rest + held) == data
+    assert abs(len(rest) - round(0.6 * n)) <= 1
 
 
 def test_make_batches_covers_dataset_with_partial_tail():

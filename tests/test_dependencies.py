@@ -38,3 +38,34 @@ def test_third_party_imports_are_the_declared_dependencies():
     third_party = (imported_top_level_modules(PACKAGE)
                    - set(sys.stdlib_module_names) - {"offlm"})
     assert third_party == declared
+
+
+def unused_imports(path):
+    """Names a module imports and never reads, as (line, name) pairs.
+    `from __future__ import ...` is exempt."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0])
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for name in os.listdir(PACKAGE) if name.endswith(".py")))
+def test_every_imported_name_is_used(module):
+    assert unused_imports(os.path.join(PACKAGE, module)) == []
+
+
+def test_unused_import_check_flags_an_unread_name(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("from __future__ import annotations\n"
+                      "import os.path\nfrom dataclasses import dataclass, field\n"
+                      "import numpy as np\n\n@dataclass\nclass A:\n    x: np.ndarray\n"
+                      "os.path.join('a')\n")
+    assert unused_imports(source) == [(3, "field")]

@@ -189,3 +189,57 @@ def test_render_sweep_json():
             {"lo": 0.7, "hi": 1.0, "selected_count": 10, "macro_f1": 0.75},
         ],
     }
+
+
+def _golden_reports():
+    cm = confusion(["not", "off", "off"], ["not", "off", "not"], ("not", "off"))
+    return [make_report(cm, "dev-heldout", "bin-0.7-1", {"x": 2}),
+            make_report(small_cm(), "dev", "weak", {"x": 1})]
+
+
+_GOLDEN_SWEEP_ROWS = [SweepRow(0.5, 1.0, 21, 0.25), SweepRow(0.7, 0.95, 10, 2 / 3),
+                      SweepRow(0.0, 1.0, 100, 1.0)]
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("tsv", "dataset\tmodel\tmacro_f1\taccuracy\tn\n"
+            "dev\tweak\t0.6970\t0.7000\t10\n"
+            "dev-heldout\tbin-0.7-1\t0.6667\t0.6667\t3\n"),
+    ("markdown", "| Dataset | Model | Macro F1 |\n"
+                 "|---------|-------|----------|\n"
+                 "| dev | weak | 0.6970 |\n"
+                 "| dev-heldout | bin-0.7-1 | 0.6667 |\n"),
+])
+def test_render_output_is_pinned(fmt, expected):
+    assert render(_golden_reports(), fmt) == expected
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("tsv", "threshold\tselected\tmacro_f1\n"
+            "0.5 - 1.0\t21\t0.2500\n"
+            "0.7 - 0.95\t10\t0.6667\n"
+            "0.0 - 1.0\t100\t1.0000\n"),
+    ("markdown", "| Threshold | Selected | Macro F1 |\n"
+                 "|-----------|----------|----------|\n"
+                 "| 0.5 - 1.0 | 21 | 0.2500 |\n"
+                 "| 0.7 - 0.95 | 10 | 0.6667 |\n"
+                 "| 0.0 - 1.0 | 100 | 1.0000 |\n"),
+])
+def test_render_sweep_output_is_pinned(fmt, expected):
+    assert render_sweep(_GOLDEN_SWEEP_ROWS, fmt) == expected
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("tsv", ("dataset\tmodel\tmacro_f1\taccuracy\tn\n",
+             "threshold\tselected\tmacro_f1\n")),
+    ("markdown", ("| Dataset | Model | Macro F1 |\n|---------|-------|----------|\n",
+                  "| Threshold | Selected | Macro F1 |\n"
+                  "|-----------|----------|----------|\n")),
+])
+def test_empty_tables_keep_their_header(fmt, expected):
+    assert (render([], fmt), render_sweep([], fmt)) == expected
+
+
+def test_render_sweep_rejects_unknown_format():
+    with pytest.raises(ConfigError, match="unknown format 'yaml'"):
+        render_sweep(_GOLDEN_SWEEP_ROWS, fmt="yaml")

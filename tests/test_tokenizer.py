@@ -1,10 +1,13 @@
+import os
 import re
 import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from offlm import tokenizer
+from offlm.corpus import load_texts
 from offlm.errors import ConfigError, DataError
 from offlm.tokenizer import (
     CONTINUATION_PREFIX,
@@ -13,6 +16,7 @@ from offlm.tokenizer import (
     UNK,
     Vocabulary,
     _clean_word,
+    _word_counts,
     build_vocab,
     load_vocab,
     tokenize,
@@ -24,7 +28,7 @@ def detokenize(ids, vocab):
     specials, glue continuation pieces, space-separate words."""
     words = []
     for token_id in ids:
-        token = vocab.token_of(int(token_id))
+        token = vocab.tokens[int(token_id)]
         if token in SPECIAL_TOKENS:
             continue
         if token.startswith(CONTINUATION_PREFIX) and words:
@@ -36,11 +40,10 @@ def detokenize(ids, vocab):
 
 def test_vocabulary_exposes_special_ids(small_vocab):
     assert small_vocab.pad_id == 0
-    assert small_vocab.token_of(small_vocab.unk_id) == "[UNK]"
-    assert small_vocab.token_of(small_vocab.mask_id) == "[MASK]"
+    assert small_vocab.tokens[small_vocab.unk_id] == "[UNK]"
+    assert small_vocab.tokens[small_vocab.mask_id] == "[MASK]"
     assert len(small_vocab.special_ids) == 5
     assert "cat" in small_vocab
-    assert small_vocab.id_of("cat") == small_vocab.token_to_id["cat"]
 
 
 def test_vocabulary_rejects_duplicates_and_missing_specials():
@@ -61,13 +64,13 @@ def test_non_special_ids_excludes_all_specials(small_vocab):
 
 def test_greedy_longest_match_prefers_whole_word(small_vocab):
     seq = tokenize("unaffable", small_vocab, max_len=8)
-    pieces = [small_vocab.token_of(i) for i in seq if i != small_vocab.pad_id]
+    pieces = [small_vocab.tokens[i] for i in seq if i != small_vocab.pad_id]
     assert pieces == ["[CLS]", "un", "##aff", "##able", "[SEP]"]
 
 
 def test_unknown_word_maps_to_unk(small_vocab):
     seq = tokenize("zzz cat", small_vocab, max_len=8)
-    real = [small_vocab.token_of(i) for i in seq[:4]]
+    real = [small_vocab.tokens[i] for i in seq[:4]]
     assert real == ["[CLS]", "[UNK]", "cat", "[SEP]"]
 
 
@@ -82,7 +85,7 @@ def test_frame_and_padding(small_vocab):
 
 def test_truncation_keeps_head(small_vocab):
     seq = tokenize("the cat sat on mat", small_vocab, max_len=5)
-    pieces = [small_vocab.token_of(i) for i in seq]
+    pieces = [small_vocab.tokens[i] for i in seq]
     assert pieces == ["[CLS]", "the", "cat", "sat", "[SEP]"]
     assert len(seq) == 5
 
@@ -254,7 +257,7 @@ def _tokenize_oracle(text, vocab, max_len):
         segmented = (_wordpiece_oracle(word, vocab)
                      if len(word) <= MAX_WORD_CHARS else None)
         pieces.extend(segmented if segmented is not None else [UNK])
-    return ([vocab.cls_id] + [vocab.id_of(p) for p in pieces[: max_len - 2]]
+    return ([vocab.cls_id] + [vocab.token_to_id[p] for p in pieces[: max_len - 2]]
             + [vocab.sep_id])
 
 
@@ -349,3 +352,37 @@ def test_word_table_stops_growing_at_its_cap(small_vocab, monkeypatch):
     for _ in range(2):
         assert tokenize(text, small_vocab, 32) == _tokenize_oracle(text, small_vocab, 32)
         assert len(small_vocab._word_ids) == 2
+
+
+# --- build_vocab's word counts against the pre-change counter ---------------
+
+
+def _word_counts_oracle(corpus):
+    """_word_counts before it counted raw words first: every occurrence
+    cleaned."""
+    counts = Counter()
+    for text in corpus:
+        for word in text.split():
+            word = _clean_word_oracle(word)
+            if word:
+                counts[word] += 1
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=st.lists(st.lists(_words, max_size=12).map(" ".join), max_size=8))
+@example(corpus=["\u0301 Caf\u00e9 cafe\u0301 CAFE \U0001F600 \u0301", "caf\u00e9 \u00e9"])
+def test_word_counts_match_pre_change_oracle(corpus):
+    got = _word_counts(corpus)
+    # equal counts in the same first-seen order
+    assert list(got.items()) == list(_word_counts_oracle(corpus).items())
+    assert "" not in got
+
+
+@pytest.mark.parametrize("name", ["scored.tsv", "labeled.tsv", "golden_preprocessed.tsv"])
+def test_build_vocab_matches_pre_change_word_counts_on_fixtures(
+        fixtures_dir, monkeypatch, name):
+    texts = load_texts(os.path.join(fixtures_dir, name))
+    got = build_vocab(texts, target_size=300).tokens
+    monkeypatch.setattr(tokenizer, "_word_counts", _word_counts_oracle)
+    assert build_vocab(texts, target_size=300).tokens == got

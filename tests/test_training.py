@@ -285,6 +285,21 @@ def test_pretrain_writes_checkpoints(tmp_path):
         np.testing.assert_array_equal(t.data, final.params[name].data)
 
 
+def test_skipped_pretraining_steps_log_their_positions():
+    """A batch with no masked token skips the update but still logs B x n
+    positions of its collated batch, as every other step does."""
+    texts = MIXED[:3]  # 4, 8 and 5 ids at max_len 12
+    cfg = PretrainConfig(epochs=2, batch_size=len(texts), max_len=12,
+                         mask_prob=0.0, seed=0)
+    log = pretrain(texts, VOCAB, small_model(), cfg)
+    lengths = [len(tokenize(t, VOCAB, cfg.max_len)) for t in texts]
+    assert len(log.steps) == 2
+    for rec in log.steps:
+        assert rec.loss == 0.0
+        assert rec.tokens == sum(lengths) == 17
+        assert rec.positions == len(texts) * max(lengths) == 24
+
+
 def test_pretrain_rejects_empty_corpus():
     with pytest.raises(DataError):
         pretrain([], VOCAB, small_model(), PretrainConfig())
