@@ -24,7 +24,7 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {name}")
 
 

@@ -14,21 +14,25 @@ Exit codes: 0 success, 2 usage or config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import copy
 import csv
 import hashlib
+import io
 import json
 import os
 import shutil
 import sys
 import typing
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .corpus import (LabeledInstance, load_labeled, load_scored, load_texts,
                      parse_scored, read_rows, select_by_threshold, split)
-from .errors import ConfigError, DataError, NumericError, ShapeError, not_utf8
+from .errors import (ConfigError, DataError, NumericError, ShapeError,
+                     ToolkitError, not_utf8)
 from .evaluation import (EvalReport, SweepRow, confusion, make_report, render,
                          render_sweep)
 from .model import (Model, ModelConfig, init_params, load_checkpoint,
@@ -438,6 +442,120 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class _Cell:
+    """One bin of a sweep: what `_run_cell` needs to train and score it,
+    all picklable so that a worker process can run it."""
+    index: int
+    bounds: tuple[float, float]
+    texts: list[str]
+    train: list[LabeledInstance]
+    test: list[LabeledInstance]
+    test_path: str
+    dataset_id: str
+    vocab: Vocabulary
+    labels: list[str]
+    model: Model  # the starting weights, which every bin trains a copy of
+    pcfg: PretrainConfig
+    fcfg: FinetuneConfig
+    args: argparse.Namespace  # without `parser` and `func`
+
+
+def _run_cell(cell: _Cell) -> tuple[str, Optional[EvalReport],
+                                    Optional[Exception]]:
+    """Pretrain, fine-tune and score one bin from a copy of the starting
+    model. Returns what the stages printed, with the bin's report or with
+    the error that stopped it."""
+    args, (lo, hi) = cell.args, cell.bounds
+    bin_dir = os.path.join(args.output_dir, f"bin-{cell.index}")
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            model = copy.deepcopy(cell.model)
+            _pretrain(cell.texts, args.scored, cell.vocab, args.vocab, model,
+                      cell.pcfg, os.path.join(bin_dir, "pretrain"))
+            _finetune(cell.train, args.train, cell.vocab, args.vocab, model,
+                      cell.fcfg, cell.labels, os.path.join(bin_dir, "finetune"))
+            report = _evaluate(cell.test, cell.test_path, cell.vocab, model,
+                               cell.labels, cell.fcfg.max_len,
+                               os.path.join(bin_dir, "eval"), args.format,
+                               cell.dataset_id, f"bin-{lo:g}-{hi:g}")
+    except (ToolkitError, OSError) as e:
+        return out.getvalue(), None, e
+    return out.getvalue(), report, None
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform
+    cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep_workers(cells: int) -> int:
+    """Processes to run `cells` sweep cells in: one per cell, at most one per
+    usable CPU. 1 means the cells run in this process."""
+    return min(cells, _usable_cpus())
+
+
+def _blas_threads(workers: int) -> int:
+    """BLAS threads for each of `workers` processes: an equal share of the
+    usable CPUs, at least 1 and never more than the caller's own setting."""
+    caller = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS)
+              if v and v.isdigit() and int(v) > 0]
+    return min([max(1, _usable_cpus() // workers), *caller])
+
+
+@contextlib.contextmanager
+def _environ(values: dict[str, str]):
+    """`os.environ` updated with `values` inside the block, restored after."""
+    saved = {name: os.environ.get(name) for name in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _cell_report(outcome) -> EvalReport:
+    text, report, error = outcome
+    print(text, end="")
+    if error is not None:
+        raise error
+    return report
+
+
+def _run_cells(cells: Sequence[_Cell], workers: int,
+               blas_threads: int) -> list[EvalReport]:
+    """Each cell's report, in cell order, after printing what the cell
+    printed; the first cell in that order to fail raises its error. With
+    more than one worker the cells run concurrently in spawned processes
+    that inherit `blas_threads` BLAS threads each; all of them have exited
+    when this returns."""
+    if workers == 1:
+        return [_cell_report(o) for o in map(_run_cell, cells)]
+    # imported here so that the other commands do not pay for it at start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    spawn = multiprocessing.get_context("spawn")
+    with _environ({v: str(blas_threads) for v in _BLAS_THREAD_VARS}), \
+            ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        futures = [pool.submit(_run_cell, cell) for cell in cells]
+        try:
+            return [_cell_report(f.result()) for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
 def cmd_sweep(args) -> int:
     config = _load_config_file(args)
     labels = _parse_labels(args.labels)
@@ -462,20 +580,19 @@ def cmd_sweep(args) -> int:
         train, test = split(train, fcfg.eval_fraction, fcfg.seed)
         dataset_id += "-heldout"
     _check_scorable(test, test_path)  # before any bin trains
-    rows, reports = [], []
-    for index, ((lo, hi), selected) in enumerate(zip(bins, selections)):
-        bin_dir = os.path.join(args.output_dir, f"bin-{index}")
-        model = _model(config, args, vocab, max(pcfg.max_len, fcfg.max_len),
-                       labels)
-        _pretrain([s.text for s in selected], args.scored, vocab, args.vocab,
-                  model, pcfg, os.path.join(bin_dir, "pretrain"))
-        _finetune(train, args.train, vocab, args.vocab, model, fcfg, labels,
-                  os.path.join(bin_dir, "finetune"))
-        report = _evaluate(test, test_path, vocab, model, labels, fcfg.max_len,
-                           os.path.join(bin_dir, "eval"), args.format,
-                           args.dataset_id or dataset_id, f"bin-{lo:g}-{hi:g}")
-        reports.append(report)
-        rows.append(SweepRow(lo, hi, len(selected), report.macro_f1))
+    model = _model(config, args, vocab, max(pcfg.max_len, fcfg.max_len),
+                   labels)
+    plain = argparse.Namespace(**{k: v for k, v in vars(args).items()
+                                  if k not in ("parser", "func")})
+    cells = [_Cell(index, bounds, [s.text for s in selected], train, test,
+                   test_path, args.dataset_id or dataset_id, vocab, labels,
+                   model, pcfg, fcfg, plain)
+             for index, (bounds, selected) in enumerate(zip(bins, selections))]
+    workers = _sweep_workers(len(cells))
+    blas_threads = _blas_threads(workers)
+    reports = _run_cells(cells, workers, blas_threads)
+    rows = [SweepRow(lo, hi, len(selected), report.macro_f1)
+            for (lo, hi), selected, report in zip(bins, selections, reports)]
     ext = _REPORT_EXT[args.format]
     for name, text in (("sweep", render_sweep(rows, args.format)),
                        ("models", render(reports, args.format))):
@@ -496,6 +613,8 @@ def cmd_sweep(args) -> int:
         "seeds": {"model_init": args.model_seed, "pretrain": pcfg.seed,
                   "finetune": fcfg.seed},
         "rows": [asdict(r) for r in rows],
+        "workers": workers,
+        "blas_threads_per_worker": blas_threads,
     })
     return 0
 

@@ -486,6 +486,27 @@ def test_nonfinite_forward_raises():
         ag.mul(x, x)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_check_reads_strided_views(bad):
+    """A non-finite value in a strided view raises; the skipped elements
+    of the base array are not read."""
+    base = np.zeros((4, 6), dtype=np.float32)
+    base[:, 1::2] = np.inf  # every skipped column
+    view = base[:, ::2]
+    ag._check_finite(view, "view")
+    view[2, 1] = bad
+    with pytest.raises(NumericError, match="non-finite values in view"):
+        ag._check_finite(view, "view")
+
+
+def test_finite_check_accepts_empty_and_checks_zero_d():
+    ag._check_finite(np.zeros((0, 3), dtype=np.float32), "empty")
+    ag._check_finite(np.array(1.5), "scalar")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError):
+            ag._check_finite(np.array(bad), "scalar")
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     rows=st.integers(min_value=1, max_value=5),

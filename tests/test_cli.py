@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -798,6 +799,8 @@ def test_sweep_scores_rows_it_did_not_fine_tune_on(tmp_path, sweep_inputs,
         return finetune(train_data, *rest, **kwargs)
 
     monkeypatch.setattr(cli, "finetune", recording_finetune)
+    # in this process: a spawned worker would not see the patched finetune
+    monkeypatch.setattr(cli, "_sweep_workers", lambda cells: 1)
     i, sweep = sweep_inputs, tmp_path / "sweep"
     run_main("sweep", "--config", i["config"], "--scored", i["scored"],
              "--train", i["labeled"], "--vocab", i["vocab"],
@@ -814,6 +817,79 @@ def test_sweep_scores_rows_it_did_not_fine_tune_on(tmp_path, sweep_inputs,
     assert [row.split(" | ")[:2] for row in rows] == [["| 0.7 - 1.0", "10"],
                                                       ["| 0.5 - 1.0", "21"]]
     assert "| labeled-heldout | bin-0.7-1 |" in (sweep / "models.md").read_text()
+
+
+def sweep_args(i, sweep, bins, *extra):
+    return [str(a) for a in (
+        "sweep", "--config", i["config"], "--scored", i["scored"],
+        "--train", i["labeled"], "--vocab", i["vocab"], "--labels", "not,off",
+        "--bins", bins, "--output-dir", sweep, *extra)]
+
+
+def tree_bytes(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def test_sweep_in_workers_writes_what_a_serial_sweep_writes(
+        tmp_path, sweep_inputs, monkeypatch, capsys):
+    """Two worker processes and one process write the same bytes and print
+    the same lines; only the sweep manifest's worker fields differ."""
+    i, sweep = sweep_inputs, tmp_path / "sweep"
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "64")
+    blas_env = {v: os.environ.get(v) for v in cli._BLAS_THREAD_VARS}
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_sweep_workers", lambda cells: workers)
+        assert cli.main(sweep_args(i, sweep, "0.5:1.0,0.7:1.0,0.6:0.9")) == 0
+        runs[workers] = (capsys.readouterr().out, tree_bytes(sweep))
+        shutil.rmtree(sweep)
+
+    (serial_out, serial), (pooled_out, pooled) = runs[1], runs[2]
+    assert pooled_out == serial_out
+    assert serial_out.count("pretrained ") == 3
+    manifests = [json.loads(tree.pop("manifest.json"))
+                 for tree in (serial, pooled)]
+    assert [m.pop("workers") for m in manifests] == [1, 2]
+    for m in manifests:
+        assert m.pop("blas_threads_per_worker") >= 1
+    assert manifests[0] == manifests[1]
+    assert pooled == serial
+    assert not multiprocessing.active_children()
+    assert {v: os.environ.get(v) for v in cli._BLAS_THREAD_VARS} == blas_env
+
+
+def test_failing_sweep_cell_exits_with_its_error(tmp_path, sweep_inputs,
+                                                  monkeypatch, capfd):
+    """A cell that fails in a worker fails the sweep with the exit code and
+    message of its error, and leaves no worker running."""
+    monkeypatch.setattr(cli, "_sweep_workers", lambda cells: 2)
+    i, sweep = sweep_inputs, tmp_path / "sweep"
+    assert cli.main(sweep_args(i, sweep, "0.5:1.0,0.7:1.0", "--lr", "1e30")) == 4
+    err = capfd.readouterr().err
+    assert "pretraining aborted at epoch 0 step 2" in err
+    assert "Traceback" not in err
+    assert not (sweep / "sweep.md").exists()
+    assert not multiprocessing.active_children()
+
+
+def test_sweep_workers_split_the_usable_cpus(monkeypatch):
+    """One worker per cell and at most one per usable CPU; the workers'
+    BLAS threads, at least one each and never more than the caller set,
+    add up to no more than the usable CPUs."""
+    for var in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert cli._sweep_workers(4) == 1
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    assert [cli._sweep_workers(c) for c in (1, 3, 20)] == [1, 3, 8]
+    assert [cli._blas_threads(w) for w in (1, 2, 3, 8)] == [8, 4, 2, 1]
+    assert all(w * cli._blas_threads(w) <= 8 for w in range(1, 9))
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert [cli._blas_threads(w) for w in (1, 2, 4)] == [3, 3, 2]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert cli._blas_threads(2) == 1
 
 
 @pytest.mark.parametrize("bins, code", [("0.5:1.0,0.9:0.7", 2),
