@@ -126,34 +126,33 @@ class TrainLog:
             f.write(json.dumps({"kind": "stop", "reason": self.stop_reason}) + "\n")
 
 
-def mask_tokens(ids: Sequence[int], vocab: Vocabulary, cfg: PretrainConfig,
+def mask_tokens(ids: np.ndarray, vocab: Vocabulary, cfg: PretrainConfig,
                 rng: np.random.Generator) -> MaskingOutcome:
-    """Corrupt one text's token ids for masked-token prediction.
+    """Corrupt token ids for masked-token prediction: one text's ids, or a
+    collated [B, n] batch masked with one draw.
 
     Each non-special position is selected independently with
     probability mask_prob; a selected position becomes [MASK], a random
     non-special token, or stays put, per the configured fractions.
-    Targets are always the original ids. Special tokens are never selected.
+    Targets are always the original ids. Special tokens, [PAD] among
+    them, are never selected.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    # One uniform per position of the sequence padded to max_len, though only
-    # len(ids) are read: seeded pretraining keeps the masks it always drew.
-    draws = rng.random(max(cfg.max_len, ids.size))[: ids.size]
-    selected = ~vocab.is_special[ids] & (draws < cfg.mask_prob)
+    selected = ~vocab.is_special[ids] & (rng.random(ids.shape) < cfg.mask_prob)
     input_ids = ids.copy()
     positions = np.flatnonzero(selected)
     if positions.size:
         u = rng.random(positions.size)
         to_mask = u < cfg.replace_mask_frac
         to_random = ~to_mask & (u < cfg.replace_mask_frac + cfg.replace_random_frac)
-        input_ids[positions[to_mask]] = vocab.mask_id
+        input_ids.flat[positions[to_mask]] = vocab.mask_id
         rand_positions = positions[to_random]
         if rand_positions.size:
             pool = vocab.non_special_id_array
             if pool.size == 0:
                 raise DataError("vocabulary has no non-special tokens to sample")
-            input_ids[rand_positions] = pool[rng.integers(pool.size,
-                                                          size=rand_positions.size)]
+            input_ids.flat[rand_positions] = pool[rng.integers(
+                pool.size, size=rand_positions.size)]
     return MaskingOutcome(input_ids=input_ids, target_ids=ids,
                           mask_indicator=selected.astype(np.int64))
 
@@ -216,16 +215,15 @@ def _spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
-def _stack_batch(seqs: Sequence[Sequence[int]], *columns) -> tuple[np.ndarray, ...]:
-    """Collate into int64 [B, n] ids, attention mask, then one array per extra
-    column of rows as long as `seqs`. n is the longest sequence; shorter rows
-    are padded with 0, the [PAD] id. Nothing else pads a batch."""
+def _stack_batch(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Collate into int64 [B, n] ids and attention mask. n is the longest
+    sequence; shorter rows are padded with 0, the [PAD] id. Nothing else
+    pads a batch."""
     lengths = np.array([len(s) for s in seqs])
     real = np.arange(lengths.max()) < lengths[:, None]
-    padded = [np.zeros(real.shape, dtype=np.int64) for _ in range(1 + len(columns))]
-    for out, rows in zip(padded, (seqs, *columns)):
-        out[real] = np.concatenate(rows)
-    return (padded[0], real.astype(np.int64), *padded[1:])
+    ids = np.zeros(real.shape, dtype=np.int64)
+    ids[real] = np.concatenate(seqs)
+    return ids, real.astype(np.int64)
 
 
 def mlm_batch_loss(model: Model, input_ids: np.ndarray, attn: np.ndarray,
@@ -263,27 +261,25 @@ def pretrain(texts: Sequence[str], vocab: Vocabulary, model: Model,
         for batch in make_batches(seqs, cfg.batch_size, shuffle=True,
                                   seed=epoch_seed):
             step += 1
-            outcomes = [mask_tokens(s, vocab, cfg, mask_rng) for s in batch]
-            ids, attn, input_ids, mask = _stack_batch(
-                batch, [o.input_ids for o in outcomes],
-                [o.mask_indicator for o in outcomes])
-            if not mask.any():
-                log.steps.append(StepRecord(step, 0.0, cfg.lr, 0.0, int(attn.sum()),
-                                            attn.size))
-                continue
-            try:
-                ag.zero_grads(tensors)
-                loss = mlm_batch_loss(model, input_ids, attn, ids, mask,
-                                      train_mode=True, rng=dropout_rng)
-                ag.backward(loss)
-                norm = clip_global_norm(tensors, cfg.max_grad_norm)
-                adam_step(named, state, cfg.lr)
-            except NumericError as e:
-                raise NumericError(
-                    f"pretraining aborted at epoch {epoch} step {step} "
-                    f"(lr {cfg.lr}): {e}") from e
-            log.steps.append(StepRecord(step, float(loss.item()), cfg.lr, norm,
-                                        int(attn.sum()), attn.size))
+            ids, attn = _stack_batch(batch)
+            masked = mask_tokens(ids, vocab, cfg, mask_rng)
+            # a batch with no masked token skips the update but is still logged
+            record = StepRecord(step, 0.0, cfg.lr, 0.0, int(attn.sum()), attn.size)
+            if masked.mask_indicator.any():
+                try:
+                    ag.zero_grads(tensors)
+                    loss = mlm_batch_loss(model, masked.input_ids, attn, ids,
+                                          masked.mask_indicator, train_mode=True,
+                                          rng=dropout_rng)
+                    ag.backward(loss)
+                    record.grad_norm = clip_global_norm(tensors, cfg.max_grad_norm)
+                    adam_step(named, state, cfg.lr)
+                except NumericError as e:
+                    raise NumericError(
+                        f"pretraining aborted at epoch {epoch} step {step} "
+                        f"(lr {cfg.lr}): {e}") from e
+                record.loss = float(loss.item())
+            log.steps.append(record)
             if (checkpoint_dir and cfg.checkpoint_every > 0
                     and step % cfg.checkpoint_every == 0):
                 save_checkpoint(model, os.path.join(checkpoint_dir, f"step-{step}"))

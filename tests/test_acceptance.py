@@ -13,9 +13,9 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
+from mlm_stats import pll_loss
 
 from offlm import autograd as ag
 from offlm.corpus import LabeledInstance, ScoredInstance, select_by_threshold
@@ -42,7 +42,6 @@ from offlm.training import (
 )
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-FIXTURES = os.path.join(PKG_ROOT, "tests", "fixtures")
 
 
 @contextmanager
@@ -219,8 +218,8 @@ def test_small_corpora_are_learnable():
                               lr=1e-3, seed=4)
         log = pretrain(texts, vocab, model, pcfg)
         assert len(log.steps) == 2000
-        last_epoch = [rec.loss for rec in log.steps[-4:]]
-        assert float(np.mean(last_epoch)) < 0.1
+        # 0.046-0.054 over pretrain seeds 4-11; 0.074 after 250 epochs
+        assert pll_loss(model, texts, vocab, pcfg.max_len) < 0.063
 
         rows = _separable_20()
         cvocab = build_vocab([r.text for r in rows], 120)
@@ -385,53 +384,18 @@ def test_seeded_runs_are_bitwise_identical(tmp_path):
         assert from_training.tobytes() == from_disk.tobytes()
 
 
-def _run_cli(*args):
-    env = dict(os.environ)
-    env.pop("OFFLM_CONFIG", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(PKG_ROOT, "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "offlm.cli", *args],
-        capture_output=True, text=True, env=env, cwd=PKG_ROOT)
-
-
 def test_cli_pipeline_end_to_end(tmp_path):
     with gate("criterion 10 (command-line pipeline)"):
         start = time.perf_counter()
-        scored = os.path.join(FIXTURES, "scored.tsv")
-        labeled = os.path.join(FIXTURES, "labeled.tsv")
-        config = os.path.join(FIXTURES, "toy_config.json")
-        lexicon = os.path.join(FIXTURES, "lexicon.tsv")
-        emoji_map = str(resources.files("offlm").joinpath(
-            "data", "emoji_map.tsv"))
-        selected = tmp_path / "selected.tsv"
-        clean = tmp_path / "clean.tsv"
-        vocab = tmp_path / "vocab.txt"
-
-        steps = (
-            ("select", "--input", scored, "--lo", "0.5", "--hi", "1.0",
-             "--output", str(selected)),
-            ("preprocess", "--input", str(selected), "--output", str(clean),
-             "--emoji-map", emoji_map, "--lexicon", lexicon),
-            ("build-vocab", "--input", str(clean), "--size", "400",
-             "--output", str(vocab)),
-            ("pretrain", "--config", config, "--corpus", str(clean),
-             "--vocab", str(vocab), "--output-dir", str(tmp_path / "pre")),
-            ("finetune", "--config", config, "--train", labeled,
-             "--vocab", str(vocab), "--labels", "not,off",
-             "--init-checkpoint", str(tmp_path / "pre" / "final"),
-             "--output-dir", str(tmp_path / "fine")),
-            ("evaluate", "--model-dir", str(tmp_path / "fine"),
-             "--data", labeled, "--output-dir", str(tmp_path / "eval"),
-             "--format", "markdown"),
-            ("sweep", "--config", config, "--scored", scored,
-             "--train", labeled, "--vocab", str(vocab),
-             "--labels", "not,off", "--bins", "0.5:1.0,0.7:1.0",
-             "--output-dir", str(tmp_path / "sweep"), "--format", "markdown"),
-        )
-        for step in steps:
-            proc = _run_cli(*step)
-            assert proc.returncode == 0, (step[0], proc.stderr)
+        env = dict(os.environ)
+        env.pop("OFFLM_CONFIG", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(PKG_ROOT, "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, os.path.join(PKG_ROOT, "scripts", "run_toy_pipeline.py"),
+             "--workdir", str(tmp_path)],
+            capture_output=True, text=True, env=env, cwd=PKG_ROOT)
+        assert proc.returncode == 0, (proc.stdout, proc.stderr)
 
         report = (tmp_path / "eval" / "report.md").read_text()
         assert "| Dataset | Model | Macro F1 |" in report

@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mlm_stats import pll_loss
 
 from offlm import autograd as ag
+from offlm import training
 from offlm.corpus import LabeledInstance
 from offlm.errors import ConfigError, DataError
 from offlm.model import (ModelConfig, classify, encode, init_params,
@@ -15,7 +17,6 @@ from offlm.tokenizer import build_vocab, tokenize
 from offlm.training import (
     EarlyStopper,
     FinetuneConfig,
-    MaskingOutcome,
     PretrainConfig,
     TrainLog,
     _stack_batch,
@@ -125,49 +126,18 @@ def test_mask_invariants_hold_for_any_seed(seed, text):
     np.testing.assert_array_equal(out.target_ids, ids)
 
 
-def _mask_tokens_oracle(ids, attention_mask, vocab, cfg, rng):
-    """mask_tokens as it was before the vocabulary cached its id arrays, on
-    a sequence padded to max_len."""
-    ids = np.asarray(ids, dtype=np.int64)
-    attn = np.asarray(attention_mask, dtype=np.int64)
-    maskable = (attn == 1) & ~np.isin(ids, sorted(vocab.special_ids))
-    selected = maskable & (rng.random(ids.shape) < cfg.mask_prob)
-    input_ids = ids.copy()
-    positions = np.flatnonzero(selected)
-    if positions.size:
-        u = rng.random(positions.size)
-        to_mask = u < cfg.replace_mask_frac
-        to_random = ~to_mask & (u < cfg.replace_mask_frac + cfg.replace_random_frac)
-        input_ids[positions[to_mask]] = vocab.mask_id
-        rand_positions = positions[to_random]
-        if rand_positions.size:
-            pool = vocab.non_special_id_array
-            input_ids[rand_positions] = pool[rng.integers(pool.size,
-                                                          size=rand_positions.size)]
-    return MaskingOutcome(input_ids=input_ids, target_ids=ids,
-                          mask_indicator=selected.astype(np.int64))
-
-
-@pytest.mark.parametrize("cfg", [
-    PretrainConfig(max_len=12),
-    PretrainConfig(max_len=12, mask_prob=0.6, replace_mask_frac=0.2,
-                   replace_random_frac=0.7, keep_frac=0.1),
-])
-def test_mask_tokens_matches_pre_change_oracle(cfg):
-    assert VOCAB.non_special_id_array.tolist() == [
-        i for i in range(len(VOCAB)) if i not in VOCAB.special_ids]
-    for seed in range(6):
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for text in TEXTS + MIXED:
-            seq = tokenize(text, VOCAB, max_len=12)
-            got = mask_tokens(seq, VOCAB, cfg, rng)
-            padded, attn = _max_len_collate([seq])
-            want = _mask_tokens_oracle(padded[0], attn[0], VOCAB, cfg, oracle_rng)
-            for field in ("input_ids", "target_ids", "mask_indicator"):
-                np.testing.assert_array_equal(getattr(got, field),
-                                              getattr(want, field)[:len(seq)])
-            assert not want.mask_indicator[len(seq):].any()
-        assert rng.random() == oracle_rng.random()  # same number of draws
+def test_mask_tokens_selects_every_real_slot_of_a_padded_batch():
+    cfg = PretrainConfig(max_len=12, mask_prob=1.0, replace_mask_frac=1.0,
+                         replace_random_frac=0.0, keep_frac=0.0)
+    ids, attn = _stack_batch([tokenize(t, VOCAB, max_len=12) for t in MIXED])
+    assert ids.shape == (len(MIXED), 8) and not attn.all()
+    out = mask_tokens(ids, VOCAB, cfg, np.random.default_rng(0))
+    real = (attn == 1) & ~VOCAB.is_special[ids]
+    np.testing.assert_array_equal(out.mask_indicator, real.astype(np.int64))
+    assert not out.mask_indicator[attn == 0].any()
+    assert (out.input_ids[real] == VOCAB.mask_id).all()
+    np.testing.assert_array_equal(out.input_ids[~real], ids[~real])
+    np.testing.assert_array_equal(out.target_ids, ids)
 
 
 def test_fractions_must_sum_to_one():
@@ -254,13 +224,26 @@ def test_early_stopper_patience_validation():
 def test_pretrain_reduces_loss_and_logs_steps():
     model = small_model(seed=1)
     cfg = PretrainConfig(epochs=40, batch_size=4, max_len=12, lr=1e-3, seed=0)
+    before = pll_loss(model, TEXTS, VOCAB, cfg.max_len)
     log = pretrain(TEXTS, VOCAB, model, cfg)
     assert log.stop_reason == "epochs_exhausted"
     assert len(log.steps) == 40 * 2
-    first = np.mean([r.loss for r in log.steps[:4]])
-    last = np.mean([r.loss for r in log.steps[-4:]])
-    assert last < first * 0.8
+    assert pll_loss(model, TEXTS, VOCAB, cfg.max_len) < before * 0.8
     assert all(r.lr == cfg.lr for r in log.steps)
+
+
+def test_pretrain_masks_each_collated_batch_once(monkeypatch):
+    shapes = []
+
+    def counting(ids, *args):
+        shapes.append(np.shape(ids))
+        return mask_tokens(ids, *args)
+
+    monkeypatch.setattr(training, "mask_tokens", counting)
+    cfg = PretrainConfig(epochs=2, batch_size=3, max_len=12, lr=1e-3, seed=0)
+    log = pretrain(MIXED + TEXTS[:2], VOCAB, small_model(), cfg)
+    assert len(shapes) == len(log.steps) == 4
+    assert [math.prod(s) for s in shapes] == [r.positions for r in log.steps]
 
 
 def test_pretrain_identical_seeds_identical_runs():
@@ -298,6 +281,15 @@ def test_skipped_pretraining_steps_log_their_positions():
         assert rec.loss == 0.0
         assert rec.tokens == sum(lengths) == 17
         assert rec.positions == len(texts) * max(lengths) == 24
+
+
+def test_skipped_pretraining_steps_still_write_checkpoints(tmp_path):
+    cfg = PretrainConfig(epochs=2, batch_size=4, max_len=12, mask_prob=0.0,
+                         checkpoint_every=1, seed=0)
+    log = pretrain(TEXTS, VOCAB, small_model(), cfg, checkpoint_dir=str(tmp_path))
+    assert [r.loss for r in log.steps] == [0.0] * 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "final", "step-1", "step-2", "step-3", "step-4"]
 
 
 def test_pretrain_rejects_empty_corpus():
@@ -355,6 +347,17 @@ def test_finetune_validates_labels():
     single = [LabeledInstance(str(i), TEXTS[0], "feline") for i in range(8)]
     with pytest.raises(DataError):
         finetune(single, VOCAB, model, cfg, labels=("feline", "canine"))
+
+
+def test_finetune_evaluates_every_k_steps_and_after_the_last():
+    cfg = FinetuneConfig(epochs=2, batch_size=2, lr=1e-3, max_len=12,
+                         eval_fraction=0.25, eval_every=3, eval_patience=10, seed=3)
+    log = finetune(labeled_pair_data(), VOCAB, small_model(seed=15), cfg,
+                   labels=("feline", "canine"))
+    # 9 train rows -> 5 steps per epoch -> 10 steps, not a multiple of 3
+    assert len(log.steps) == 10
+    assert [e.step for e in log.evals] == [3, 6, 9, 10]
+    assert log.stop_reason == "epochs_exhausted"
 
 
 def test_finetune_gradient_accumulation_runs():
@@ -422,13 +425,12 @@ def _max_len_collate(seqs, max_len=12):
     return ids, attn
 
 
-def _pad_then_cut(seqs, *columns, max_len):
+def _pad_then_cut(seqs, max_len):
     """The collation before sequences stayed unpadded: every row padded to
     max_len, then the batch cut to its longest real length."""
     ids, attn = _max_len_collate(seqs, max_len)
     n = int(attn.sum(axis=1).max())
-    padded = [_max_len_collate(c, max_len)[0] for c in columns]
-    return tuple(a[:, :n] for a in (ids, attn, *padded))
+    return ids[:, :n], attn[:, :n]
 
 
 @settings(max_examples=80, deadline=None)
@@ -437,25 +439,17 @@ def test_stack_batch_matches_pad_then_cut_oracle(data):
     max_len = data.draw(st.integers(min_value=3, max_value=16))
     lengths = data.draw(st.lists(st.integers(min_value=1, max_value=max_len),
                                  min_size=1, max_size=6))
-
-    def rows():
-        return [data.draw(st.lists(st.integers(min_value=0, max_value=10**6),
-                                   min_size=n, max_size=n)) for n in lengths]
-
-    seqs = rows()
-    num_columns = data.draw(st.integers(min_value=0, max_value=2))
-    # extra columns come as lists or, like masking outcomes, as arrays
-    columns = [rows(), [np.asarray(r, dtype=np.int64) for r in rows()]][:num_columns]
-    got = _stack_batch(seqs, *columns)
-    want = _pad_then_cut(seqs, *columns, max_len=max_len)
-    assert len(got) == 2 + len(columns)
+    seqs = [data.draw(st.lists(st.integers(min_value=0, max_value=10**6),
+                               min_size=n, max_size=n)) for n in lengths]
+    got = _stack_batch(seqs)
+    want = _pad_then_cut(seqs, max_len=max_len)
+    assert len(got) == 2
     for g, w in zip(got, want):
         assert g.dtype == np.int64
         np.testing.assert_array_equal(g, w)
-    ids, attn = got[:2]
+    ids, attn = got
     assert attn.shape == (len(seqs), max(lengths))
-    for padded in (ids, *got[2:]):
-        assert not padded[attn == 0].any()
+    assert not ids[attn == 0].any()
     assert attn.sum() == sum(lengths)
 
 
@@ -480,9 +474,9 @@ def test_masked_row_loss_and_grads_match_full_projection():
     cfg = PretrainConfig(max_len=12, mask_prob=0.5)
     rng = np.random.default_rng(0)
     seqs = [tokenize(t, VOCAB, max_len=12) for t in MIXED]
-    outcomes = [mask_tokens(s, VOCAB, cfg, rng) for s in seqs]
-    ids, attn, input_ids, mask = _stack_batch(
-        seqs, [o.input_ids for o in outcomes], [o.mask_indicator for o in outcomes])
+    ids, attn = _stack_batch(seqs)
+    masked = mask_tokens(ids, VOCAB, cfg, rng)
+    input_ids, mask = masked.input_ids, masked.mask_indicator
     assert ids.shape == (len(MIXED), 8) and 0 < mask.sum() < attn.sum()
 
     got, got_grads = _loss_and_grads(model, lambda: mlm_batch_loss(
