@@ -324,7 +324,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, bq: Tensor,
     padded = real.size != batch * seq_len
     head_size = width // heads
     dtype = x.dtype
-    kv = x.data @ np.concatenate([wk.data, wv.data], axis=1)
+    wkv = np.concatenate([wk.data, wv.data], axis=1)
+    kv = x.data @ wkv
     kv += np.concatenate([bk.data, bv.data])
     if padded:
         slots = np.zeros((batch * seq_len, 2 * width), dtype=dtype)
@@ -385,19 +386,14 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, bq: Tensor,
         g_kv = g_kv.reshape(batch * seq_len, 2 * width)
         if padded:
             g_kv = g_kv[real]
+        g_x = np.matmul(g_kv, wkv.T)
         g_xq = np.matmul(g_q, wq.data.T)
-        if not every:
-            g_xq = _scatter_rows(x.shape, queries, g_xq)
+        g_x += g_xq if every else _scatter_rows(x.shape, queries, g_xq)
         g_wkv = np.matmul(x.data.T, g_kv)
-        return (g_xq, np.matmul(g_kv[:, :width], wk.data.T),
-                np.matmul(g_kv[:, width:], wv.data.T), np.matmul(xq.T, g_q),
-                g_wkv[:, :width], g_wkv[:, width:], g_q.sum(axis=0),
-                *np.split(g_kv.sum(axis=0), 2))
+        return (g_x, np.matmul(xq.T, g_q), g_wkv[:, :width], g_wkv[:, width:],
+                g_q.sum(axis=0), *np.split(g_kv.sum(axis=0), 2))
 
-    # x is a parent once per projection, so backward adds its three input
-    # gradients to x's one at a time, in the order that separate Q, K and V
-    # projections did: seeded runs keep their floats
-    return _from_op(out, "attention", (x, x, x, wq, wk, wv, bq, bk, bv), bwd)
+    return _from_op(out, "attention", (x, wq, wk, wv, bq, bk, bv), bwd)
 
 
 def _query_cells(seq: np.ndarray, batch: int) -> tuple[np.ndarray, int]:

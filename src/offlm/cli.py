@@ -200,7 +200,7 @@ def _parse_bins(raw: str) -> list[tuple[float, float]]:
 
 def cmd_select(args) -> int:
     if args.lo > args.hi:
-        args.parser.error(f"--lo {args.lo} must not exceed --hi {args.hi}")
+        raise ConfigError(f"--lo {args.lo} must not exceed --hi {args.hi}")
     columns = (args.id_column, args.text_column, args.score_column)
     fields, rows = read_rows(args.input, columns)
     instances = parse_scored(args.input, rows, *columns)
@@ -458,7 +458,7 @@ class _Cell:
     model: Model  # the starting weights, which every bin trains a copy of
     pcfg: PretrainConfig
     fcfg: FinetuneConfig
-    args: argparse.Namespace  # without `parser` and `func`
+    args: argparse.Namespace
 
 
 def _run_cell(cell: _Cell) -> tuple[str, Optional[EvalReport],
@@ -582,11 +582,9 @@ def cmd_sweep(args) -> int:
     _check_scorable(test, test_path)  # before any bin trains
     model = _model(config, args, vocab, max(pcfg.max_len, fcfg.max_len),
                    labels)
-    plain = argparse.Namespace(**{k: v for k, v in vars(args).items()
-                                  if k not in ("parser", "func")})
     cells = [_Cell(index, bounds, [s.text for s in selected], train, test,
                    test_path, args.dataset_id or dataset_id, vocab, labels,
-                   model, pcfg, fcfg, plain)
+                   model, pcfg, fcfg, args)
              for index, (bounds, selected) in enumerate(zip(bins, selections))]
     workers = _sweep_workers(len(cells))
     blas_threads = _blas_threads(workers)
@@ -723,7 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--text-column", default="text")
         if any(command in exposed for _, exposed in _CONFIGS.values()):
             _add_config_flags(p, command)
-        p.set_defaults(parser=p)
     return parser
 
 

@@ -20,6 +20,8 @@ _HASHTAG_RE = re.compile(r"#[A-Za-z0-9]+$")
 
 # score ties closer than this are broken toward fewer words
 _TIE_EPS = 1e-9
+# exponent base of the unknown-word penalty: log(1 / (total * base^len))
+_UNKNOWN_PENALTY_BASE = 10.0
 
 
 @dataclass
@@ -28,8 +30,6 @@ class PrepConfig:
     user_placeholder: str = "USER"
     min_words: int = 2
     min_chars: int = 18
-    # exponent base of the unknown-word penalty: log(1 / (total * base^len))
-    unknown_penalty_base: float = 10.0
 
     def __post_init__(self):
         if not self.url_placeholder or not self.user_placeholder:
@@ -60,11 +60,11 @@ class Lexicon:
                 raise DataError(f"{path}:{lineno}: bad count {parts[1]!r}") from e
         return cls(counts)
 
-    def score(self, word: str, penalty_base: float = 10.0) -> float:
+    def score(self, word: str) -> float:
         total = max(self.total, 1)
         if word in self.counts:
             return math.log(self.counts[word] / total)
-        return -math.log(total) - len(word) * math.log(penalty_base)
+        return -math.log(total) - len(word) * math.log(_UNKNOWN_PENALTY_BASE)
 
 
 def load_emoji_map(path) -> dict[str, str]:
@@ -111,8 +111,7 @@ def demojize(text: str, mapping: dict[str, str]) -> str:
     return " ".join(replaced.split())
 
 
-def segment_hashtag(tag: str, lexicon: Lexicon,
-                    penalty_base: float = 10.0) -> list[str]:
+def segment_hashtag(tag: str, lexicon: Lexicon) -> list[str]:
     """Split a '#tag' into words by maximum-score dynamic programming.
 
     A segmentation scores the sum of per-word log probabilities, with
@@ -132,7 +131,7 @@ def segment_hashtag(tag: str, lexicon: Lexicon,
             prev_score, prev_words, _ = best[start]
             if prev_score == -math.inf:
                 continue
-            score = prev_score + lexicon.score(body[start:end], penalty_base)
+            score = prev_score + lexicon.score(body[start:end])
             words = prev_words + 1
             cur = best[end]
             if score > cur[0] + _TIE_EPS or (
@@ -165,7 +164,7 @@ def prepare(text: str, cfg: PrepConfig, lexicon: Optional[Lexicon] = None,
         out = []
         for token in text.split():
             if _HASHTAG_RE.fullmatch(token):
-                out.extend(segment_hashtag(token, lexicon, cfg.unknown_penalty_base))
+                out.extend(segment_hashtag(token, lexicon))
             else:
                 out.append(token)
         text = " ".join(out)

@@ -42,16 +42,15 @@ class PretrainConfig:
     lr: float = 5e-5
     mask_prob: float = 0.15
     replace_mask_frac: float = 0.8
-    replace_random_frac: float = 0.1
-    keep_frac: float = 0.1
+    replace_random_frac: float = 0.1  # the rest of the selected tokens are kept
     max_grad_norm: float = 1.0
     checkpoint_every: int = 0  # steps between mid-run checkpoints; 0 = end only
     seed: int = 0
 
     def __post_init__(self):
-        fracs = (self.replace_mask_frac, self.replace_random_frac, self.keep_frac)
-        if any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"replacement fractions {fracs} must sum to 1")
+        fracs = (self.replace_mask_frac, self.replace_random_frac)
+        if min(fracs) < 0 or sum(fracs) > 1.0 + 1e-9:
+            raise ConfigError(f"replacement fractions {fracs}: negative or sum over 1")
         if not 0.0 <= self.mask_prob <= 1.0:
             raise ConfigError(f"mask_prob {self.mask_prob} outside [0, 1]")
         if self.epochs < 0 or self.batch_size < 1 or self.max_len < 3:

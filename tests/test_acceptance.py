@@ -205,7 +205,7 @@ def test_cross_entropy_closed_form_and_additivity():
                                 rel_tol=0.0, abs_tol=1e-9)
 
 
-def test_small_corpora_are_learnable():
+def test_small_corpora_are_learnable(tmp_path):
     with gate("criterion 04 (small-corpus overfit)"):
         start = time.perf_counter()
         texts = _sentences_32()
@@ -215,11 +215,16 @@ def test_small_corpora_are_learnable():
                           num_heads=2, max_position=16, dropout_rate=0.0)
         model = init_params(cfg, seed=1)
         pcfg = PretrainConfig(epochs=500, batch_size=8, max_len=12,
-                              lr=1e-3, seed=4)
-        log = pretrain(texts, vocab, model, pcfg)
+                              lr=1e-3, seed=4, checkpoint_every=50)
+        log = pretrain(texts, vocab, model, pcfg, checkpoint_dir=str(tmp_path))
         assert len(log.steps) == 2000
-        # 0.046-0.054 over pretrain seeds 4-11; 0.074 after 250 epochs
-        assert pll_loss(model, texts, vocab, pcfg.max_len) < 0.063
+        # the mean over the last eight checkpoints, since one checkpoint's
+        # value swings between 0.047 and 0.079 there: 0.049-0.057 over
+        # pretrain seeds 4-11; 0.067-0.254 over steps 650-1000 of 250-epoch
+        # runs at seeds 4-7
+        tail = [pll_loss(load_checkpoint(tmp_path / f"step-{step}"), texts, vocab,
+                         pcfg.max_len) for step in range(1650, 2001, 50)]
+        assert sum(tail) / len(tail) < 0.063
 
         rows = _separable_20()
         cvocab = build_vocab([r.text for r in rows], 120)

@@ -377,6 +377,16 @@ def test_attention_grad_matches_fd(case):
     check_grad(build, x, *weights, *biases)
 
 
+def test_attention_lists_each_input_once():
+    mask = np.array([[1, 1, 1], [1, 1, 0]])
+    rng = np.random.default_rng(15)
+    x = rand_tensor(rng, (5, 4))
+    inputs = [rand_tensor(rng, (4, 4)) for _ in range(3)] + [
+        rand_tensor(rng, (4,)) for _ in range(3)]
+    out = ag.attention(x, *inputs, mask, 2, 0.0, None)
+    assert [id(p) for p in out.ctx.parents] == [id(t) for t in (x, *inputs)]
+
+
 def test_tensor_sum_axis_semantics():
     x = Tensor(np.ones((2, 3)))
     assert tensor_sum(x).data == 6.0

@@ -673,6 +673,26 @@ def test_invalid_prep_config_exit_2(tmp_path, field, value, source):
     assert not (tmp_path / "out.tsv").exists()
 
 
+@pytest.mark.parametrize("command,section,field", [
+    ("preprocess", "prep", "unknown_penalty_base"),
+    ("pretrain", "pretrain", "keep_frac")])
+def test_removed_config_fields_exit_2(tmp_path, command, section, field):
+    """Fields that no longer exist are config errors, like any unknown key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {field: 0.1}}))
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(TINY_VOCAB)
+    scored = os.path.join(FIXTURES, "scored.tsv")
+    out = tmp_path / "out"
+    args = {"preprocess": ("--input", scored, "--output", str(out)),
+            "pretrain": ("--corpus", scored, "--vocab", str(vocab),
+                         "--output-dir", str(out))}[command]
+    proc = run_cli(command, "--config", str(cfg), *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and field in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("max_len", ["0", "2"])
 def test_evaluate_max_len_below_frame_exit_2(tmp_path, max_len):
     """--max-len 0 is a given value, not "use the model's max_position"."""

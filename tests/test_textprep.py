@@ -97,7 +97,7 @@ def test_segment_hashtag_empty():
     assert segment_hashtag("#", Lexicon({"a": 1})) == []
 
 
-def brute_force_segment(body, lex, penalty_base=10.0):
+def brute_force_segment(body, lex):
     """Enumerate every split of body, score like the lexicon does."""
     best = None
     n = len(body)
@@ -109,7 +109,7 @@ def brute_force_segment(body, lex, penalty_base=10.0):
                 pieces.append(body[start: i + 1])
                 start = i + 1
         pieces.append(body[start:])
-        score = sum(lex.score(p, penalty_base) for p in pieces)
+        score = sum(lex.score(p) for p in pieces)
         key = (score, -len(pieces))
         if best is None or key > best[0]:
             best = (key, pieces)

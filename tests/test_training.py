@@ -73,7 +73,7 @@ def test_mask_targets_are_always_originals():
 
 def test_mask_never_touches_special_positions():
     cfg = PretrainConfig(max_len=12, mask_prob=1.0, replace_mask_frac=1.0,
-                         replace_random_frac=0.0, keep_frac=0.0)
+                         replace_random_frac=0.0)
     seq = tokenize(TEXTS[1], VOCAB, max_len=12)
     out = mask_tokens(seq, VOCAB, cfg, np.random.default_rng(1))
     ids = np.asarray(seq)
@@ -128,7 +128,7 @@ def test_mask_invariants_hold_for_any_seed(seed, text):
 
 def test_mask_tokens_selects_every_real_slot_of_a_padded_batch():
     cfg = PretrainConfig(max_len=12, mask_prob=1.0, replace_mask_frac=1.0,
-                         replace_random_frac=0.0, keep_frac=0.0)
+                         replace_random_frac=0.0)
     ids, attn = _stack_batch([tokenize(t, VOCAB, max_len=12) for t in MIXED])
     assert ids.shape == (len(MIXED), 8) and not attn.all()
     out = mask_tokens(ids, VOCAB, cfg, np.random.default_rng(0))
@@ -142,8 +142,10 @@ def test_mask_tokens_selects_every_real_slot_of_a_padded_batch():
 
 def test_fractions_must_sum_to_one():
     with pytest.raises(ConfigError):
-        PretrainConfig(replace_mask_frac=0.8, replace_random_frac=0.3,
-                       keep_frac=0.1)
+        PretrainConfig(replace_mask_frac=0.8, replace_random_frac=0.3)
+    with pytest.raises(ConfigError):
+        PretrainConfig(replace_mask_frac=1.1, replace_random_frac=-0.1)
+    PretrainConfig(replace_mask_frac=0.9, replace_random_frac=0.1)
 
 
 # --- schedule ---------------------------------------------------------------
