@@ -3,8 +3,9 @@
 
 Selects high-scored rows, cleans them, builds a word-piece vocabulary,
 pretrains the encoder, fine-tunes a classifier, and finishes with the
-evaluation report plus a two-bin threshold sweep. Every artifact lands
-under --workdir so the run can be inspected afterwards.
+evaluation report on held-out rows plus a two-bin threshold sweep.
+Every artifact lands under --workdir so the run can be inspected
+afterwards.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ def main(argv=None) -> int:
     os.makedirs(work, exist_ok=True)
     scored = os.path.join(FIXTURES, "scored.tsv")
     labeled = os.path.join(FIXTURES, "labeled.tsv")
+    heldout = os.path.join(FIXTURES, "heldout.tsv")
     config = os.path.join(FIXTURES, "toy_config.json")
     lexicon = os.path.join(FIXTURES, "lexicon.tsv")
     emoji_map = str(resources.files("offlm").joinpath("data", "emoji_map.tsv"))
@@ -61,9 +63,9 @@ def main(argv=None) -> int:
         "--labels", "not,off",
         "--init-checkpoint", os.path.join(work, "pretrain", "final"),
         "--output-dir", os.path.join(work, "finetune"))
-    run("evaluate on the fine-tuning rows (a smoke check, not held out)",
+    run("evaluate on held-out rows",
         "evaluate", "--model-dir", os.path.join(work, "finetune"),
-        "--data", labeled, "--output-dir", os.path.join(work, "eval"),
+        "--data", heldout, "--output-dir", os.path.join(work, "eval"),
         "--format", "markdown")
     run("sweep selection thresholds",
         "sweep", "--config", config, "--scored", scored, "--train", labeled,

@@ -17,8 +17,8 @@ import argparse
 import contextlib
 import copy
 import csv
+import dataclasses
 import hashlib
-import io
 import json
 import os
 import shutil
@@ -31,8 +31,7 @@ import numpy as np
 
 from .corpus import (LabeledInstance, load_labeled, load_scored, load_texts,
                      parse_scored, read_rows, select_by_threshold, split)
-from .errors import (ConfigError, DataError, NumericError, ShapeError,
-                     ToolkitError, not_utf8)
+from .errors import ConfigError, DataError, NumericError, ShapeError, not_utf8
 from .evaluation import (EvalReport, SweepRow, confusion, make_report, render,
                          render_sweep)
 from .model import (Model, ModelConfig, init_params, load_checkpoint,
@@ -78,23 +77,13 @@ def _write_manifest(path, payload: dict) -> None:
         f.write("\n")
 
 
-_MODEL_FLAGS = ("num_layers", "hidden_size", "num_heads", "intermediate_size",
-                "max_position", "dropout_rate")
-_PRETRAIN_FLAGS = ("epochs", "batch_size", "max_len", "lr", "mask_prob",
-                   "max_grad_norm", "checkpoint_every", "seed")
-# config section -> (its dataclass, the fields each subcommand exposes as flags)
+# config section -> (its dataclass, the subcommands with a flag for each of
+# its fields but model.vocab_size, which the vocabulary file gives)
 _CONFIGS = {
-    "model": (ModelConfig, {"pretrain": _MODEL_FLAGS, "finetune": _MODEL_FLAGS,
-                            "sweep": _MODEL_FLAGS}),
-    "pretrain": (PretrainConfig, {"pretrain": _PRETRAIN_FLAGS,
-                                  "sweep": _PRETRAIN_FLAGS}),
-    "finetune": (FinetuneConfig, {"finetune": (
-        "epochs", "batch_size", "lr", "adam_epsilon", "warmup_ratio",
-        "max_grad_norm", "max_len", "gradient_accumulation_steps",
-        "eval_patience", "eval_fraction", "evals_per_epoch", "eval_every",
-        "seed")}),
-    "prep": (PrepConfig, {"preprocess": ("url_placeholder", "user_placeholder",
-                                         "min_words", "min_chars")}),
+    "model": (ModelConfig, ("pretrain", "finetune", "sweep")),
+    "pretrain": (PretrainConfig, ("pretrain", "sweep")),
+    "finetune": (FinetuneConfig, ("finetune",)),
+    "prep": (PrepConfig, ("preprocess",)),
 }
 # the flag of a field is --field-name except for these
 _FLAG_ALIASES = {"gradient_accumulation_steps": "--accumulation-steps",
@@ -127,15 +116,16 @@ def _load_config_file(args) -> dict:
 
 def _config(config: dict, name: str, args, **defaults):
     """The dataclass of config section `name`: `defaults`, then the section,
-    then the flags this subcommand exposes for it, each overriding the last."""
-    cls, exposed = _CONFIGS[name]
+    then the flags this subcommand has for it, each overriding the last."""
+    cls, commands = _CONFIGS[name]
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
     values = {**defaults, **section}
-    for field in exposed.get(args.command, ()):
-        if getattr(args, field) is not None:
-            values[field] = getattr(args, field)
+    if args.command in commands:
+        for f in dataclasses.fields(cls):
+            if getattr(args, f.name, None) is not None:
+                values[f.name] = getattr(args, f.name)
     try:
         return cls(**values)
     except TypeError as e:
@@ -271,16 +261,14 @@ def cmd_build_vocab(args) -> int:
 
 def _pretrain(texts: Sequence[str], corpus_path: str, vocab: Vocabulary,
               vocab_path: str, model: Model, pcfg: PretrainConfig,
-              output_dir: str) -> None:
+              output_dir: str) -> str:
     """Pretrain `model` on `texts` and write what `pretrain` writes to
-    `output_dir`: checkpoints, trainlog.jsonl, vocab.txt, manifest.json."""
+    `output_dir`: checkpoints, trainlog.jsonl, vocab.txt, manifest.json.
+    Returns the line `pretrain` prints."""
     os.makedirs(output_dir, exist_ok=True)
     log = pretrain(texts, vocab, model, pcfg, checkpoint_dir=output_dir)
     log.save_jsonl(os.path.join(output_dir, "trainlog.jsonl"))
     shutil.copyfile(vocab_path, os.path.join(output_dir, "vocab.txt"))
-    final_loss = log.steps[-1].loss if log.steps else "n/a"
-    print(f"pretrained {len(log.steps)} steps on {len(texts)} texts "
-          f"-> {output_dir} (last loss {final_loss})")
     _write_manifest(os.path.join(output_dir, "manifest.json"), {
         "command": "pretrain",
         "effective_config": {"model": asdict(model.config),
@@ -292,14 +280,17 @@ def _pretrain(texts: Sequence[str], corpus_path: str, vocab: Vocabulary,
         "stop_reason": log.stop_reason,
         "num_texts": len(texts),
     })
+    final_loss = log.steps[-1].loss if log.steps else "n/a"
+    return (f"pretrained {len(log.steps)} steps on {len(texts)} texts "
+            f"-> {output_dir} (last loss {final_loss})")
 
 
 def _finetune(train: Sequence[LabeledInstance], train_path: str,
               vocab: Vocabulary, vocab_path: str, model: Model,
-              fcfg: FinetuneConfig, labels: list[str], output_dir: str) -> None:
+              fcfg: FinetuneConfig, labels: list[str], output_dir: str) -> str:
     """Fine-tune `model` on `train` and write what `finetune` writes to
     `output_dir`: best/, final/, trainlog.jsonl, vocab.txt, labels.json,
-    manifest.json."""
+    manifest.json. Returns the line `finetune` prints."""
     os.makedirs(output_dir, exist_ok=True)
     log = finetune(train, vocab, model, fcfg, labels, checkpoint_dir=output_dir)
     save_checkpoint(model, os.path.join(output_dir, "final"))
@@ -309,10 +300,6 @@ def _finetune(train: Sequence[LabeledInstance], train_path: str,
               encoding="utf-8") as f:
         json.dump({"labels": labels}, f)
         f.write("\n")
-    best = min((e.loss for e in log.evals), default=None)
-    print(f"fine-tuned {len(log.steps)} steps, {len(log.evals)} evaluations, "
-          f"stop reason {log.stop_reason}, best eval loss {best} "
-          f"-> {output_dir}")
     _write_manifest(os.path.join(output_dir, "manifest.json"), {
         "command": "finetune",
         "effective_config": {"model": asdict(model.config),
@@ -325,6 +312,10 @@ def _finetune(train: Sequence[LabeledInstance], train_path: str,
         "stop_reason": log.stop_reason,
         "num_examples": len(train),
     })
+    best = min((e.loss for e in log.evals), default=None)
+    return (f"fine-tuned {len(log.steps)} steps, {len(log.evals)} evaluations, "
+            f"stop reason {log.stop_reason}, best eval loss {best} "
+            f"-> {output_dir}")
 
 
 def _check_scorable(data: Sequence[LabeledInstance], data_path: str) -> None:
@@ -335,9 +326,10 @@ def _check_scorable(data: Sequence[LabeledInstance], data_path: str) -> None:
 def _evaluate(data: Sequence[LabeledInstance], data_path: str,
               vocab: Vocabulary, model: Model, labels: list[str],
               max_len: int, output_dir: str, fmt: str, dataset_id: str,
-              model_id: str, batch_size: int = 32) -> EvalReport:
+              model_id: str, batch_size: int = 32) -> tuple[EvalReport, str]:
     """Score `model` on `data` and write what `evaluate` writes to
-    `output_dir`: predictions.tsv, the report, manifest.json."""
+    `output_dir`: predictions.tsv, the report, manifest.json. Returns the
+    report and the text `evaluate` prints."""
     _check_scorable(data, data_path)
     preds_idx = predict_class_ids([d.text for d in data], vocab, model,
                                   max_len, batch_size=batch_size)
@@ -356,7 +348,6 @@ def _evaluate(data: Sequence[LabeledInstance], data_path: str,
     with open(os.path.join(output_dir, report_name), "w",
               encoding="utf-8") as f:
         f.write(text)
-    print(text, end="")
     _write_manifest(os.path.join(output_dir, "manifest.json"), {
         "command": "evaluate",
         "effective_config": {"labels": labels, "max_len": max_len,
@@ -366,7 +357,7 @@ def _evaluate(data: Sequence[LabeledInstance], data_path: str,
         "macro_f1": report.macro_f1,
         "accuracy": report.accuracy,
     })
-    return report
+    return report, text
 
 
 def cmd_pretrain(args) -> int:
@@ -376,8 +367,8 @@ def cmd_pretrain(args) -> int:
     pcfg = _config(config, "pretrain", args)
     model = _model(config, args, vocab, pcfg.max_len,
                    checkpoint=args.init_checkpoint)
-    _pretrain(texts, args.corpus, vocab, args.vocab, model, pcfg,
-              args.output_dir)
+    print(_pretrain(texts, args.corpus, vocab, args.vocab, model, pcfg,
+                    args.output_dir))
     return 0
 
 
@@ -390,8 +381,8 @@ def cmd_finetune(args) -> int:
     fcfg = _config(config, "finetune", args)
     model = _model(config, args, vocab, fcfg.max_len, labels,
                    checkpoint=args.init_checkpoint)
-    _finetune(train, args.train, vocab, args.vocab, model, fcfg, labels,
-              args.output_dir)
+    print(_finetune(train, args.train, vocab, args.vocab, model, fcfg, labels,
+                    args.output_dir))
     return 0
 
 
@@ -437,8 +428,10 @@ def cmd_evaluate(args) -> int:
     dataset_id = args.dataset_id or os.path.splitext(
         os.path.basename(args.data))[0]
     max_len = model.config.max_position if args.max_len is None else args.max_len
-    _evaluate(data, args.data, vocab, model, labels, max_len, args.output_dir,
-              args.format, dataset_id, model_id, args.batch_size)
+    _, text = _evaluate(data, args.data, vocab, model, labels, max_len,
+                        args.output_dir, args.format, dataset_id, model_id,
+                        args.batch_size)
+    print(text, end="")
     return 0
 
 
@@ -461,28 +454,23 @@ class _Cell:
     args: argparse.Namespace
 
 
-def _run_cell(cell: _Cell) -> tuple[str, Optional[EvalReport],
-                                    Optional[Exception]]:
+def _run_cell(cell: _Cell) -> tuple[str, EvalReport]:
     """Pretrain, fine-tune and score one bin from a copy of the starting
-    model. Returns what the stages printed, with the bin's report or with
-    the error that stopped it."""
+    model. Returns what the three commands would print, and the bin's
+    report; a stage's error propagates."""
     args, (lo, hi) = cell.args, cell.bounds
     bin_dir = os.path.join(args.output_dir, f"bin-{cell.index}")
-    out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out):
-            model = copy.deepcopy(cell.model)
-            _pretrain(cell.texts, args.scored, cell.vocab, args.vocab, model,
-                      cell.pcfg, os.path.join(bin_dir, "pretrain"))
-            _finetune(cell.train, args.train, cell.vocab, args.vocab, model,
-                      cell.fcfg, cell.labels, os.path.join(bin_dir, "finetune"))
-            report = _evaluate(cell.test, cell.test_path, cell.vocab, model,
-                               cell.labels, cell.fcfg.max_len,
-                               os.path.join(bin_dir, "eval"), args.format,
-                               cell.dataset_id, f"bin-{lo:g}-{hi:g}")
-    except (ToolkitError, OSError) as e:
-        return out.getvalue(), None, e
-    return out.getvalue(), report, None
+    model = copy.deepcopy(cell.model)
+    pretrained = _pretrain(cell.texts, args.scored, cell.vocab, args.vocab,
+                           model, cell.pcfg, os.path.join(bin_dir, "pretrain"))
+    finetuned = _finetune(cell.train, args.train, cell.vocab, args.vocab, model,
+                          cell.fcfg, cell.labels,
+                          os.path.join(bin_dir, "finetune"))
+    report, text = _evaluate(cell.test, cell.test_path, cell.vocab, model,
+                             cell.labels, cell.fcfg.max_len,
+                             os.path.join(bin_dir, "eval"), args.format,
+                             cell.dataset_id, f"bin-{lo:g}-{hi:g}")
+    return f"{pretrained}\n{finetuned}\n{text}", report
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -526,18 +514,16 @@ def _environ(values: dict[str, str]):
                 os.environ[name] = value
 
 
-def _cell_report(outcome) -> EvalReport:
-    text, report, error = outcome
+def _cell_report(outcome: tuple[str, EvalReport]) -> EvalReport:
+    text, report = outcome
     print(text, end="")
-    if error is not None:
-        raise error
     return report
 
 
 def _run_cells(cells: Sequence[_Cell], workers: int,
                blas_threads: int) -> list[EvalReport]:
-    """Each cell's report, in cell order, after printing what the cell
-    printed; the first cell in that order to fail raises its error. With
+    """Each cell's report, in cell order, after printing the cell's text;
+    the first cell in that order to fail raises its error. With
     more than one worker the cells run concurrently in spawned processes
     that inherit `blas_threads` BLAS threads each; all of them have exited
     when this returns."""
@@ -618,14 +604,17 @@ def cmd_sweep(args) -> int:
 
 
 def _add_config_flags(p, command: str) -> None:
-    """--config, then one flag per config field `command` exposes, typed
-    by the field's annotation (Optional[int] parses as int)."""
+    """--config, then one flag per field of each config section `command`
+    reads, typed by the field's annotation (Optional[int] parses as int)."""
     p.add_argument("--config", help="JSON config file (or set $OFFLM_CONFIG)")
-    for cls, exposed in _CONFIGS.values():
-        hints = typing.get_type_hints(cls)
-        for field in exposed.get(command, ()):
-            kind = next((t for t in typing.get_args(hints[field])
-                         if t is not type(None)), hints[field])
+    for cls, commands in _CONFIGS.values():
+        if command not in commands:
+            continue
+        for field, hint in typing.get_type_hints(cls).items():
+            if field == "vocab_size":  # the vocabulary file gives it
+                continue
+            kind = next((t for t in typing.get_args(hint)
+                         if t is not type(None)), hint)
             flag = _FLAG_ALIASES.get(field, "--" + field.replace("_", "-"))
             p.add_argument(flag, dest=field, type=None if kind is str else kind,
                            help=_FLAG_HELP.get(field))
@@ -719,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command, p in sub.choices.items():
         p.add_argument("--text-column", default="text")
-        if any(command in exposed for _, exposed in _CONFIGS.values()):
+        if any(command in commands for _, commands in _CONFIGS.values()):
             _add_config_flags(p, command)
     return parser
 

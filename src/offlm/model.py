@@ -3,8 +3,10 @@ a [CLS] classification head, plus a checkpoint format that round-trips
 forward outputs bitwise.
 
 Sizing is configurable; the defaults are a desk-scale encoder (2 layers,
-width 64, 2 heads). Initialization is truncated normal, std 0.02,
-resampled beyond two standard deviations.
+width 64, 2 heads). BERT's fixed choices are constants: the masked-token
+head is tied to the token embedding, and layer norms use epsilon 1e-12.
+Initialization is truncated normal, std 0.02, resampled beyond two
+standard deviations.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import ConfigError, DataError, ShapeError
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 INIT_STD = 0.02
+LAYER_NORM_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,6 @@ class ModelConfig:
     intermediate_size: Optional[int] = None
     max_position: int = 128
     dropout_rate: float = 0.1
-    layer_norm_epsilon: float = 1e-12
-    tie_mlm_weights: bool = True
 
     def __post_init__(self):
         if self.vocab_size < 6:
@@ -94,8 +95,6 @@ def param_shapes(config: ModelConfig, num_classes: int = 2,
         shapes[f"{p}.ffn.b2"] = (d,)
         shapes[f"{p}.ffn_norm.gain"] = (d,)
         shapes[f"{p}.ffn_norm.bias"] = (d,)
-    if not config.tie_mlm_weights:
-        shapes["mlm.weight"] = (d, v)
     shapes["mlm.bias"] = (v,)
     shapes["cls.pooler_w"] = (d, d)
     shapes["cls.pooler_b"] = (d,)
@@ -206,11 +205,11 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
             x = ag.take(x, queries)
         attn_out = drop(_linear(context, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"]))
         x = ag.layer_norm(ag.add(x, attn_out), p[f"{pre}.attn_norm.gain"],
-                          p[f"{pre}.attn_norm.bias"], cfg.layer_norm_epsilon)
+                          p[f"{pre}.attn_norm.bias"], LAYER_NORM_EPSILON)
         hidden = ag.gelu(_linear(x, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"]))
         ffn_out = drop(_linear(hidden, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"]))
         x = ag.layer_norm(ag.add(x, ffn_out), p[f"{pre}.ffn_norm.gain"],
-                          p[f"{pre}.ffn_norm.bias"], cfg.layer_norm_epsilon)
+                          p[f"{pre}.ffn_norm.bias"], LAYER_NORM_EPSILON)
     if picked is not None:
         return x
     if real.size == batch * seq_len:
@@ -234,11 +233,8 @@ def _packed_index(real: np.ndarray, rows) -> np.ndarray:
 def mlm_logits(hidden: Tensor, model: Model) -> Tensor:
     """Vocabulary scores [..., V] (pre-softmax) for hidden states [..., d],
     e.g. [B, n, d] or the masked rows [m, d] that `encode(..., rows=...)`
-    returns."""
-    if model.config.tie_mlm_weights:
-        w = ag.transpose(model.params["token_embedding"], (1, 0))
-    else:
-        w = model.params["mlm.weight"]
+    returns, through the transposed token embedding."""
+    w = ag.transpose(model.params["token_embedding"], (1, 0))
     return ag.add(ag.matmul(hidden, w), model.params["mlm.bias"])
 
 

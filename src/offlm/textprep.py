@@ -24,7 +24,7 @@ _TIE_EPS = 1e-9
 _UNKNOWN_PENALTY_BASE = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrepConfig:
     url_placeholder: str = "URL"
     user_placeholder: str = "USER"

@@ -25,6 +25,9 @@ from .optim import AdamState, adam_step, clip_global_norm
 from .tokenizer import Vocabulary, tokenize
 
 Example = tuple[list[int], int]  # a text's unpadded token ids and its class id
+# BERT's replacement of a selected token: [MASK], a random token, or kept
+REPLACE_MASK_FRAC = 0.8
+REPLACE_RANDOM_FRAC = 0.1
 
 
 @dataclass
@@ -41,16 +44,11 @@ class PretrainConfig:
     max_len: int = 512
     lr: float = 5e-5
     mask_prob: float = 0.15
-    replace_mask_frac: float = 0.8
-    replace_random_frac: float = 0.1  # the rest of the selected tokens are kept
     max_grad_norm: float = 1.0
     checkpoint_every: int = 0  # steps between mid-run checkpoints; 0 = end only
     seed: int = 0
 
     def __post_init__(self):
-        fracs = (self.replace_mask_frac, self.replace_random_frac)
-        if min(fracs) < 0 or sum(fracs) > 1.0 + 1e-9:
-            raise ConfigError(f"replacement fractions {fracs}: negative or sum over 1")
         if not 0.0 <= self.mask_prob <= 1.0:
             raise ConfigError(f"mask_prob {self.mask_prob} outside [0, 1]")
         if self.epochs < 0 or self.batch_size < 1 or self.max_len < 3:
@@ -132,7 +130,7 @@ def mask_tokens(ids: np.ndarray, vocab: Vocabulary, cfg: PretrainConfig,
 
     Each non-special position is selected independently with
     probability mask_prob; a selected position becomes [MASK], a random
-    non-special token, or stays put, per the configured fractions.
+    non-special token, or stays put, in BERT's 80/10/10 proportions.
     Targets are always the original ids. Special tokens, [PAD] among
     them, are never selected.
     """
@@ -142,8 +140,8 @@ def mask_tokens(ids: np.ndarray, vocab: Vocabulary, cfg: PretrainConfig,
     positions = np.flatnonzero(selected)
     if positions.size:
         u = rng.random(positions.size)
-        to_mask = u < cfg.replace_mask_frac
-        to_random = ~to_mask & (u < cfg.replace_mask_frac + cfg.replace_random_frac)
+        to_mask = u < REPLACE_MASK_FRAC
+        to_random = ~to_mask & (u < REPLACE_MASK_FRAC + REPLACE_RANDOM_FRAC)
         input_ids.flat[positions[to_mask]] = vocab.mask_id
         rand_positions = positions[to_random]
         if rand_positions.size:

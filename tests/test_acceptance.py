@@ -18,7 +18,8 @@ import numpy as np
 from mlm_stats import pll_loss
 
 from offlm import autograd as ag
-from offlm.corpus import LabeledInstance, ScoredInstance, select_by_threshold
+from offlm.corpus import (LabeledInstance, ScoredInstance, load_labeled,
+                          select_by_threshold)
 from offlm.evaluation import confusion, macro_f1
 from offlm.model import (
     ModelConfig,
@@ -402,9 +403,16 @@ def test_cli_pipeline_end_to_end(tmp_path):
             capture_output=True, text=True, env=env, cwd=PKG_ROOT)
         assert proc.returncode == 0, (proc.stdout, proc.stderr)
 
+        # the quick start scores rows that fine-tuning never saw
+        fixtures = os.path.join(PKG_ROOT, "tests", "fixtures")
+        heldout, labeled = (load_labeled(os.path.join(fixtures, name),
+                                         ["not", "off"])
+                            for name in ("heldout.tsv", "labeled.tsv"))
+        assert not {r.id for r in heldout} & {r.id for r in labeled}
+        assert not {r.text for r in heldout} & {r.text for r in labeled}
         report = (tmp_path / "eval" / "report.md").read_text()
         assert "| Dataset | Model | Macro F1 |" in report
-        assert "| 1.0000 |" in report
+        assert "| heldout | finetune | 1.0000 |" in report
 
         sweep = (tmp_path / "sweep" / "sweep.md").read_text()
         assert "| Threshold | Selected | Macro F1 |" in sweep

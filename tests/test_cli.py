@@ -516,7 +516,7 @@ def test_evaluate_malformed_manifest_exit_3(tmp_path):
     ckpt = tmp_path / "ckpt"
     ckpt.mkdir()
     manifest = ckpt / "manifest.json"
-    manifest.write_text(json.dumps({"format_version": 1, "num_classes": 2,
+    manifest.write_text(json.dumps({"format_version": 2, "num_classes": 2,
                                     "config": {"vocab_size": 16}}))
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\na\n")
@@ -531,6 +531,26 @@ def test_evaluate_malformed_manifest_exit_3(tmp_path):
 
 
 TINY_VOCAB = "[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\na\nb\n"
+
+
+def test_evaluate_format_version_1_checkpoint_exit_3(tmp_path):
+    """A fine-tuned directory saved in format version 1, whose config still
+    names tie_mlm_weights and layer_norm_epsilon, is refused by its version."""
+    model_dir = tmp_path / "fine"
+    final = model_dir / "final"
+    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0), str(final))
+    (model_dir / "vocab.txt").write_text(TINY_VOCAB)
+    (model_dir / "labels.json").write_text('{"labels": ["not", "off"]}\n')
+    manifest = json.loads((final / "manifest.json").read_text())
+    manifest["format_version"] = 1
+    manifest["config"].update(layer_norm_epsilon=1e-12, tie_mlm_weights=True)
+    (final / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_cli("evaluate", "--model-dir", str(model_dir),
+                   "--data", os.path.join(FIXTURES, "labeled.tsv"),
+                   "--output-dir", str(tmp_path / "eval"))
+    assert proc.returncode == 3, proc.stderr
+    assert "format version 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
@@ -571,6 +591,22 @@ def test_training_manifest_records_parameter_count(tmp_path, command):
     config = ModelConfig(**manifest["effective_config"]["model"])
     on_disk = sum(os.path.getsize(f) for f in (out / "final").glob("*.bin")) // 4
     assert manifest["parameter_count"] == parameter_count(config, 2) == on_disk
+
+
+def test_finetune_final_holds_the_best_weights(tmp_path):
+    """finetune restores the best evaluation's weights before it saves
+    final/, so final/ and best/ list the same parameter digests."""
+    vocab = tmp_path / "vocab.txt"
+    labeled = os.path.join(FIXTURES, "labeled.tsv")
+    assert run_cli("build-vocab", "--input", labeled, "--size", "60",
+                   "--output", str(vocab)).returncode == 0
+    out = tmp_path / "fine"
+    proc = run_cli("finetune", "--train", labeled, "--labels", "not,off",
+                   "--vocab", str(vocab), "--epochs", "3", "--lr", "0.01",
+                   "--max-len", "12", "--num-layers", "1", "--hidden-size", "8",
+                   "--num-heads", "2", "--output-dir", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert param_digests(out / "final") == param_digests(out / "best")
 
 
 @pytest.mark.parametrize("content", ["{}", "{not json", '{"labels": 3}'])
@@ -675,7 +711,11 @@ def test_invalid_prep_config_exit_2(tmp_path, field, value, source):
 
 @pytest.mark.parametrize("command,section,field", [
     ("preprocess", "prep", "unknown_penalty_base"),
-    ("pretrain", "pretrain", "keep_frac")])
+    ("pretrain", "pretrain", "keep_frac"),
+    ("pretrain", "model", "tie_mlm_weights"),
+    ("pretrain", "model", "layer_norm_epsilon"),
+    ("pretrain", "pretrain", "replace_mask_frac"),
+    ("pretrain", "pretrain", "replace_random_frac")])
 def test_removed_config_fields_exit_2(tmp_path, command, section, field):
     """Fields that no longer exist are config errors, like any unknown key."""
     cfg = tmp_path / "cfg.json"

@@ -9,6 +9,7 @@ from offlm import autograd as ag
 from offlm.autograd import Tensor
 from offlm.errors import ConfigError, DataError, ShapeError
 from offlm.model import (
+    LAYER_NORM_EPSILON,
     Model,
     ModelConfig,
     classify,
@@ -59,13 +60,7 @@ def test_param_shapes_tiny_snapshot():
     assert shapes["layer0.ffn.w2"] == (32, 8)
     assert shapes["mlm.bias"] == (16,)
     assert shapes["cls.out_w"] == (8, 2)
-    assert "mlm.weight" not in shapes  # tied by default
-
-
-def test_untied_mlm_head_gets_own_matrix():
-    cfg = ModelConfig(**{**TINY.__dict__, "tie_mlm_weights": False})
-    shapes = param_shapes(cfg, num_classes=2)
-    assert shapes["mlm.weight"] == (8, 16)
+    assert "mlm.weight" not in shapes  # tied to the token embedding
 
 
 def test_parameter_count_is_sum_of_shapes():
@@ -171,11 +166,11 @@ def padded_encode(ids, attention_mask, model):
         context = ag.reshape(context, (batch, seq_len, cfg.hidden_size))
         attn_out = linear(context, f"{pre}.attn.wo", f"{pre}.attn.bo")
         x = ag.layer_norm(ag.add(x, attn_out), p[f"{pre}.attn_norm.gain"],
-                          p[f"{pre}.attn_norm.bias"], cfg.layer_norm_epsilon)
+                          p[f"{pre}.attn_norm.bias"], LAYER_NORM_EPSILON)
         hidden = ag.gelu(linear(x, f"{pre}.ffn.w1", f"{pre}.ffn.b1"))
         ffn_out = linear(hidden, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
         x = ag.layer_norm(ag.add(x, ffn_out), p[f"{pre}.ffn_norm.gain"],
-                          p[f"{pre}.ffn_norm.bias"], cfg.layer_norm_epsilon)
+                          p[f"{pre}.ffn_norm.bias"], LAYER_NORM_EPSILON)
     return x
 
 
@@ -545,7 +540,7 @@ def test_checkpoint_manifest_contents(tmp_path):
     m = tiny_model(seed=9)
     save_checkpoint(m, tmp_path / "ckpt")
     manifest = json.load(open(tmp_path / "ckpt" / "manifest.json"))
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == 2
     assert manifest["num_classes"] == 2
     assert set(manifest["params"]) == set(m.params)
     for entry in manifest["params"].values():

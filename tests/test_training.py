@@ -72,8 +72,7 @@ def test_mask_targets_are_always_originals():
 
 
 def test_mask_never_touches_special_positions():
-    cfg = PretrainConfig(max_len=12, mask_prob=1.0, replace_mask_frac=1.0,
-                         replace_random_frac=0.0)
+    cfg = PretrainConfig(max_len=12, mask_prob=1.0)
     seq = tokenize(TEXTS[1], VOCAB, max_len=12)
     out = mask_tokens(seq, VOCAB, cfg, np.random.default_rng(1))
     ids = np.asarray(seq)
@@ -127,25 +126,18 @@ def test_mask_invariants_hold_for_any_seed(seed, text):
 
 
 def test_mask_tokens_selects_every_real_slot_of_a_padded_batch():
-    cfg = PretrainConfig(max_len=12, mask_prob=1.0, replace_mask_frac=1.0,
-                         replace_random_frac=0.0)
+    cfg = PretrainConfig(max_len=12, mask_prob=1.0)
     ids, attn = _stack_batch([tokenize(t, VOCAB, max_len=12) for t in MIXED])
     assert ids.shape == (len(MIXED), 8) and not attn.all()
     out = mask_tokens(ids, VOCAB, cfg, np.random.default_rng(0))
     real = (attn == 1) & ~VOCAB.is_special[ids]
     np.testing.assert_array_equal(out.mask_indicator, real.astype(np.int64))
     assert not out.mask_indicator[attn == 0].any()
-    assert (out.input_ids[real] == VOCAB.mask_id).all()
+    replaced = out.input_ids[real]
+    assert ((replaced == VOCAB.mask_id) | ~VOCAB.is_special[replaced]
+            | (replaced == ids[real])).all()
     np.testing.assert_array_equal(out.input_ids[~real], ids[~real])
     np.testing.assert_array_equal(out.target_ids, ids)
-
-
-def test_fractions_must_sum_to_one():
-    with pytest.raises(ConfigError):
-        PretrainConfig(replace_mask_frac=0.8, replace_random_frac=0.3)
-    with pytest.raises(ConfigError):
-        PretrainConfig(replace_mask_frac=1.1, replace_random_frac=-0.1)
-    PretrainConfig(replace_mask_frac=0.9, replace_random_frac=0.1)
 
 
 # --- schedule ---------------------------------------------------------------
