@@ -38,7 +38,7 @@ from .model import (Model, ModelConfig, init_params, load_checkpoint,
                     parameter_count, resolve_checkpoint, save_checkpoint)
 from .textprep import Lexicon, PrepConfig, keep_instance, load_emoji_map, prepare
 from .tokenizer import Vocabulary, build_vocab, load_vocab
-from .training import (FinetuneConfig, PretrainConfig, finetune,
+from .training import (FinetuneConfig, PretrainConfig, TrainLog, finetune,
                        predict_class_ids, pretrain)
 
 ENV_CONFIG = "OFFLM_CONFIG"
@@ -55,10 +55,6 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _hash_inputs(paths: Sequence) -> dict[str, str]:
-    return {str(p): _sha256_file(p) for p in paths if p}
-
-
 def _environment() -> dict:
     """The interpreter and numeric library a run used."""
     try:
@@ -69,9 +65,16 @@ def _environment() -> dict:
             "blas": blas}
 
 
-def _write_manifest(path, payload: dict) -> None:
-    payload = {"schema_version": MANIFEST_SCHEMA_VERSION,
-               "rng": "pcg64", "environment": _environment(), **payload}
+def _write_manifest(path, command: str, config: dict, inputs: Sequence,
+                    outputs: Sequence[str], **facts) -> None:
+    """Write the manifest of a `command` run to `path`: the schema version,
+    RNG and environment, the effective `config`, the sha256 of each of the
+    `inputs` it read (None skipped), its `outputs`, and its own `facts`."""
+    payload = {"schema_version": MANIFEST_SCHEMA_VERSION, "rng": "pcg64",
+               "environment": _environment(), "command": command,
+               "effective_config": config, "outputs": list(outputs),
+               "inputs": {str(p): _sha256_file(p) for p in inputs if p},
+               **facts}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -206,14 +209,10 @@ def cmd_select(args) -> int:
     _write_tsv(args.output, fields, out_rows)
     print(f"selected [{args.lo}, {args.hi}]: {len(selected)} instances "
           f"-> {args.output}")
-    _write_manifest(args.output + ".manifest.json", {
-        "command": "select",
-        "effective_config": {"lo": args.lo, "hi": args.hi,
-                             "score_column": args.score_column},
-        "inputs": _hash_inputs([args.input]),
-        "outputs": [args.output],
-        "selected_count": len(selected),
-    })
+    _write_manifest(args.output + ".manifest.json", "select",
+                    {"lo": args.lo, "hi": args.hi,
+                     "score_column": args.score_column},
+                    [args.input], [args.output], selected_count=len(selected))
     return 0
 
 
@@ -230,16 +229,11 @@ def cmd_preprocess(args) -> int:
             out_rows.append({**row, args.text_column: text})
     _write_tsv(args.output, fields, out_rows)
     print(f"kept {len(out_rows)} of {len(rows)} rows -> {args.output}")
-    _write_manifest(args.output + ".manifest.json", {
-        "command": "preprocess",
-        "effective_config": {"prep": asdict(prep), "keep_all": args.keep_all,
-                             "emoji_map": args.emoji_map,
-                             "lexicon": args.lexicon},
-        "inputs": _hash_inputs([args.input, args.emoji_map, args.lexicon]),
-        "outputs": [args.output],
-        "kept": len(out_rows),
-        "seen": len(rows),
-    })
+    _write_manifest(args.output + ".manifest.json", "preprocess",
+                    {"prep": asdict(prep), "keep_all": args.keep_all,
+                     "emoji_map": args.emoji_map, "lexicon": args.lexicon},
+                    [args.input, args.emoji_map, args.lexicon], [args.output],
+                    kept=len(out_rows), seen=len(rows))
     return 0
 
 
@@ -248,15 +242,32 @@ def cmd_build_vocab(args) -> int:
     vocab = build_vocab(texts, args.size, min_frequency=args.min_frequency)
     vocab.save(args.output)
     print(f"vocabulary of {len(vocab)} tokens -> {args.output}")
-    _write_manifest(args.output + ".manifest.json", {
-        "command": "build-vocab",
-        "effective_config": {"size": args.size,
-                             "min_frequency": args.min_frequency},
-        "inputs": _hash_inputs([args.input]),
-        "outputs": [args.output],
-        "vocab_size": len(vocab),
-    })
+    _write_manifest(args.output + ".manifest.json", "build-vocab",
+                    {"size": args.size, "min_frequency": args.min_frequency},
+                    [args.input], [args.output], vocab_size=len(vocab))
     return 0
+
+
+def _write_training_run(output_dir: str, command: str, cfg, model: Model,
+                        log: TrainLog, inputs: Sequence, vocab_path: str,
+                        outputs: Sequence[str], labels: Optional[list[str]] = None,
+                        **facts) -> None:
+    """Write what a `command` run writes to `output_dir` besides its
+    checkpoints: trainlog.jsonl, a copy of the vocabulary, and manifest.json
+    with `cfg` (and `labels`, if given) as config, the vocabulary among the
+    `inputs`, and the model's size, the seeds and the stop reason among the
+    `facts`."""
+    log.save_jsonl(os.path.join(output_dir, "trainlog.jsonl"))
+    shutil.copyfile(vocab_path, os.path.join(output_dir, "vocab.txt"))
+    config = {"model": asdict(model.config), command: asdict(cfg)}
+    if labels:
+        config["labels"] = labels
+    _write_manifest(os.path.join(output_dir, "manifest.json"), command, config,
+                    [*inputs, vocab_path], outputs,
+                    parameter_count=parameter_count(model.config,
+                                                    model.num_classes),
+                    seeds={"model_init": model.init_seed, command: cfg.seed},
+                    stop_reason=log.stop_reason, **facts)
 
 
 def _pretrain(texts: Sequence[str], corpus_path: str, vocab: Vocabulary,
@@ -267,19 +278,9 @@ def _pretrain(texts: Sequence[str], corpus_path: str, vocab: Vocabulary,
     Returns the line `pretrain` prints."""
     os.makedirs(output_dir, exist_ok=True)
     log = pretrain(texts, vocab, model, pcfg, checkpoint_dir=output_dir)
-    log.save_jsonl(os.path.join(output_dir, "trainlog.jsonl"))
-    shutil.copyfile(vocab_path, os.path.join(output_dir, "vocab.txt"))
-    _write_manifest(os.path.join(output_dir, "manifest.json"), {
-        "command": "pretrain",
-        "effective_config": {"model": asdict(model.config),
-                             "pretrain": asdict(pcfg)},
-        "inputs": _hash_inputs([corpus_path, vocab_path]),
-        "outputs": ["final", "trainlog.jsonl", "vocab.txt"],
-        "parameter_count": parameter_count(model.config, model.num_classes),
-        "seeds": {"model_init": model.init_seed, "pretrain": pcfg.seed},
-        "stop_reason": log.stop_reason,
-        "num_texts": len(texts),
-    })
+    _write_training_run(output_dir, "pretrain", pcfg, model, log, [corpus_path],
+                        vocab_path, ["final", "trainlog.jsonl", "vocab.txt"],
+                        num_texts=len(texts))
     final_loss = log.steps[-1].loss if log.steps else "n/a"
     return (f"pretrained {len(log.steps)} steps on {len(texts)} texts "
             f"-> {output_dir} (last loss {final_loss})")
@@ -294,24 +295,14 @@ def _finetune(train: Sequence[LabeledInstance], train_path: str,
     os.makedirs(output_dir, exist_ok=True)
     log = finetune(train, vocab, model, fcfg, labels, checkpoint_dir=output_dir)
     save_checkpoint(model, os.path.join(output_dir, "final"))
-    log.save_jsonl(os.path.join(output_dir, "trainlog.jsonl"))
-    shutil.copyfile(vocab_path, os.path.join(output_dir, "vocab.txt"))
     with open(os.path.join(output_dir, "labels.json"), "w",
               encoding="utf-8") as f:
         json.dump({"labels": labels}, f)
         f.write("\n")
-    _write_manifest(os.path.join(output_dir, "manifest.json"), {
-        "command": "finetune",
-        "effective_config": {"model": asdict(model.config),
-                             "finetune": asdict(fcfg), "labels": labels},
-        "inputs": _hash_inputs([train_path, vocab_path]),
-        "outputs": ["best", "final", "trainlog.jsonl", "vocab.txt",
-                    "labels.json"],
-        "parameter_count": parameter_count(model.config, model.num_classes),
-        "seeds": {"model_init": model.init_seed, "finetune": fcfg.seed},
-        "stop_reason": log.stop_reason,
-        "num_examples": len(train),
-    })
+    _write_training_run(output_dir, "finetune", fcfg, model, log, [train_path],
+                        vocab_path, ["best", "final", "trainlog.jsonl",
+                                     "vocab.txt", "labels.json"],
+                        labels, num_examples=len(train))
     best = min((e.loss for e in log.evals), default=None)
     return (f"fine-tuned {len(log.steps)} steps, {len(log.evals)} evaluations, "
             f"stop reason {log.stop_reason}, best eval loss {best} "
@@ -348,15 +339,10 @@ def _evaluate(data: Sequence[LabeledInstance], data_path: str,
     with open(os.path.join(output_dir, report_name), "w",
               encoding="utf-8") as f:
         f.write(text)
-    _write_manifest(os.path.join(output_dir, "manifest.json"), {
-        "command": "evaluate",
-        "effective_config": {"labels": labels, "max_len": max_len,
-                             "format": fmt},
-        "inputs": _hash_inputs([data_path]),
-        "outputs": ["predictions.tsv", report_name],
-        "macro_f1": report.macro_f1,
-        "accuracy": report.accuracy,
-    })
+    _write_manifest(os.path.join(output_dir, "manifest.json"), "evaluate",
+                    {"labels": labels, "max_len": max_len, "format": fmt},
+                    [data_path], ["predictions.tsv", report_name],
+                    macro_f1=report.macro_f1, accuracy=report.accuracy)
     return report, text
 
 
@@ -584,22 +570,17 @@ def cmd_sweep(args) -> int:
                   encoding="utf-8") as f:
             f.write(text)
         print(text, end="")
-    _write_manifest(os.path.join(args.output_dir, "manifest.json"), {
-        "command": "sweep",
-        "effective_config": {"model": asdict(model.config),
-                             "pretrain": asdict(pcfg),
-                             "finetune": asdict(fcfg), "labels": labels,
-                             "bins": [list(b) for b in bins]},
-        "inputs": _hash_inputs([args.scored, args.train, args.eval,
-                                args.vocab]),
-        "outputs": [f"sweep.{ext}", f"models.{ext}"]
-                   + [f"bin-{i}" for i in range(len(bins))],
-        "seeds": {"model_init": args.model_seed, "pretrain": pcfg.seed,
-                  "finetune": fcfg.seed},
-        "rows": [asdict(r) for r in rows],
-        "workers": workers,
-        "blas_threads_per_worker": blas_threads,
-    })
+    _write_manifest(
+        os.path.join(args.output_dir, "manifest.json"), "sweep",
+        {"model": asdict(model.config), "pretrain": asdict(pcfg),
+         "finetune": asdict(fcfg), "labels": labels,
+         "bins": [list(b) for b in bins]},
+        [args.scored, args.train, args.eval, args.vocab],
+        [f"sweep.{ext}", f"models.{ext}", *(f"bin-{i}" for i in range(len(bins)))],
+        seeds={"model_init": args.model_seed, "pretrain": pcfg.seed,
+               "finetune": fcfg.seed},
+        rows=[asdict(r) for r in rows], workers=workers,
+        blas_threads_per_worker=blas_threads)
     return 0
 
 
