@@ -161,6 +161,13 @@ def _model(config: dict, args, vocab, max_len: Optional[int],
     return model
 
 
+def _checkpoint_manifest(checkpoint: Optional[str]) -> Optional[str]:
+    """The manifest.json that `load_checkpoint(checkpoint)` reads, whose
+    sha256 values identify the weights."""
+    return checkpoint and os.path.join(
+        resolve_checkpoint(checkpoint) or checkpoint, "manifest.json")
+
+
 def _write_tsv(path, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=fieldnames, delimiter="\t",
@@ -272,13 +279,15 @@ def _write_training_run(output_dir: str, command: str, cfg, model: Model,
 
 def _pretrain(texts: Sequence[str], corpus_path: str, vocab: Vocabulary,
               vocab_path: str, model: Model, pcfg: PretrainConfig,
-              output_dir: str) -> str:
-    """Pretrain `model` on `texts` and write what `pretrain` writes to
-    `output_dir`: checkpoints, trainlog.jsonl, vocab.txt, manifest.json.
-    Returns the line `pretrain` prints."""
+              output_dir: str, init_checkpoint: Optional[str] = None) -> str:
+    """Pretrain `model`, loaded from `init_checkpoint` if given, on `texts`
+    and write what `pretrain` writes to `output_dir`: checkpoints,
+    trainlog.jsonl, vocab.txt, manifest.json. Returns the line `pretrain`
+    prints."""
     os.makedirs(output_dir, exist_ok=True)
     log = pretrain(texts, vocab, model, pcfg, checkpoint_dir=output_dir)
-    _write_training_run(output_dir, "pretrain", pcfg, model, log, [corpus_path],
+    _write_training_run(output_dir, "pretrain", pcfg, model, log,
+                        [corpus_path, _checkpoint_manifest(init_checkpoint)],
                         vocab_path, ["final", "trainlog.jsonl", "vocab.txt"],
                         num_texts=len(texts))
     final_loss = log.steps[-1].loss if log.steps else "n/a"
@@ -288,8 +297,10 @@ def _pretrain(texts: Sequence[str], corpus_path: str, vocab: Vocabulary,
 
 def _finetune(train: Sequence[LabeledInstance], train_path: str,
               vocab: Vocabulary, vocab_path: str, model: Model,
-              fcfg: FinetuneConfig, labels: list[str], output_dir: str) -> str:
-    """Fine-tune `model` on `train` and write what `finetune` writes to
+              fcfg: FinetuneConfig, labels: list[str], output_dir: str,
+              init_checkpoint: Optional[str] = None) -> str:
+    """Fine-tune `model`, loaded from `init_checkpoint` if given, on `train`
+    and write what `finetune` writes to
     `output_dir`: best/, final/, trainlog.jsonl, vocab.txt, labels.json,
     manifest.json. Returns the line `finetune` prints."""
     os.makedirs(output_dir, exist_ok=True)
@@ -299,7 +310,8 @@ def _finetune(train: Sequence[LabeledInstance], train_path: str,
               encoding="utf-8") as f:
         json.dump({"labels": labels}, f)
         f.write("\n")
-    _write_training_run(output_dir, "finetune", fcfg, model, log, [train_path],
+    _write_training_run(output_dir, "finetune", fcfg, model, log,
+                        [train_path, _checkpoint_manifest(init_checkpoint)],
                         vocab_path, ["best", "final", "trainlog.jsonl",
                                      "vocab.txt", "labels.json"],
                         labels, num_examples=len(train))
@@ -317,9 +329,11 @@ def _check_scorable(data: Sequence[LabeledInstance], data_path: str) -> None:
 def _evaluate(data: Sequence[LabeledInstance], data_path: str,
               vocab: Vocabulary, model: Model, labels: list[str],
               max_len: int, output_dir: str, fmt: str, dataset_id: str,
-              model_id: str, batch_size: int = 32) -> tuple[EvalReport, str]:
+              model_id: str, batch_size: int = 32,
+              read: Sequence = ()) -> tuple[EvalReport, str]:
     """Score `model` on `data` and write what `evaluate` writes to
-    `output_dir`: predictions.tsv, the report, manifest.json. Returns the
+    `output_dir`: predictions.tsv, the report, manifest.json, which names
+    `data_path` and the files in `read` among its inputs. Returns the
     report and the text `evaluate` prints."""
     _check_scorable(data, data_path)
     preds_idx = predict_class_ids([d.text for d in data], vocab, model,
@@ -341,7 +355,7 @@ def _evaluate(data: Sequence[LabeledInstance], data_path: str,
         f.write(text)
     _write_manifest(os.path.join(output_dir, "manifest.json"), "evaluate",
                     {"labels": labels, "max_len": max_len, "format": fmt},
-                    [data_path], ["predictions.tsv", report_name],
+                    [data_path, *read], ["predictions.tsv", report_name],
                     macro_f1=report.macro_f1, accuracy=report.accuracy)
     return report, text
 
@@ -354,7 +368,7 @@ def cmd_pretrain(args) -> int:
     model = _model(config, args, vocab, pcfg.max_len,
                    checkpoint=args.init_checkpoint)
     print(_pretrain(texts, args.corpus, vocab, args.vocab, model, pcfg,
-                    args.output_dir))
+                    args.output_dir, args.init_checkpoint))
     return 0
 
 
@@ -368,7 +382,7 @@ def cmd_finetune(args) -> int:
     model = _model(config, args, vocab, fcfg.max_len, labels,
                    checkpoint=args.init_checkpoint)
     print(_finetune(train, args.train, vocab, args.vocab, model, fcfg, labels,
-                    args.output_dir))
+                    args.output_dir, args.init_checkpoint))
     return 0
 
 
@@ -416,7 +430,8 @@ def cmd_evaluate(args) -> int:
     max_len = model.config.max_position if args.max_len is None else args.max_len
     _, text = _evaluate(data, args.data, vocab, model, labels, max_len,
                         args.output_dir, args.format, dataset_id, model_id,
-                        args.batch_size)
+                        args.batch_size, [_checkpoint_manifest(checkpoint),
+                                          vocab_path, labels_path])
     print(text, end="")
     return 0
 
@@ -451,7 +466,8 @@ def _run_cell(cell: _Cell) -> tuple[str, EvalReport]:
                            model, cell.pcfg, os.path.join(bin_dir, "pretrain"))
     finetuned = _finetune(cell.train, args.train, cell.vocab, args.vocab, model,
                           cell.fcfg, cell.labels,
-                          os.path.join(bin_dir, "finetune"))
+                          os.path.join(bin_dir, "finetune"),
+                          os.path.join(bin_dir, "pretrain", "final"))
     report, text = _evaluate(cell.test, cell.test_path, cell.vocab, model,
                              cell.labels, cell.fcfg.max_len,
                              os.path.join(bin_dir, "eval"), args.format,
