@@ -107,6 +107,8 @@ def _load_config_file(args) -> dict:
         raise ConfigError(f"config file {path}: invalid JSON: {e}") from e
     except UnicodeDecodeError as e:
         raise ConfigError(f"config file {not_utf8(path)}") from e
+    except OSError as e:  # a directory, or a file it may not read
+        raise ConfigError(f"config file {path}: {e.strerror or e}") from e
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
     unknown = sorted(set(config) - set(_CONFIGS))
@@ -117,13 +119,35 @@ def _load_config_file(args) -> dict:
     return config
 
 
+def _field_types(cls) -> dict[str, tuple[type, bool]]:
+    """Each field of config dataclass `cls` -> its type (Optional[int] reads
+    as int) and whether it may be None."""
+    types = {}
+    for field, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        types[field] = (next((t for t in args if t is not type(None)), hint),
+                        type(None) in args)
+    return types
+
+
 def _config(config: dict, name: str, args, **defaults):
     """The dataclass of config section `name`: `defaults`, then the section,
-    then the flags this subcommand has for it, each overriding the last."""
+    then the flags this subcommand has for it, each overriding the last.
+    A section value must have its field's type; an int passes for a float,
+    a bool for no int, and null only for an Optional field."""
     cls, commands = _CONFIGS[name]
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
+    types = _field_types(cls)
+    for key, value in section.items():
+        if key not in types:  # an unknown key, which cls(**values) names
+            continue
+        kind, optional = types[key]
+        if not (value is None and optional or type(value) is kind
+                or kind is float and type(value) is int):
+            raise ConfigError(f"{name} config: {key} {value!r} is not "
+                              f"{'null or ' if optional else ''}{kind.__name__}")
     values = {**defaults, **section}
     if args.command in commands:
         for f in dataclasses.fields(cls):
@@ -300,9 +324,9 @@ def _finetune(train: Sequence[LabeledInstance], train_path: str,
               fcfg: FinetuneConfig, labels: list[str], output_dir: str,
               init_checkpoint: Optional[str] = None) -> str:
     """Fine-tune `model`, loaded from `init_checkpoint` if given, on `train`
-    and write what `finetune` writes to
-    `output_dir`: best/, final/, trainlog.jsonl, vocab.txt, labels.json,
-    manifest.json. Returns the line `finetune` prints."""
+    and write what `finetune` writes to `output_dir`: best/, final/,
+    trainlog.jsonl, vocab.txt, labels.json, manifest.json. Returns the line
+    `finetune` prints."""
     os.makedirs(output_dir, exist_ok=True)
     log = finetune(train, vocab, model, fcfg, labels, checkpoint_dir=output_dir)
     save_checkpoint(model, os.path.join(output_dir, "final"))
@@ -607,11 +631,9 @@ def _add_config_flags(p, command: str) -> None:
     for cls, commands in _CONFIGS.values():
         if command not in commands:
             continue
-        for field, hint in typing.get_type_hints(cls).items():
+        for field, (kind, _) in _field_types(cls).items():
             if field == "vocab_size":  # the vocabulary file gives it
                 continue
-            kind = next((t for t in typing.get_args(hint)
-                         if t is not type(None)), hint)
             flag = _FLAG_ALIASES.get(field, "--" + field.replace("_", "-"))
             p.add_argument(flag, dest=field, type=None if kind is str else kind,
                            help=_FLAG_HELP.get(field))

@@ -50,6 +50,8 @@ class ModelConfig:
                 f"num_heads {self.num_heads}")
         if self.intermediate_size is None:
             object.__setattr__(self, "intermediate_size", 4 * self.hidden_size)
+        if self.intermediate_size < 1:
+            raise ConfigError("intermediate_size must be >= 1")
         if self.max_position < 1:
             raise ConfigError("max_position must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -122,6 +124,8 @@ def init_params(config: ModelConfig, seed: int, num_classes: int = 2,
                 dtype=np.float32) -> Model:
     """Fresh model: truncated-normal weights, zero biases, unit norm gains.
     Same seed gives bitwise-identical parameters."""
+    if seed < 0:
+        raise ConfigError(f"model seed {seed} < 0")
     rng = np.random.Generator(np.random.PCG64(seed))
     params: dict[str, Tensor] = {}
     for name, shape in param_shapes(config, num_classes).items():
@@ -352,6 +356,9 @@ def load_checkpoint(path) -> Model:
         raise DataError(f"{manifest_path}: num_classes {num_classes!r} is not an integer")
     expected = param_shapes(config, num_classes)
     listed = field(manifest, "params", "manifest")
+    init_seed = field(manifest, "init_seed", "manifest")
+    if type(init_seed) is not int:
+        raise DataError(f"{manifest_path}: init_seed {init_seed!r} is not an integer")
     if set(listed) != set(expected):
         extra = sorted(set(listed) - set(expected))
         missing = sorted(set(expected) - set(listed))
@@ -378,4 +385,4 @@ def load_checkpoint(path) -> Model:
                 f"requires {int(np.prod(shape))}")
         params[name] = Tensor(data.reshape(shape).copy(), requires_grad=True)
     return Model(config=config, params=params, num_classes=num_classes,
-                 init_seed=manifest.get("init_seed", 0))
+                 init_seed=init_seed)

@@ -53,8 +53,10 @@ class PretrainConfig:
             raise ConfigError(f"mask_prob {self.mask_prob} outside [0, 1]")
         if self.epochs < 0 or self.batch_size < 1 or self.max_len < 3:
             raise ConfigError("epochs >= 0, batch_size >= 1, max_len >= 3 required")
-        if self.lr <= 0 or self.max_grad_norm <= 0:
-            raise ConfigError("lr and max_grad_norm must be positive")
+        if self.checkpoint_every < 0 or self.seed < 0:
+            raise ConfigError("checkpoint_every and seed must be >= 0")
+        if not (0 < self.lr < math.inf and 0 < self.max_grad_norm < math.inf):
+            raise ConfigError("lr and max_grad_norm must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,12 @@ class FinetuneConfig:
             raise ConfigError("accumulation and evals_per_epoch must be >= 1")
         if self.eval_every is not None and self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1 when given")
-        if self.lr <= 0 or self.max_grad_norm <= 0 or self.adam_epsilon <= 0:
-            raise ConfigError("lr, max_grad_norm, adam_epsilon must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not all(0 < x < math.inf for x in (self.lr, self.max_grad_norm,
+                                              self.adam_epsilon)):
+            raise ConfigError("lr, max_grad_norm, adam_epsilon must be "
+                              "positive and finite")
 
 
 @dataclass

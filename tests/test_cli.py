@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -731,6 +732,115 @@ def test_removed_config_fields_exit_2(tmp_path, command, section, field):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error:") and field in proc.stderr
     assert not out.exists()
+
+
+def command_args(command, tmp_path):
+    """Arguments that `command` runs with on the fixtures, writing to
+    tmp_path/out."""
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(TINY_VOCAB)
+    out = str(tmp_path / "out")
+    return {
+        "preprocess": ("--input", os.path.join(FIXTURES, "scored.tsv"),
+                       "--output", out),
+        "pretrain": ("--corpus", os.path.join(FIXTURES, "scored.tsv"),
+                     "--vocab", str(vocab), "--output-dir", out),
+        "finetune": ("--train", os.path.join(FIXTURES, "labeled.tsv"),
+                     "--vocab", str(vocab), "--labels", "not,off",
+                     "--output-dir", out),
+    }[command]
+
+
+def assert_config_error(tmp_path, capsys, command, flags=(), file=None):
+    """`command` with `flags`, and `file` as its --config, exits 2 with a
+    config error and writes nothing."""
+    if file is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file))
+        flags = ("--config", str(cfg), *flags)
+    assert cli.main([command, *command_args(command, tmp_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:"), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+BAD_CONFIGS = {  # test id -> command, flags, config file
+    "pretrain-seed": ("pretrain", ("--seed", "-1"), None),
+    "finetune-seed": ("finetune", ("--seed", "-1"), None),
+    "pretrain-model-seed": ("pretrain", ("--model-seed", "-1"), None),
+    "finetune-model-seed": ("finetune", ("--model-seed", "-1"), None),
+    "float-for-int": ("pretrain", (), {"model": {"hidden_size": 64.0}}),
+    "fraction-seed": ("pretrain", (), {"pretrain": {"seed": 1.5}}),
+    "bool-for-int": ("finetune", (), {"finetune": {"epochs": True}}),
+    "null-not-optional": ("pretrain", (), {"pretrain": {"lr": None}}),
+    "float-for-optional-int": ("finetune", (),
+                               {"finetune": {"eval_every": 2.0}}),
+    "string-for-int": ("preprocess", (), {"prep": {"min_words": "2"}}),
+    "intermediate-size-negative": ("pretrain", ("--intermediate-size", "-1"), None),
+    "intermediate-size-zero": ("pretrain", ("--intermediate-size", "0"), None),
+    "intermediate-size-in-file": ("finetune", (), {"model": {"intermediate_size": 0}}),
+    "checkpoint-every-negative": ("pretrain", ("--checkpoint-every", "-1"), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_config_value_out_of_range_or_of_wrong_type_exit_2(
+        tmp_path, capsys, monkeypatch, case):
+    """A negative seed, a config-file value whose type is not its flag's,
+    an FFN narrower than 1 and a negative checkpoint interval are config
+    errors, not tracebacks or silent settings."""
+    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
+    assert_config_error(tmp_path, capsys, *BAD_CONFIGS[case])
+
+
+def test_config_file_values_of_the_flag_types_are_accepted():
+    """An int passes for a float field, and null or an int for an
+    Optional[int] field."""
+    args = argparse.Namespace(command="evaluate")  # no flags for these sections
+    assert cli._config({"pretrain": {"lr": 1}}, "pretrain", args).lr == 1
+    for every in (None, 3):
+        fcfg = cli._config({"finetune": {"eval_every": every}}, "finetune", args)
+        assert fcfg.eval_every == every
+    mcfg = cli._config({"model": {"intermediate_size": None}}, "model", args,
+                       vocab_size=7)
+    assert mcfg.intermediate_size == 4 * mcfg.hidden_size
+
+
+@pytest.mark.parametrize("command,field", [
+    ("pretrain", "lr"), ("pretrain", "max_grad_norm"), ("finetune", "lr"),
+    ("finetune", "max_grad_norm"), ("finetune", "adam_epsilon")])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_non_finite_float_exit_2(tmp_path, capsys, monkeypatch, command, field,
+                                 value, source):
+    """nan and inf are config errors, from a flag or as JSON NaN/Infinity,
+    rather than a run that trains to non-finite weights."""
+    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
+    if source == "flag":
+        assert_config_error(tmp_path, capsys, command,
+                            ("--" + field.replace("_", "-"), str(value)))
+    else:
+        assert_config_error(tmp_path, capsys, command,
+                            file={command: {field: value}})
+
+
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_config_path_naming_a_directory_exit_2(tmp_path, capsys, monkeypatch,
+                                               source):
+    """--config or $OFFLM_CONFIG naming a directory is a config error."""
+    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
+    directory = tmp_path / "configs"
+    directory.mkdir()
+    args = ["preprocess", *command_args("preprocess", tmp_path)]
+    if source == "flag":
+        args += ["--config", str(directory)]
+    else:
+        monkeypatch.setenv("OFFLM_CONFIG", str(directory))
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {directory}:"), err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("max_len", ["0", "2"])

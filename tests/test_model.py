@@ -617,6 +617,8 @@ MANIFEST_DEFECTS = {
     "colour": lambda m: m["config"].update(colour="red"),
     "vocab_size": lambda m: _drop_key(m["config"], "vocab_size"),
     "num_classes='2'": lambda m: m.update(num_classes="2"),
+    "init_seed": lambda m: _drop_key(m, "init_seed"),
+    "init_seed=1.5": lambda m: m.update(init_seed=1.5),
 }
 
 
