@@ -284,15 +284,19 @@ def _write_training_run(output_dir: str, command: str, cfg, model: Model,
                         outputs: Sequence[str], labels: Optional[list[str]] = None,
                         **facts) -> None:
     """Write what a `command` run writes to `output_dir` besides its
-    checkpoints: trainlog.jsonl, a copy of the vocabulary, and manifest.json
-    with `cfg` (and `labels`, if given) as config, the vocabulary among the
-    `inputs`, and the model's size, the seeds and the stop reason among the
-    `facts`."""
+    checkpoints: trainlog.jsonl, a copy of the vocabulary, labels.json if
+    `labels` are given, and manifest.json with `cfg` (and the labels) as
+    config, the vocabulary among the `inputs`, and the model's size, the
+    seeds and the stop reason among the `facts`."""
     log.save_jsonl(os.path.join(output_dir, "trainlog.jsonl"))
     shutil.copyfile(vocab_path, os.path.join(output_dir, "vocab.txt"))
     config = {"model": asdict(model.config), command: asdict(cfg)}
     if labels:
         config["labels"] = labels
+        with open(os.path.join(output_dir, "labels.json"), "w",
+                  encoding="utf-8") as f:
+            json.dump({"labels": labels}, f)
+            f.write("\n")
     _write_manifest(os.path.join(output_dir, "manifest.json"), command, config,
                     [*inputs, vocab_path], outputs,
                     parameter_count=parameter_count(model.config,
@@ -330,10 +334,6 @@ def _finetune(train: Sequence[LabeledInstance], train_path: str,
     os.makedirs(output_dir, exist_ok=True)
     log = finetune(train, vocab, model, fcfg, labels, checkpoint_dir=output_dir)
     save_checkpoint(model, os.path.join(output_dir, "final"))
-    with open(os.path.join(output_dir, "labels.json"), "w",
-              encoding="utf-8") as f:
-        json.dump({"labels": labels}, f)
-        f.write("\n")
     _write_training_run(output_dir, "finetune", fcfg, model, log,
                         [train_path, _checkpoint_manifest(init_checkpoint)],
                         vocab_path, ["best", "final", "trainlog.jsonl",
