@@ -36,27 +36,30 @@ def run_commands(work: Path) -> None:
     and the sweep's bins in this process too."""
     config = work / "config.json"
     config.write_text(json.dumps(CONFIG))
-    fixture = lambda name: os.path.join(FIXTURES, name)
-    selected, clean, vocab = work / "selected.tsv", work / "clean.tsv", work / "vocab.txt"
+    scored, labeled, heldout, lexicon = (
+        os.path.join(FIXTURES, name)
+        for name in ("scored.tsv", "labeled.tsv", "heldout.tsv", "lexicon.tsv"))
+    selected, clean, vocab = (work / name for name in
+                              ("selected.tsv", "clean.tsv", "vocab.txt"))
     commands = [
-        ("select", "--input", fixture("scored.tsv"), "--lo", "0.5",
+        ("select", "--input", scored, "--lo", "0.5",
          "--output", selected),
         ("preprocess", "--input", selected, "--output", clean,
-         "--emoji-map", EMOJI_MAP, "--lexicon", fixture("lexicon.tsv")),
+         "--emoji-map", EMOJI_MAP, "--lexicon", lexicon),
         ("build-vocab", "--input", clean, "--size", "200", "--output", vocab),
         ("pretrain", "--config", config, "--corpus", clean, "--vocab", vocab,
          "--output-dir", work / "pretrain"),
         ("pretrain", "--config", config, "--corpus", clean, "--vocab", vocab,
          "--init-checkpoint", work / "pretrain" / "final", "--epochs", "1",
          "--output-dir", work / "repretrain"),
-        ("finetune", "--config", config, "--train", fixture("labeled.tsv"),
+        ("finetune", "--config", config, "--train", labeled,
          "--vocab", vocab, "--labels", "not,off",
          "--init-checkpoint", work / "pretrain" / "final",
          "--output-dir", work / "finetune"),
         ("evaluate", "--model-dir", work / "finetune",
-         "--data", fixture("heldout.tsv"), "--output-dir", work / "eval"),
-        ("sweep", "--config", config, "--scored", fixture("scored.tsv"),
-         "--train", fixture("labeled.tsv"), "--vocab", vocab,
+         "--data", heldout, "--output-dir", work / "eval"),
+        ("sweep", "--config", config, "--scored", scored,
+         "--train", labeled, "--vocab", vocab,
          "--labels", "not,off", "--bins", "0.5:1.0,0.7:1.0",
          "--output-dir", work / "sweep"),
     ]
