@@ -85,11 +85,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a supported primitive")
-        return mul(self, Tensor(np.asarray(1.0 / other, dtype=self.dtype)))
-
 
 def _from_op(data: np.ndarray, op: str, parents: Sequence[Tensor],
              backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:

@@ -65,16 +65,21 @@ def _environment() -> dict:
             "blas": blas}
 
 
-def _write_manifest(path, command: str, config: dict, inputs: Sequence,
+def _digests(paths: Sequence) -> dict[str, str]:
+    """The sha256 of each file in `paths` (None skipped), by path. A run
+    takes them before it writes anything, which may overwrite an input."""
+    return {str(p): _sha256_file(p) for p in paths if p}
+
+
+def _write_manifest(path, command: str, config: dict, inputs: dict[str, str],
                     outputs: Sequence[str], **facts) -> None:
     """Write the manifest of a `command` run to `path`: the schema version,
-    RNG and environment, the effective `config`, the sha256 of each of the
-    `inputs` it read (None skipped), its `outputs`, and its own `facts`."""
+    RNG and environment, the effective `config`, the `_digests` of the
+    inputs it read, its `outputs`, and its own `facts`."""
     payload = {"schema_version": MANIFEST_SCHEMA_VERSION, "rng": "pcg64",
                "environment": _environment(), "command": command,
                "effective_config": config, "outputs": list(outputs),
-               "inputs": {str(p): _sha256_file(p) for p in inputs if p},
-               **facts}
+               "inputs": inputs, **facts}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -89,8 +94,7 @@ _CONFIGS = {
     "prep": (PrepConfig, ("preprocess",)),
 }
 # the flag of a field is --field-name except for these
-_FLAG_ALIASES = {"gradient_accumulation_steps": "--accumulation-steps",
-                 "eval_patience": "--patience"}
+_FLAG_ALIASES = {"eval_patience": "--patience"}
 _FLAG_HELP = {"max_position": "defaults to the training max_len"}
 
 
@@ -228,6 +232,7 @@ def cmd_select(args) -> int:
     columns = (args.id_column, args.text_column, args.score_column)
     fields, rows = read_rows(args.input, columns)
     instances = parse_scored(args.input, rows, *columns)
+    inputs = _digests([args.input])
     print("Threshold    Instances")
     for lo in TABLE_LOWER_BOUNDS:
         count = len(select_by_threshold(instances, lo, 1.0))
@@ -243,7 +248,7 @@ def cmd_select(args) -> int:
     _write_manifest(args.output + ".manifest.json", "select",
                     {"lo": args.lo, "hi": args.hi,
                      "score_column": args.score_column},
-                    [args.input], [args.output], selected_count=len(selected))
+                    inputs, [args.output], selected_count=len(selected))
     return 0
 
 
@@ -253,6 +258,7 @@ def cmd_preprocess(args) -> int:
     lexicon = Lexicon.load(args.lexicon) if args.lexicon else None
     mapping = load_emoji_map(args.emoji_map) if args.emoji_map else None
     fields, rows = read_rows(args.input, (args.text_column,))
+    inputs = _digests([args.input, args.emoji_map, args.lexicon])
     out_rows = []
     for _, row in rows:
         text = prepare(row[args.text_column], prep, lexicon, mapping)
@@ -263,33 +269,35 @@ def cmd_preprocess(args) -> int:
     _write_manifest(args.output + ".manifest.json", "preprocess",
                     {"prep": asdict(prep), "keep_all": args.keep_all,
                      "emoji_map": args.emoji_map, "lexicon": args.lexicon},
-                    [args.input, args.emoji_map, args.lexicon], [args.output],
+                    inputs, [args.output],
                     kept=len(out_rows), seen=len(rows))
     return 0
 
 
 def cmd_build_vocab(args) -> int:
     texts = load_texts(args.input, args.text_column)
+    inputs = _digests([args.input])
     vocab = build_vocab(texts, args.size, min_frequency=args.min_frequency)
     vocab.save(args.output)
     print(f"vocabulary of {len(vocab)} tokens -> {args.output}")
     _write_manifest(args.output + ".manifest.json", "build-vocab",
                     {"size": args.size, "min_frequency": args.min_frequency},
-                    [args.input], [args.output], vocab_size=len(vocab))
+                    inputs, [args.output], vocab_size=len(vocab))
     return 0
 
 
 def _write_training_run(output_dir: str, command: str, cfg, model: Model,
-                        log: TrainLog, inputs: Sequence, vocab_path: str,
+                        log: TrainLog, inputs: dict[str, str], vocab_path: str,
                         outputs: Sequence[str], labels: Optional[list[str]] = None,
                         **facts) -> None:
     """Write what a `command` run writes to `output_dir` besides its
     checkpoints: trainlog.jsonl, a copy of the vocabulary, labels.json if
     `labels` are given, and manifest.json with `cfg` (and the labels) as
-    config, the vocabulary among the `inputs`, and the model's size, the
-    seeds and the stop reason among the `facts`."""
+    config, the `inputs` digests, and the model's size, the seeds and the
+    stop reason among the `facts`."""
     log.save_jsonl(os.path.join(output_dir, "trainlog.jsonl"))
-    shutil.copyfile(vocab_path, os.path.join(output_dir, "vocab.txt"))
+    with contextlib.suppress(shutil.SameFileError):  # a run's own copy
+        shutil.copyfile(vocab_path, os.path.join(output_dir, "vocab.txt"))
     config = {"model": asdict(model.config), command: asdict(cfg)}
     if labels:
         config["labels"] = labels
@@ -298,7 +306,7 @@ def _write_training_run(output_dir: str, command: str, cfg, model: Model,
             json.dump({"labels": labels}, f)
             f.write("\n")
     _write_manifest(os.path.join(output_dir, "manifest.json"), command, config,
-                    [*inputs, vocab_path], outputs,
+                    inputs, outputs,
                     parameter_count=parameter_count(model.config,
                                                     model.num_classes),
                     seeds={"model_init": model.init_seed, command: cfg.seed},
@@ -312,10 +320,11 @@ def _pretrain(texts: Sequence[str], corpus_path: str, vocab: Vocabulary,
     and write what `pretrain` writes to `output_dir`: checkpoints,
     trainlog.jsonl, vocab.txt, manifest.json. Returns the line `pretrain`
     prints."""
+    inputs = _digests([corpus_path, _checkpoint_manifest(init_checkpoint),
+                       vocab_path])
     os.makedirs(output_dir, exist_ok=True)
     log = pretrain(texts, vocab, model, pcfg, checkpoint_dir=output_dir)
-    _write_training_run(output_dir, "pretrain", pcfg, model, log,
-                        [corpus_path, _checkpoint_manifest(init_checkpoint)],
+    _write_training_run(output_dir, "pretrain", pcfg, model, log, inputs,
                         vocab_path, ["final", "trainlog.jsonl", "vocab.txt"],
                         num_texts=len(texts))
     final_loss = log.steps[-1].loss if log.steps else "n/a"
@@ -331,11 +340,12 @@ def _finetune(train: Sequence[LabeledInstance], train_path: str,
     and write what `finetune` writes to `output_dir`: best/, final/,
     trainlog.jsonl, vocab.txt, labels.json, manifest.json. Returns the line
     `finetune` prints."""
+    inputs = _digests([train_path, _checkpoint_manifest(init_checkpoint),
+                       vocab_path])
     os.makedirs(output_dir, exist_ok=True)
     log = finetune(train, vocab, model, fcfg, labels, checkpoint_dir=output_dir)
     save_checkpoint(model, os.path.join(output_dir, "final"))
-    _write_training_run(output_dir, "finetune", fcfg, model, log,
-                        [train_path, _checkpoint_manifest(init_checkpoint)],
+    _write_training_run(output_dir, "finetune", fcfg, model, log, inputs,
                         vocab_path, ["best", "final", "trainlog.jsonl",
                                      "vocab.txt", "labels.json"],
                         labels, num_examples=len(train))
@@ -360,6 +370,7 @@ def _evaluate(data: Sequence[LabeledInstance], data_path: str,
     `data_path` and the files in `read` among its inputs. Returns the
     report and the text `evaluate` prints."""
     _check_scorable(data, data_path)
+    inputs = _digests([data_path, *read])
     preds_idx = predict_class_ids([d.text for d in data], vocab, model,
                                   max_len, batch_size=batch_size)
     preds = [labels[i] for i in preds_idx]
@@ -379,7 +390,7 @@ def _evaluate(data: Sequence[LabeledInstance], data_path: str,
         f.write(text)
     _write_manifest(os.path.join(output_dir, "manifest.json"), "evaluate",
                     {"labels": labels, "max_len": max_len, "format": fmt},
-                    [data_path, *read], ["predictions.tsv", report_name],
+                    inputs, ["predictions.tsv", report_name],
                     macro_f1=report.macro_f1, accuracy=report.accuracy)
     return report, text
 
@@ -598,6 +609,7 @@ def cmd_sweep(args) -> int:
                    test_path, args.dataset_id or dataset_id, vocab, labels,
                    model, pcfg, fcfg, args)
              for index, (bounds, selected) in enumerate(zip(bins, selections))]
+    inputs = _digests([args.scored, args.train, args.eval, args.vocab])
     workers = _sweep_workers(len(cells))
     blas_threads = _blas_threads(workers)
     reports = _run_cells(cells, workers, blas_threads)
@@ -615,7 +627,7 @@ def cmd_sweep(args) -> int:
         {"model": asdict(model.config), "pretrain": asdict(pcfg),
          "finetune": asdict(fcfg), "labels": labels,
          "bins": [list(b) for b in bins]},
-        [args.scored, args.train, args.eval, args.vocab],
+        inputs,
         [f"sweep.{ext}", f"models.{ext}", *(f"bin-{i}" for i in range(len(bins)))],
         seeds={"model_init": args.model_seed, "pretrain": pcfg.seed,
                "finetune": fcfg.seed},

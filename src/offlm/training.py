@@ -28,6 +28,7 @@ Example = tuple[list[int], int]  # a text's unpadded token ids and its class id
 # BERT's replacement of a selected token: [MASK], a random token, or kept
 REPLACE_MASK_FRAC = 0.8
 REPLACE_RANDOM_FRAC = 0.1
+MAX_GRAD_NORM = 1.0  # BERT's bound on the global gradient norm
 
 
 @dataclass
@@ -44,7 +45,6 @@ class PretrainConfig:
     max_len: int = 512
     lr: float = 5e-5
     mask_prob: float = 0.15
-    max_grad_norm: float = 1.0
     checkpoint_every: int = 0  # steps between mid-run checkpoints; 0 = end only
     seed: int = 0
 
@@ -55,8 +55,8 @@ class PretrainConfig:
             raise ConfigError("epochs >= 0, batch_size >= 1, max_len >= 3 required")
         if self.checkpoint_every < 0 or self.seed < 0:
             raise ConfigError("checkpoint_every and seed must be >= 0")
-        if not (0 < self.lr < math.inf and 0 < self.max_grad_norm < math.inf):
-            raise ConfigError("lr and max_grad_norm must be positive and finite")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,11 @@ class FinetuneConfig:
     epochs: int = 3
     batch_size: int = 8
     lr: float = 1e-4
-    adam_epsilon: float = 1e-8
     warmup_ratio: float = 0.1
-    max_grad_norm: float = 1.0
     max_len: int = 140
-    gradient_accumulation_steps: int = 1
     eval_patience: int = 10
     eval_fraction: float = 0.2
     evals_per_epoch: int = 5
-    eval_every: Optional[int] = None  # optimizer steps; None = derive from above
     seed: int = 0
 
     def __post_init__(self):
@@ -84,16 +80,12 @@ class FinetuneConfig:
             raise ConfigError("eval_fraction must be in (0, 1)")
         if self.epochs < 0 or self.batch_size < 1 or self.max_len < 3:
             raise ConfigError("epochs >= 0, batch_size >= 1, max_len >= 3 required")
-        if self.gradient_accumulation_steps < 1 or self.evals_per_epoch < 1:
-            raise ConfigError("accumulation and evals_per_epoch must be >= 1")
-        if self.eval_every is not None and self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1 when given")
+        if self.evals_per_epoch < 1:
+            raise ConfigError("evals_per_epoch must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if not all(0 < x < math.inf for x in (self.lr, self.max_grad_norm,
-                                              self.adam_epsilon)):
-            raise ConfigError("lr, max_grad_norm, adam_epsilon must be "
-                              "positive and finite")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be positive and finite")
 
 
 @dataclass
@@ -102,7 +94,7 @@ class StepRecord:
     loss: float
     lr: float
     grad_norm: float
-    tokens: int     # real (attention 1) tokens in the step's batch(es)
+    tokens: int     # real (attention 1) tokens in the step's batch
     positions: int  # B x n positions of the collated batch, after the cut to n
 
 
@@ -218,6 +210,16 @@ def _spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
+def _epochs(items: Sequence, cfg, shuffle_rng: np.random.Generator):
+    """(epoch, batch) over `cfg.epochs` shuffled passes through `items` in
+    batches of `cfg.batch_size`; each epoch's shuffle seed is drawn from
+    `shuffle_rng` when that epoch begins."""
+    for epoch in range(cfg.epochs):
+        seed = int(shuffle_rng.integers(2 ** 63))
+        for batch in make_batches(items, cfg.batch_size, shuffle=True, seed=seed):
+            yield epoch, batch
+
+
 def _stack_batch(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Collate into int64 [B, n] ids and attention mask. n is the longest
     sequence; shorter rows are padded with 0, the [PAD] id. Nothing else
@@ -258,34 +260,29 @@ def pretrain(texts: Sequence[str], vocab: Vocabulary, model: Model,
     tensors = [t for _, t in named]
     state = AdamState()
     log = TrainLog()
-    step = 0
-    for epoch in range(cfg.epochs):
-        epoch_seed = int(shuffle_rng.integers(2 ** 63))
-        for batch in make_batches(seqs, cfg.batch_size, shuffle=True,
-                                  seed=epoch_seed):
-            step += 1
-            ids, attn = _stack_batch(batch)
-            masked = mask_tokens(ids, vocab, cfg, mask_rng)
-            # a batch with no masked token skips the update but is still logged
-            record = StepRecord(step, 0.0, cfg.lr, 0.0, int(attn.sum()), attn.size)
-            if masked.mask_indicator.any():
-                try:
-                    ag.zero_grads(tensors)
-                    loss = mlm_batch_loss(model, masked.input_ids, attn, ids,
-                                          masked.mask_indicator, train_mode=True,
-                                          rng=dropout_rng)
-                    ag.backward(loss)
-                    record.grad_norm = clip_global_norm(tensors, cfg.max_grad_norm)
-                    adam_step(named, state, cfg.lr)
-                except NumericError as e:
-                    raise NumericError(
-                        f"pretraining aborted at epoch {epoch} step {step} "
-                        f"(lr {cfg.lr}): {e}") from e
-                record.loss = float(loss.item())
-            log.steps.append(record)
-            if (checkpoint_dir and cfg.checkpoint_every > 0
-                    and step % cfg.checkpoint_every == 0):
-                save_checkpoint(model, os.path.join(checkpoint_dir, f"step-{step}"))
+    for step, (epoch, batch) in enumerate(_epochs(seqs, cfg, shuffle_rng), 1):
+        ids, attn = _stack_batch(batch)
+        masked = mask_tokens(ids, vocab, cfg, mask_rng)
+        # a batch with no masked token skips the update but is still logged
+        record = StepRecord(step, 0.0, cfg.lr, 0.0, int(attn.sum()), attn.size)
+        if masked.mask_indicator.any():
+            try:
+                ag.zero_grads(tensors)
+                loss = mlm_batch_loss(model, masked.input_ids, attn, ids,
+                                      masked.mask_indicator, train_mode=True,
+                                      rng=dropout_rng)
+                ag.backward(loss)
+                record.grad_norm = clip_global_norm(tensors, MAX_GRAD_NORM)
+                adam_step(named, state, cfg.lr)
+            except NumericError as e:
+                raise NumericError(
+                    f"pretraining aborted at epoch {epoch} step {step} "
+                    f"(lr {cfg.lr}): {e}") from e
+            record.loss = float(loss.item())
+        log.steps.append(record)
+        if (checkpoint_dir and cfg.checkpoint_every > 0
+                and step % cfg.checkpoint_every == 0):
+            save_checkpoint(model, os.path.join(checkpoint_dir, f"step-{step}"))
     log.stop_reason = "epochs_exhausted"
     if checkpoint_dir:
         save_checkpoint(model, os.path.join(checkpoint_dir, "final"))
@@ -350,8 +347,8 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
              model: Model, cfg: FinetuneConfig, labels: Sequence[str],
              checkpoint_dir: Optional[str] = None) -> TrainLog:
     """Classification fine-tuning with warmup/decay schedule, clipping,
-    gradient accumulation, periodic evaluation on a carved-out slice,
-    and early stopping with best-parameter restoration.
+    one optimizer step per batch, periodic evaluation on a carved-out
+    slice, and early stopping with best-parameter restoration.
 
     Mutates the model in place; on return the parameters are those of
     the best evaluation. With a checkpoint directory, `best/` holds the
@@ -381,11 +378,9 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
             f"eval_fraction {cfg.eval_fraction}")
 
     shuffle_rng, dropout_rng = _spawn_rngs(cfg.seed, 2)
-    accum = cfg.gradient_accumulation_steps
-    micro_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
-    steps_per_epoch = math.ceil(micro_per_epoch / accum)
+    steps_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
     total_steps = max(1, steps_per_epoch * cfg.epochs)
-    eval_every = cfg.eval_every or max(1, steps_per_epoch // cfg.evals_per_epoch)
+    eval_every = max(1, steps_per_epoch // cfg.evals_per_epoch)
 
     named = model.named_params()
     tensors = [t for _, t in named]
@@ -393,7 +388,7 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
     stopper = EarlyStopper(cfg.eval_patience)
     best = _snapshot(model)
     log = TrainLog()
-    opt_step = 0
+    step = 0
     stopped = False
 
     def run_eval() -> bool:
@@ -404,43 +399,30 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
             best = _snapshot(model)
             if checkpoint_dir:
                 save_checkpoint(model, os.path.join(checkpoint_dir, "best"))
-        log.evals.append(EvalRecord(opt_step, stopper.num_evals, loss,
+        log.evals.append(EvalRecord(step, stopper.num_evals, loss,
                                     stopper.improved))
         return should_stop
 
-    for epoch in range(cfg.epochs):
-        if stopped:
+    for epoch, batch in _epochs(train_set, cfg, shuffle_rng):
+        try:
+            ag.zero_grads(tensors)
+            loss, attn = _class_loss(model, batch, "mean", True, dropout_rng)
+            ag.backward(loss)
+            lr = lr_at(step, total_steps, cfg.lr, cfg.warmup_ratio)
+            norm = clip_global_norm(tensors, MAX_GRAD_NORM)
+            adam_step(named, state, lr)
+        except NumericError as e:
+            raise NumericError(
+                f"fine-tuning aborted at epoch {epoch} optimizer step "
+                f"{step}: {e}") from e
+        step += 1
+        log.steps.append(StepRecord(step, float(loss.item()), lr, norm,
+                                    int(attn.sum()), attn.size))
+        if step % eval_every == 0 and run_eval():
+            stopped = True
             break
-        epoch_seed = int(shuffle_rng.integers(2 ** 63))
-        micro_batches = list(make_batches(train_set, cfg.batch_size,
-                                          shuffle=True, seed=epoch_seed))
-        for group_start in range(0, len(micro_batches), accum):
-            group = micro_batches[group_start:group_start + accum]
-            try:
-                ag.zero_grads(tensors)
-                group_loss, tokens, positions = 0.0, 0, 0
-                for micro in group:
-                    loss, attn = _class_loss(model, micro, "mean", True, dropout_rng)
-                    loss = loss / len(group)
-                    ag.backward(loss)
-                    group_loss += float(loss.item())
-                    tokens, positions = tokens + int(attn.sum()), positions + attn.size
-                lr = lr_at(opt_step, total_steps, cfg.lr, cfg.warmup_ratio)
-                norm = clip_global_norm(tensors, cfg.max_grad_norm)
-                adam_step(named, state, lr, epsilon=cfg.adam_epsilon)
-            except NumericError as e:
-                raise NumericError(
-                    f"fine-tuning aborted at epoch {epoch} optimizer step "
-                    f"{opt_step}: {e}") from e
-            opt_step += 1
-            log.steps.append(StepRecord(opt_step, group_loss, lr, norm,
-                                        tokens, positions))
-            if opt_step % eval_every == 0:
-                if run_eval():
-                    stopped = True
-                    break
 
-    if not stopped and (opt_step == 0 or opt_step % eval_every != 0):
+    if not stopped and (step == 0 or step % eval_every != 0):
         stopped = run_eval()
     log.stop_reason = "early_stopping" if stopped else "epochs_exhausted"
     _restore(model, best)

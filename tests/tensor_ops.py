@@ -2,9 +2,9 @@
 
 `softmax` and `tensor_sum` are ops in the style of `offlm.autograd`, and
 importing this module gives `Tensor` its operator sugar (`+`, `-`, `*`,
-unary `-`, `@`, indexing) and `.backward()`. The encoder and the losses
-need none of them: the fused attention and cross-entropy ops do their
-own softmax. `tests/conftest.py` imports this module, so every test
+`/` by a number, unary `-`, `@`, indexing) and `.backward()`. The
+encoder and the losses need none of them: the fused attention and
+cross-entropy ops do their own softmax. `tests/conftest.py` imports this module, so every test
 module has the sugar.
 """
 
@@ -57,5 +57,6 @@ Tensor.__sub__ = lambda self, other: ag.add(self, ag.mul(_wrap(other, self), _wr
 Tensor.__mul__ = lambda self, other: ag.mul(self, _wrap(other, self))
 Tensor.__rmul__ = lambda self, other: ag.mul(_wrap(other, self), self)
 Tensor.__neg__ = lambda self: ag.mul(self, _wrap(-1.0, self))
+Tensor.__truediv__ = lambda self, number: ag.mul(self, _wrap(1.0 / number, self))
 Tensor.__matmul__ = lambda self, other: ag.matmul(self, other)
 Tensor.__getitem__ = lambda self, key: ag.take(self, key)

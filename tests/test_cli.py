@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -154,7 +155,6 @@ EXPECTED_SURFACE = {
         (("--intermediate-size",), "int", None, False, None, "_StoreAction"),
         (("--lr",), "float", None, False, None, "_StoreAction"),
         (("--mask-prob",), "float", None, False, None, "_StoreAction"),
-        (("--max-grad-norm",), "float", None, False, None, "_StoreAction"),
         (("--max-len",), "int", None, False, None, "_StoreAction"),
         (("--max-position",), "int", None, False, None, "_StoreAction"),
         (("--model-seed",), "int", 0, False, None, "_StoreAction"),
@@ -168,13 +168,10 @@ EXPECTED_SURFACE = {
         (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
     },
     "finetune": {
-        (("--accumulation-steps",), "int", None, False, None, "_StoreAction"),
-        (("--adam-epsilon",), "float", None, False, None, "_StoreAction"),
         (("--batch-size",), "int", None, False, None, "_StoreAction"),
         (("--config",), None, None, False, None, "_StoreAction"),
         (("--dropout-rate",), "float", None, False, None, "_StoreAction"),
         (("--epochs",), "int", None, False, None, "_StoreAction"),
-        (("--eval-every",), "int", None, False, None, "_StoreAction"),
         (("--eval-fraction",), "float", None, False, None, "_StoreAction"),
         (("--evals-per-epoch",), "int", None, False, None, "_StoreAction"),
         (("--hidden-size",), "int", None, False, None, "_StoreAction"),
@@ -183,7 +180,6 @@ EXPECTED_SURFACE = {
         (("--label-column",), None, "label", False, None, "_StoreAction"),
         (("--labels",), None, None, True, None, "_StoreAction"),
         (("--lr",), "float", None, False, None, "_StoreAction"),
-        (("--max-grad-norm",), "float", None, False, None, "_StoreAction"),
         (("--max-len",), "int", None, False, None, "_StoreAction"),
         (("--max-position",), "int", None, False, None, "_StoreAction"),
         (("--model-seed",), "int", 0, False, None, "_StoreAction"),
@@ -230,7 +226,6 @@ EXPECTED_SURFACE = {
         (("--labels",), None, None, True, None, "_StoreAction"),
         (("--lr",), "float", None, False, None, "_StoreAction"),
         (("--mask-prob",), "float", None, False, None, "_StoreAction"),
-        (("--max-grad-norm",), "float", None, False, None, "_StoreAction"),
         (("--max-len",), "int", None, False, None, "_StoreAction"),
         (("--max-position",), "int", None, False, None, "_StoreAction"),
         (("--model-seed",), "int", 0, False, None, "_StoreAction"),
@@ -250,6 +245,20 @@ EXPECTED_SURFACE = {
 
 def test_cli_surface_is_unchanged():
     assert cli_surface(build_parser()) == EXPECTED_SURFACE
+
+def test_readme_names_only_flags_the_cli_has():
+    """Every --flag the README names outside its Install and Benchmark
+    sections, which show pip's and the benchmark scripts' flags, is a flag
+    of some subcommand; the toy pipeline script's --workdir is the one
+    other flag it names."""
+    with open(os.path.join(PKG_ROOT, "README.md"), encoding="utf-8") as f:
+        sections = re.split(r"^## ", f.read(), flags=re.M)
+    named = {flag for section in sections
+             if section.split("\n", 1)[0] not in ("Install", "Benchmark")
+             for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", section)}
+    flags = {option for actions in cli_surface(build_parser()).values()
+             for options, *_ in actions for option in options}
+    assert named - flags - {"--workdir"} == set()
 
 
 def test_select_writes_rows_table_and_manifest(tmp_path):
@@ -716,22 +725,20 @@ def test_invalid_prep_config_exit_2(tmp_path, field, value, source):
     ("pretrain", "model", "tie_mlm_weights"),
     ("pretrain", "model", "layer_norm_epsilon"),
     ("pretrain", "pretrain", "replace_mask_frac"),
-    ("pretrain", "pretrain", "replace_random_frac")])
+    ("pretrain", "pretrain", "replace_random_frac"),
+    ("pretrain", "pretrain", "max_grad_norm"),
+    ("finetune", "finetune", "max_grad_norm"),
+    ("finetune", "finetune", "adam_epsilon"),
+    ("finetune", "finetune", "gradient_accumulation_steps"),
+    ("finetune", "finetune", "eval_every")])
 def test_removed_config_fields_exit_2(tmp_path, command, section, field):
     """Fields that no longer exist are config errors, like any unknown key."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {field: 0.1}}))
-    vocab = tmp_path / "vocab.txt"
-    vocab.write_text(TINY_VOCAB)
-    scored = os.path.join(FIXTURES, "scored.tsv")
-    out = tmp_path / "out"
-    args = {"preprocess": ("--input", scored, "--output", str(out)),
-            "pretrain": ("--corpus", scored, "--vocab", str(vocab),
-                         "--output-dir", str(out))}[command]
-    proc = run_cli(command, "--config", str(cfg), *args)
+    proc = run_cli(command, "--config", str(cfg), *command_args(command, tmp_path))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error:") and field in proc.stderr
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def command_args(command, tmp_path):
@@ -775,7 +782,7 @@ BAD_CONFIGS = {  # test id -> command, flags, config file
     "bool-for-int": ("finetune", (), {"finetune": {"epochs": True}}),
     "null-not-optional": ("pretrain", (), {"pretrain": {"lr": None}}),
     "float-for-optional-int": ("finetune", (),
-                               {"finetune": {"eval_every": 2.0}}),
+                               {"model": {"intermediate_size": 2.0}}),
     "string-for-int": ("preprocess", (), {"prep": {"min_words": "2"}}),
     "intermediate-size-negative": ("pretrain", ("--intermediate-size", "-1"), None),
     "intermediate-size-zero": ("pretrain", ("--intermediate-size", "0"), None),
@@ -799,17 +806,13 @@ def test_config_file_values_of_the_flag_types_are_accepted():
     Optional[int] field."""
     args = argparse.Namespace(command="evaluate")  # no flags for these sections
     assert cli._config({"pretrain": {"lr": 1}}, "pretrain", args).lr == 1
-    for every in (None, 3):
-        fcfg = cli._config({"finetune": {"eval_every": every}}, "finetune", args)
-        assert fcfg.eval_every == every
-    mcfg = cli._config({"model": {"intermediate_size": None}}, "model", args,
-                       vocab_size=7)
-    assert mcfg.intermediate_size == 4 * mcfg.hidden_size
+    for size in (None, 3):
+        mcfg = cli._config({"model": {"intermediate_size": size}}, "model",
+                           args, vocab_size=7)
+        assert mcfg.intermediate_size == (size or 4 * mcfg.hidden_size)
 
 
-@pytest.mark.parametrize("command,field", [
-    ("pretrain", "lr"), ("pretrain", "max_grad_norm"), ("finetune", "lr"),
-    ("finetune", "max_grad_norm"), ("finetune", "adam_epsilon")])
+@pytest.mark.parametrize("command,field", [("pretrain", "lr"), ("finetune", "lr")])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_non_finite_float_exit_2(tmp_path, capsys, monkeypatch, command, field,

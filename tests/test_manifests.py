@@ -126,6 +126,63 @@ def test_every_manifest_matches_the_golden_file(tmp_path, monkeypatch):
         assert got[name] == golden[name], name
 
 
+def run(*args) -> None:
+    assert cli.main([str(a) for a in args]) == 0, args
+
+
+def test_select_in_place_records_the_input_it_read(tmp_path, monkeypatch):
+    """select whose --output is its --input records the digest of the rows
+    it read, not of the rows it wrote over them."""
+    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
+    rows = tmp_path / "rows.tsv"
+    rows.write_bytes(Path(FIXTURES, "scored.tsv").read_bytes())
+    read = sha256(rows)
+    run("select", "--input", rows, "--lo", "0.5", "--output", rows)
+    assert sha256(rows) != read
+    manifest = json.loads((tmp_path / "rows.tsv.manifest.json").read_text())
+    assert manifest["inputs"] == {str(rows): read}
+
+
+def test_pretraining_continued_in_place_records_the_checkpoint_it_read(
+        tmp_path, monkeypatch):
+    """pretrain --init-checkpoint out/final --output-dir out records the
+    digest of the final/ it started from, not of the final/ it saved."""
+    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
+    config, vocab, out = (tmp_path / name for name in
+                          ("config.json", "vocab.txt", "pretrain"))
+    config.write_text(json.dumps(CONFIG))
+    scored = os.path.join(FIXTURES, "scored.tsv")
+    run("build-vocab", "--input", scored, "--size", "200", "--output", vocab)
+    pretrain = ("pretrain", "--config", config, "--corpus", scored,
+                "--vocab", vocab, "--output-dir", out)
+    run(*pretrain)
+    checkpoint = out / "final" / "manifest.json"
+    read = sha256(checkpoint)
+    run(*pretrain, "--init-checkpoint", out / "final")
+    assert sha256(checkpoint) != read
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"][str(checkpoint)] == read
+
+
+def test_pretraining_with_its_own_vocabulary_copy(tmp_path, monkeypatch):
+    """pretrain --vocab out/vocab.txt --output-dir out leaves vocab.txt as
+    it is and writes its manifest, rather than failing to copy the file
+    onto itself."""
+    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
+    config, out = tmp_path / "config.json", tmp_path / "pretrain"
+    config.write_text(json.dumps(CONFIG))
+    out.mkdir()
+    vocab = out / "vocab.txt"
+    scored = os.path.join(FIXTURES, "scored.tsv")
+    run("build-vocab", "--input", scored, "--size", "200", "--output", vocab)
+    before = vocab.read_bytes()
+    run("pretrain", "--config", config, "--corpus", scored, "--vocab", vocab,
+        "--output-dir", out)
+    assert vocab.read_bytes() == before
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"][str(vocab)] == sha256(vocab)
+
+
 if __name__ == "__main__":
     os.environ.pop("OFFLM_CONFIG", None)
     cli._sweep_workers = lambda cells: 1

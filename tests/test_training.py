@@ -344,25 +344,16 @@ def test_finetune_validates_labels():
 
 
 def test_finetune_evaluates_every_k_steps_and_after_the_last():
-    cfg = FinetuneConfig(epochs=2, batch_size=2, lr=1e-3, max_len=12,
-                         eval_fraction=0.25, eval_every=3, eval_patience=10, seed=3)
+    cfg = FinetuneConfig(epochs=3, batch_size=2, lr=1e-3, max_len=12,
+                         eval_fraction=0.25, evals_per_epoch=2, eval_patience=10,
+                         seed=3)
     log = finetune(labeled_pair_data(), VOCAB, small_model(seed=15), cfg,
                    labels=("feline", "canine"))
-    # 9 train rows -> 5 steps per epoch -> 10 steps, not a multiple of 3
-    assert len(log.steps) == 10
-    assert [e.step for e in log.evals] == [3, 6, 9, 10]
+    # 9 train rows -> 5 steps per epoch -> an eval every 5 // 2 = 2 steps;
+    # 15 steps is not a multiple of 2, so the last step adds one more
+    assert len(log.steps) == 15
+    assert [e.step for e in log.evals] == [2, 4, 6, 8, 10, 12, 14, 15]
     assert log.stop_reason == "epochs_exhausted"
-
-
-def test_finetune_gradient_accumulation_runs():
-    model = small_model(seed=8)
-    cfg = FinetuneConfig(epochs=1, batch_size=2, lr=1e-3, max_len=12,
-                         gradient_accumulation_steps=2, eval_fraction=0.25,
-                         evals_per_epoch=1, seed=2)
-    log = finetune(labeled_pair_data(), VOCAB, model, cfg,
-                   labels=("feline", "canine"))
-    # 9 train rows -> 5 micro-batches -> 3 optimizer steps
-    assert len(log.steps) == 3
 
 
 def test_evaluation_loss_matches_mean_cross_entropy_scale():
