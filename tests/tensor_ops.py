@@ -4,8 +4,8 @@
 importing this module gives `Tensor` its operator sugar (`+`, `-`, `*`,
 `/` by a number, unary `-`, `@`, indexing) and `.backward()`. The
 encoder and the losses need none of them: the fused attention and
-cross-entropy ops do their own softmax. `tests/conftest.py` imports this module, so every test
-module has the sugar.
+cross-entropy ops do their own softmax. `tests/conftest.py` imports
+this module, so every test module has the sugar.
 """
 
 from typing import Optional

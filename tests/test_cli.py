@@ -246,6 +246,7 @@ EXPECTED_SURFACE = {
 def test_cli_surface_is_unchanged():
     assert cli_surface(build_parser()) == EXPECTED_SURFACE
 
+
 def test_readme_names_only_flags_the_cli_has():
     """Every --flag the README names outside its Install and Benchmark
     sections, which show pip's and the benchmark scripts' flags, is a flag
