@@ -1,14 +1,18 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Provides exactly the primitives the encoder, the losses, and the
-optimizer need: broadcast-aware elementwise arithmetic, matmul, GELU,
-tanh, layer norm, embedding lookup, dropout, slicing/reshaping, a fused
+optimizer need: broadcast-aware addition, matmul, GELU, tanh, layer
+norm, embedding lookup, dropout, transpose, slicing and indexing, a fused
 multi-head self-attention over packed rows, and a fused masked
 cross-entropy. Working precision is float32; float64 is supported end
 to end for gradient verification.
 
 Every completed operation validates that its result is finite: NaN/Inf
 raises NumericError instead of propagating silently.
+
+Inside `with no_grad():` operations record no graph (each result's `ctx`
+is None), so an intermediate array is freed as soon as the code that
+made it drops it. Forward values are bitwise the same either way.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+_recording = True  # process-wide; False inside `no_grad`
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
@@ -86,6 +91,21 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
+class no_grad:
+    """Context manager under which operations record no graph, for forward
+    passes that no backward reads. Leaving the block, normally or by an
+    exception, restores the state it was entered in, so blocks nest."""
+
+    def __enter__(self) -> None:
+        global _recording
+        self._outer = _recording
+        _recording = False
+
+    def __exit__(self, *exc) -> None:
+        global _recording
+        _recording = self._outer
+
+
 def _from_op(data: np.ndarray, op: str, parents: Sequence[Tensor],
              backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     _check_finite(data, op)
@@ -94,7 +114,7 @@ def _from_op(data: np.ndarray, op: str, parents: Sequence[Tensor],
     out.grad = None
     out.requires_grad = False
     out.ctx = None
-    if any(p.requires_grad or p.ctx is not None for p in parents):
+    if _recording and any(p.requires_grad or p.ctx is not None for p in parents):
         out.ctx = GradContext(op, parents, backward_fn)
     return out
 
@@ -120,15 +140,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _from_op(out, "add", (a, b), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _from_op(out, "mul", (a, b), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -440,15 +451,6 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _from_op(x.data * keep, "dropout", (x,), bwd)
 
 
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    out = x.data.reshape(shape)
-
-    def bwd(g):
-        return (g.reshape(x.shape),)
-
-    return _from_op(out, "reshape", (x,), bwd)
-
-
 def transpose(x: Tensor, axes: tuple) -> Tensor:
     out = x.data.transpose(axes)
     inverse = tuple(np.argsort(axes))
@@ -530,10 +532,14 @@ def backward(loss: Tensor) -> None:
 
     Gradients add into the `.grad` buffers of requires_grad leaves, so a
     repeated backward without zero_grad accumulates. Each recorded node
-    is visited exactly once, in reverse topological order.
+    is visited exactly once, in reverse topological order. A loss with
+    no graph (made inside `no_grad`, or from constants) is a ConfigError.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if loss.ctx is None and not loss.requires_grad:
+        raise ConfigError("backward: the loss has no recorded graph (computed "
+                          "inside no_grad, or from constants only)")
 
     topo: list[Tensor] = []
     seen: set[int] = set()

@@ -146,25 +146,21 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
            train_mode: bool = False,
-           rng: Optional[np.random.Generator] = None,
-           rows: Optional[np.ndarray] = None) -> Tensor:
-    """Run the encoder stack. Returns hidden states [B, n, d]; the rows at
-    padding positions (attention_mask 0) are unspecified.
+           rng: Optional[np.random.Generator] = None, *,
+           rows: np.ndarray) -> Tensor:
+    """Run the encoder stack and return the final states [len(rows), d] of
+    `rows`, flat slot indices b*n + j of real positions (attention_mask
+    1), in the order given. A slot that is not a real position is a
+    DataError naming it.
 
     Every layer runs on the T real rows only, packed as [T, d]; the
     attention core is the one fused `ag.attention` node per layer, which
     places the rows in their B*n slots itself when there is padding. The
-    result is reshaped to [B, n, d] when there is no padding and gathered
-    into the slots otherwise. Dropout applies only when train_mode is set
-    (which requires rng).
-
-    With `rows`, flat slot indices b*n + j of real positions, the result
-    is those rows' states [len(rows), d] in the order given. The last
-    layer's attention takes them as its only queries, while all T rows
-    stay its keys and values, and everything after it (output
+    last layer's attention takes `rows` as its only queries, while all T
+    rows stay its keys and values, and everything after it (output
     projection, residual adds, layer norms, FFN, dropout) runs on the
-    requested rows only. A slot that is not a real position is a
-    DataError naming it.
+    requested rows only. Dropout applies only when train_mode is set
+    (which requires rng).
     """
     cfg = model.config
     p = model.params
@@ -174,7 +170,7 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
         raise ShapeError(
             f"ids {ids.shape} and attention_mask {attention_mask.shape} "
             f"must be equal 2-d shapes")
-    batch, seq_len = ids.shape
+    seq_len = ids.shape[1]
     if seq_len > cfg.max_position:
         raise DataError(
             f"sequence length {seq_len} exceeds max_position {cfg.max_position}")
@@ -187,7 +183,7 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
     real = np.flatnonzero(attention_mask)  # the slot b*n + j of each real token
     if real.size == 0:
         raise DataError("attention_mask has no real position")
-    picked = None if rows is None else _packed_index(real, rows)
+    picked = _packed_index(real, rows)
 
     def drop(t: Tensor) -> Tensor:
         if train_mode and cfg.dropout_rate > 0:
@@ -214,13 +210,7 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
         ffn_out = drop(_linear(hidden, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"]))
         x = ag.layer_norm(ag.add(x, ffn_out), p[f"{pre}.ffn_norm.gain"],
                           p[f"{pre}.ffn_norm.bias"], LAYER_NORM_EPSILON)
-    if picked is not None:
-        return x
-    if real.size == batch * seq_len:
-        return ag.reshape(x, (batch, seq_len, cfg.hidden_size))
-    slot = np.zeros(batch * seq_len, dtype=np.intp)  # packed row read by each slot
-    slot[real] = np.arange(real.size)
-    return ag.take(x, slot.reshape(batch, seq_len))
+    return x
 
 
 def _packed_index(real: np.ndarray, rows) -> np.ndarray:
@@ -236,8 +226,8 @@ def _packed_index(real: np.ndarray, rows) -> np.ndarray:
 
 def mlm_logits(hidden: Tensor, model: Model) -> Tensor:
     """Vocabulary scores [..., V] (pre-softmax) for hidden states [..., d],
-    e.g. [B, n, d] or the masked rows [m, d] that `encode(..., rows=...)`
-    returns, through the transposed token embedding."""
+    e.g. the masked rows [m, d] that `encode` returns, through the
+    transposed token embedding."""
     w = ag.transpose(model.params["token_embedding"], (1, 0))
     return ag.add(ag.matmul(hidden, w), model.params["mlm.bias"])
 

@@ -328,18 +328,20 @@ def _class_loss(model: Model, batch: Sequence[Example], reduction: str,
 def evaluation_loss(model: Model, examples: Sequence[Example], batch_size: int) -> float:
     """Mean classification cross-entropy over `tokenize_labeled` examples, no dropout."""
     total = 0.0
-    for batch in make_batches(examples, batch_size, shuffle=False):
-        total += float(_class_loss(model, batch, "sum")[0].item())
+    with ag.no_grad():
+        for batch in make_batches(examples, batch_size, shuffle=False):
+            total += float(_class_loss(model, batch, "sum")[0].item())
     return total / len(examples)
 
 
 def predict_class_ids(texts: Sequence[str], vocab: Vocabulary, model: Model,
                       max_len: int, batch_size: int = 32) -> list[int]:
-    """Argmax class index per text."""
+    """Argmax class index per text, recording no graph."""
     out: list[int] = []
-    for chunk in make_batches(texts, batch_size, shuffle=False):
-        logits, _ = _class_logits(model, [tokenize(t, vocab, max_len) for t in chunk])
-        out.extend(int(i) for i in np.argmax(logits.data, axis=-1))
+    with ag.no_grad():
+        for chunk in make_batches(texts, batch_size, shuffle=False):
+            logits, _ = _class_logits(model, [tokenize(t, vocab, max_len) for t in chunk])
+            out.extend(int(i) for i in np.argmax(logits.data, axis=-1))
     return out
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from offlm.autograd import no_grad
 from offlm.tokenizer import tokenize
 from offlm.training import _stack_batch, mlm_batch_loss
 
@@ -17,5 +18,6 @@ def pll_loss(model, texts, vocab, max_len):
     mask = np.zeros_like(targets)
     mask[np.arange(rows.size), cols] = 1
     inputs = np.where(mask == 1, vocab.mask_id, targets)
-    return float(mlm_batch_loss(model, inputs, attn[rows], targets, mask,
-                                train_mode=False, rng=None).item())
+    with no_grad():
+        return float(mlm_batch_loss(model, inputs, attn[rows], targets, mask,
+                                    train_mode=False, rng=None).item())

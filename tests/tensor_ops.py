@@ -1,11 +1,14 @@
 """Autograd conveniences that only the tests use.
 
-`softmax` and `tensor_sum` are ops in the style of `offlm.autograd`, and
-importing this module gives `Tensor` its operator sugar (`+`, `-`, `*`,
-`/` by a number, unary `-`, `@`, indexing) and `.backward()`. The
-encoder and the losses need none of them: the fused attention and
-cross-entropy ops do their own softmax. `tests/conftest.py` imports
-this module, so every test module has the sugar.
+`mul`, `reshape`, `softmax` and `tensor_sum` are ops in the style of
+`offlm.autograd`, `full_encode` assembles the encoder's states into
+[B, n, d], and importing this module gives `Tensor` its operator sugar
+(`+`, `-`, `*`, `/` by a number, unary `-`, `@`, indexing) and
+`.backward()`. The encoder and the losses need none of them: the fused
+attention and cross-entropy ops do their own softmax, and every
+`offlm` caller of `encode` asks for the rows it reads.
+`tests/conftest.py` imports this module, so every test module has the
+sugar.
 """
 
 from typing import Optional
@@ -13,8 +16,43 @@ from typing import Optional
 import numpy as np
 
 from offlm import autograd as ag
-from offlm.autograd import Tensor, _from_op
+from offlm.autograd import Tensor, _from_op, _unbroadcast
 from offlm.errors import ShapeError
+from offlm.model import encode
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    out = a.data * b.data
+
+    def bwd(g):
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+
+    return _from_op(out, "mul", (a, b), bwd)
+
+
+def reshape(x: Tensor, shape: tuple) -> Tensor:
+    out = x.data.reshape(shape)
+
+    def bwd(g):
+        return (g.reshape(x.shape),)
+
+    return _from_op(out, "reshape", (x,), bwd)
+
+
+def full_encode(ids, attention_mask, model, train_mode: bool = False,
+                rng: Optional[np.random.Generator] = None) -> Tensor:
+    """`encode`'s states for every real position, as [B, n, d]: reshaped
+    when there is no padding, gathered into the slots otherwise, so the
+    rows at padding positions are unspecified (they repeat row 0)."""
+    mask = np.asarray(attention_mask)
+    real = np.flatnonzero(mask)
+    states = encode(ids, mask, model, train_mode=train_mode, rng=rng, rows=real)
+    batch, seq_len = mask.shape
+    if real.size == mask.size:
+        return reshape(states, (batch, seq_len, states.shape[-1]))
+    slot = np.zeros(mask.size, dtype=np.intp)  # packed row read by each slot
+    slot[real] = np.arange(real.size)
+    return ag.take(states, slot.reshape(batch, seq_len))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -53,10 +91,10 @@ def _wrap(value, like: Tensor) -> Tensor:
 Tensor.backward = lambda self: ag.backward(self)
 Tensor.__add__ = lambda self, other: ag.add(self, _wrap(other, self))
 Tensor.__radd__ = lambda self, other: ag.add(_wrap(other, self), self)
-Tensor.__sub__ = lambda self, other: ag.add(self, ag.mul(_wrap(other, self), _wrap(-1.0, self)))
-Tensor.__mul__ = lambda self, other: ag.mul(self, _wrap(other, self))
-Tensor.__rmul__ = lambda self, other: ag.mul(_wrap(other, self), self)
-Tensor.__neg__ = lambda self: ag.mul(self, _wrap(-1.0, self))
-Tensor.__truediv__ = lambda self, number: ag.mul(self, _wrap(1.0 / number, self))
+Tensor.__sub__ = lambda self, other: ag.add(self, mul(_wrap(other, self), _wrap(-1.0, self)))
+Tensor.__mul__ = lambda self, other: mul(self, _wrap(other, self))
+Tensor.__rmul__ = lambda self, other: mul(_wrap(other, self), self)
+Tensor.__neg__ = lambda self: mul(self, _wrap(-1.0, self))
+Tensor.__truediv__ = lambda self, number: mul(self, _wrap(1.0 / number, self))
 Tensor.__matmul__ = lambda self, other: ag.matmul(self, other)
 Tensor.__getitem__ = lambda self, key: ag.take(self, key)

@@ -24,7 +24,6 @@ from offlm.evaluation import confusion, macro_f1
 from offlm.model import (
     ModelConfig,
     classify,
-    encode,
     init_params,
     load_checkpoint,
     mlm_logits,
@@ -35,12 +34,14 @@ from offlm.training import (
     FinetuneConfig,
     PretrainConfig,
     _stack_batch,
+    evaluation_loss,
     finetune,
     lr_at,
     mask_tokens,
-    predict_class_ids,
     pretrain,
+    tokenize_labeled,
 )
+from tensor_ops import full_encode, reshape
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -105,8 +106,8 @@ def test_gradients_match_finite_differences():
         row_mask = np.ones(2, dtype=np.int64)
 
         def loss():
-            hidden = encode(masked, attn, model, train_mode=False)
-            scores = ag.reshape(mlm_logits(hidden, model), (12, 16))
+            hidden = full_encode(masked, attn, model, train_mode=False)
+            scores = reshape(mlm_logits(hidden, model), (12, 16))
             mlm = ag.masked_cross_entropy(scores, targets, token_mask,
                                           reduction="mean")
             first = ag.take(hidden, (slice(None), 0))
@@ -237,11 +238,12 @@ def test_small_corpora_are_learnable(tmp_path):
                               eval_fraction=0.2, evals_per_epoch=2,
                               eval_patience=30, seed=13)
         finetune(rows, cvocab, cmodel, fcfg, labels=("not", "off"))
-        names = ("not", "off")
-        preds = [names[i] for i in predict_class_ids(
-            [r.text for r in rows], cvocab, cmodel, max_len=12)]
-        score = macro_f1(confusion(preds, [r.label for r in rows], names))
-        assert score == 1.0
+        # mean cross-entropy on the 20 rows, which depends on the restored
+        # weights alone: 0.0018-0.0140 over finetune seeds 13-18; 0.57-0.82
+        # after 1 epoch, 0.693 at lr 1e-6 or with no optimizer step (seeds
+        # 13-20). Seeds 19 and 20 do not learn at this lr (0.58 and 0.70).
+        examples = tokenize_labeled(rows, cvocab, {"not": 0, "off": 1}, fcfg.max_len)
+        assert evaluation_loss(cmodel, examples, len(examples)) < 0.1
         assert time.perf_counter() - start < 300.0
 
 
@@ -385,8 +387,8 @@ def test_seeded_runs_are_bitwise_identical(tmp_path):
 
         loaded = load_checkpoint(str(outs[0]))
         ids, attn = _stack_batch([tokenize(t, vocab, 12) for t in texts[:3]])
-        from_training = encode(ids, attn, models[0], train_mode=False).data
-        from_disk = encode(ids, attn, loaded, train_mode=False).data
+        from_training = full_encode(ids, attn, models[0], train_mode=False).data
+        from_disk = full_encode(ids, attn, loaded, train_mode=False).data
         assert from_training.tobytes() == from_disk.tobytes()
 
 

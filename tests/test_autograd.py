@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from offlm import autograd as ag
 from offlm.autograd import Tensor
-from offlm.errors import NumericError, ShapeError
-from tensor_ops import softmax, tensor_sum
+from offlm.errors import ConfigError, NumericError, ShapeError
+from tensor_ops import mul, reshape, softmax, tensor_sum
 
 
 def fd_grad(f, x, h=1e-6):
@@ -61,7 +61,7 @@ def test_add_broadcasts_and_unbroadcasts_grad():
     rng = np.random.default_rng(0)
     a = rand_tensor(rng, (4, 3))
     b = rand_tensor(rng, (3,))
-    check_grad(lambda: tensor_sum(ag.mul(ag.add(a, b), ag.add(a, b))), a, b)
+    check_grad(lambda: tensor_sum(mul(ag.add(a, b), ag.add(a, b))), a, b)
     assert b.grad.shape == (3,)
 
 
@@ -69,7 +69,7 @@ def test_mul_grad_matches_fd():
     rng = np.random.default_rng(1)
     a = rand_tensor(rng, (2, 5))
     b = rand_tensor(rng, (2, 5))
-    check_grad(lambda: tensor_sum(ag.mul(a, b)), a, b)
+    check_grad(lambda: tensor_sum(mul(a, b)), a, b)
 
 
 def test_scalar_operator_sugar():
@@ -118,7 +118,7 @@ def test_softmax_grad_matches_fd():
     rng = np.random.default_rng(5)
     x = rand_tensor(rng, (3, 6))
     w = Tensor(rng.standard_normal((3, 6)))
-    check_grad(lambda: tensor_sum(ag.mul(softmax(x), w)), x)
+    check_grad(lambda: tensor_sum(mul(softmax(x), w)), x)
 
 
 def test_gelu_against_definition():
@@ -221,7 +221,7 @@ def test_gelu_cdf_does_not_decrease_across_region_edge(dtype, step, edge):
 def test_tanh_grad_matches_fd():
     rng = np.random.default_rng(7)
     x = rand_tensor(rng, (10,))
-    check_grad(lambda: tensor_sum(ag.mul(ag.tanh(x), ag.tanh(x))), x)
+    check_grad(lambda: tensor_sum(mul(ag.tanh(x), ag.tanh(x))), x)
 
 
 def test_layer_norm_standardizes_rows():
@@ -241,7 +241,7 @@ def test_layer_norm_grad_matches_fd():
     bias = rand_tensor(rng, (8,))
     w = Tensor(rng.standard_normal((3, 8)))
     check_grad(
-        lambda: tensor_sum(ag.mul(ag.layer_norm(x, gain, bias, 1e-12), w)),
+        lambda: tensor_sum(mul(ag.layer_norm(x, gain, bias, 1e-12), w)),
         x, gain, bias, atol=1e-5)
 
 
@@ -304,8 +304,8 @@ def test_reshape_transpose_round_trip_grad():
     x = rand_tensor(rng, (2, 3, 4))
     check_grad(
         lambda: tensor_sum(
-            ag.mul(ag.transpose(ag.reshape(x, (6, 4)), (1, 0)),
-                   ag.transpose(ag.reshape(x, (6, 4)), (1, 0)))),
+            mul(ag.transpose(reshape(x, (6, 4)), (1, 0)),
+                   ag.transpose(reshape(x, (6, 4)), (1, 0)))),
         x)
 
 
@@ -324,7 +324,7 @@ def test_take_integer_rows_grad_matches_fd():
     x = rand_tensor(rng, (6, 3))
     w = Tensor(rng.standard_normal((3, 3)))
     rows = np.array([0, 2, 5])  # sorted and distinct, as np.flatnonzero gives
-    check_grad(lambda: tensor_sum(ag.mul(ag.take(x, rows), w)), x)
+    check_grad(lambda: tensor_sum(mul(ag.take(x, rows), w)), x)
 
 
 def test_take_repeated_rows_accumulate_grad():
@@ -335,7 +335,7 @@ def test_take_repeated_rows_accumulate_grad():
     y = rand_tensor(rng, (4, 3))
     w = Tensor(rng.standard_normal((5, 3)))
     rows = np.array([2, 0, 2, 3, 2])
-    check_grad(lambda: tensor_sum(ag.mul(ag.take(y, rows), w)), y)
+    check_grad(lambda: tensor_sum(mul(ag.take(y, rows), w)), y)
 
 
 THREE_SEQUENCES = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]])
@@ -370,7 +370,7 @@ def test_attention_grad_matches_fd(case):
     def build(rate=rate):  # a fresh generator per evaluation keeps the mask fixed
         out = ag.attention(x, *weights, *biases, mask, 2, rate, np.random.default_rng(5),
                            queries)
-        return tensor_sum(ag.mul(out, w))
+        return tensor_sum(mul(out, w))
 
     if rate:
         assert build().data != build(0.0).data
@@ -462,7 +462,7 @@ def test_masked_cross_entropy_validates_shapes():
 
 def test_backward_accumulates_through_shared_subgraph():
     x = Tensor([3.0], requires_grad=True)
-    y = ag.mul(x, x)
+    y = mul(x, x)
     ag.backward(tensor_sum(ag.add(y, y)))
     np.testing.assert_allclose(x.grad, [12.0])
 
@@ -473,9 +473,73 @@ def test_backward_requires_scalar():
         ag.backward(ag.add(x, x))
 
 
+def test_backward_refuses_a_loss_with_no_graph():
+    """A loss made inside no_grad, or from constants only, would update
+    nothing; backward says so instead of returning."""
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with ag.no_grad():
+        loss = tensor_sum(mul(x, x))
+    with pytest.raises(ConfigError, match="no_grad"):
+        ag.backward(loss)
+    assert x.grad is None
+    with pytest.raises(ConfigError, match="no_grad"):
+        ag.backward(tensor_sum(Tensor([1.0, 2.0])))
+    leaf = Tensor([3.0], requires_grad=True)  # a leaf is its own graph
+    ag.backward(leaf)
+    np.testing.assert_array_equal(leaf.grad, [1.0])
+
+
+def _one_of_each_op(x, w, b):
+    """One result of every op, on [6, 4] packed rows `x` of a [2, 4] mask."""
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]])
+    return [ag.add(x, b), ag.matmul(x, w), ag.gelu(x), ag.tanh(x),
+            ag.layer_norm(x, w[0], b, 1e-12),
+            ag.attention(x, w, w, w, b, b, b, mask, 2, 0.0, None),
+            ag.attention(x, w, w, w, b, b, b, mask, 2, 0.5, np.random.default_rng(1),
+                         queries=np.array([4, 0])),
+            ag.embedding(w, np.array([3, 0, 3])),
+            ag.dropout(x, 0.5, np.random.default_rng(0)),
+            ag.transpose(x, (1, 0)), ag.take(x, np.array([5, 0])), ag.take(x, (slice(1, 3), 2)),
+            ag.masked_cross_entropy(x, np.array([0, 1, 2, 3, 0, 1]), np.ones(6, dtype=int)),
+            mul(x, w[0]), reshape(x, (4, 6)), softmax(x), tensor_sum(x)]
+
+
+def test_no_grad_records_no_graph_and_keeps_every_value():
+    rng = np.random.default_rng(5)
+    x, w, b = rand_tensor(rng, (6, 4)), rand_tensor(rng, (4, 4)), rand_tensor(rng, (4,))
+    recorded = _one_of_each_op(x, w, b)
+    with ag.no_grad():
+        quiet = _one_of_each_op(x, w, b)
+    for loud, silent in zip(recorded, quiet):
+        assert loud.ctx is not None and silent.ctx is None, loud.ctx.op
+        assert loud.data.tobytes() == silent.data.tobytes(), loud.ctx.op
+    with pytest.raises(ConfigError):
+        ag.backward(quiet[-1])
+    assert x.grad is None and w.grad is None and b.grad is None
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    x = Tensor([1.0], requires_grad=True)
+
+    def records() -> bool:
+        return ag.add(x, x).ctx is not None
+
+    with ag.no_grad():
+        with ag.no_grad():
+            assert not records()
+        assert not records()
+        with pytest.raises(ShapeError), ag.no_grad():
+            ag.matmul(x, x)  # 1-d operands
+        assert not records()
+    assert records()
+    with pytest.raises(ShapeError), ag.no_grad():
+        ag.matmul(x, x)
+    assert records()
+
+
 def test_zero_grads_clears():
     x = Tensor([1.0], requires_grad=True)
-    ag.backward(tensor_sum(ag.mul(x, x)))
+    ag.backward(tensor_sum(mul(x, x)))
     assert x.grad is not None
     ag.zero_grads([x])
     assert x.grad is None
@@ -493,7 +557,7 @@ def test_deep_chain_does_not_recurse():
 def test_nonfinite_forward_raises():
     x = Tensor([1e308])
     with np.errstate(over="ignore"), pytest.raises(NumericError):
-        ag.mul(x, x)
+        mul(x, x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -528,7 +592,7 @@ def test_broadcast_grad_shapes_match_leaves(rows, cols, seed):
     a = Tensor(rng.standard_normal((rows, cols)), requires_grad=True)
     b = Tensor(rng.standard_normal((cols,)), requires_grad=True)
     c = Tensor(rng.standard_normal((rows, 1)), requires_grad=True)
-    ag.backward(tensor_sum(ag.mul(ag.add(a, b), c)))
+    ag.backward(tensor_sum(mul(ag.add(a, b), c)))
     assert a.grad.shape == a.shape
     assert b.grad.shape == b.shape
     assert c.grad.shape == c.shape

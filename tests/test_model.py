@@ -22,7 +22,7 @@ from offlm.model import (
     resolve_checkpoint,
     save_checkpoint,
 )
-from tensor_ops import softmax
+from tensor_ops import full_encode, reshape, softmax
 
 TINY = ModelConfig(vocab_size=16, num_layers=1, hidden_size=8, num_heads=2,
                    max_position=8, dropout_rate=0.0)
@@ -94,7 +94,7 @@ def test_encode_output_shape_and_dtype():
     m = tiny_model()
     rng = np.random.default_rng(0)
     ids, attn = sample_batch(rng, TINY)
-    hidden = encode(ids, attn, m)
+    hidden = full_encode(ids, attn, m)
     assert hidden.shape == (2, 6, 8)
     assert hidden.data.dtype == np.float32
 
@@ -103,13 +103,13 @@ def test_encode_validates_shapes():
     m = tiny_model()
     ids = np.zeros((2, 6), dtype=np.int64)
     with pytest.raises(ShapeError):
-        encode(ids, np.ones((2, 5), dtype=np.int64), m)
+        encode(ids, np.ones((2, 5), dtype=np.int64), m, rows=[0])
     # an over-long sequence is a data problem, not a plumbing one
     with pytest.raises(DataError):
         encode(np.zeros((2, TINY.max_position + 1), dtype=np.int64),
-               np.ones((2, TINY.max_position + 1), dtype=np.int64), m)
+               np.ones((2, TINY.max_position + 1), dtype=np.int64), m, rows=[0])
     with pytest.raises(DataError, match="no real position"):
-        encode(ids, np.zeros((2, 6), dtype=np.int64), m)
+        encode(ids, np.zeros((2, 6), dtype=np.int64), m, rows=[0])
 
 
 def test_padding_does_not_change_real_positions():
@@ -117,11 +117,11 @@ def test_padding_does_not_change_real_positions():
     m = tiny_model(seed=4)
     ids = np.array([[2, 6, 7, 8]])
     attn = np.array([[1, 1, 1, 1]])
-    base = encode(ids, attn, m).data
+    base = full_encode(ids, attn, m).data
 
     padded_ids = np.array([[2, 6, 7, 8, 0, 0]])
     padded_attn = np.array([[1, 1, 1, 1, 0, 0]])
-    padded = encode(padded_ids, padded_attn, m).data
+    padded = full_encode(padded_ids, padded_attn, m).data
 
     np.testing.assert_allclose(padded[0, :4], base[0], atol=1e-5)
 
@@ -129,8 +129,8 @@ def test_padding_does_not_change_real_positions():
 def test_pad_token_content_is_irrelevant():
     m = tiny_model(seed=4)
     attn = np.array([[1, 1, 1, 0, 0]])
-    a = encode(np.array([[2, 6, 7, 0, 0]]), attn, m).data
-    b = encode(np.array([[2, 6, 7, 9, 13]]), attn, m).data
+    a = full_encode(np.array([[2, 6, 7, 0, 0]]), attn, m).data
+    b = full_encode(np.array([[2, 6, 7, 9, 13]]), attn, m).data
     np.testing.assert_allclose(a[0, :3], b[0, :3], atol=1e-5)
 
 
@@ -152,7 +152,7 @@ def padded_encode(ids, attention_mask, model):
         return ag.add(ag.matmul(t, p[w]), p[b])
 
     def split_heads(t):
-        t = ag.reshape(t, (batch, seq_len, heads, head_size))
+        t = reshape(t, (batch, seq_len, heads, head_size))
         return ag.transpose(t, (0, 2, 1, 3))
 
     for i in range(cfg.num_layers):
@@ -163,7 +163,7 @@ def padded_encode(ids, attention_mask, model):
         scores = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))) * scale
         probs = softmax(ag.add(scores, key_bias), axis=-1)
         context = ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3))
-        context = ag.reshape(context, (batch, seq_len, cfg.hidden_size))
+        context = reshape(context, (batch, seq_len, cfg.hidden_size))
         attn_out = linear(context, f"{pre}.attn.wo", f"{pre}.attn.bo")
         x = ag.layer_norm(ag.add(x, attn_out), p[f"{pre}.attn_norm.gain"],
                           p[f"{pre}.attn_norm.bias"], LAYER_NORM_EPSILON)
@@ -192,7 +192,7 @@ def test_packed_encode_matches_padded_oracle():
     def run(encoder):
         model = init_params(cfg, seed=3, dtype=np.float64)
         hidden = encoder(ids, attn, model)
-        rows = ag.take(ag.reshape(hidden, (-1, cfg.hidden_size)), masked)
+        rows = ag.take(reshape(hidden, (-1, cfg.hidden_size)), masked)
         loss = ag.add(
             ag.masked_cross_entropy(mlm_logits(rows, model), targets,
                                     np.ones_like(targets), reduction="mean"),
@@ -201,7 +201,7 @@ def test_packed_encode_matches_padded_oracle():
         ag.backward(loss)
         return hidden.data, {name: t.grad for name, t in model.params.items()}
 
-    hidden, grads = run(encode)
+    hidden, grads = run(full_encode)
     want_hidden, want_grads = run(padded_encode)
     real = attn.astype(bool)
     np.testing.assert_allclose(hidden[real], want_hidden[real], rtol=1e-10)
@@ -231,7 +231,7 @@ def test_unpadded_encode_matches_padded_oracle():
     def run(encoder):
         model = init_params(cfg, seed=3, dtype=np.float64)
         hidden = encoder(ids, attn, model)
-        rows = ag.take(ag.reshape(hidden, (-1, cfg.hidden_size)), masked)
+        rows = ag.take(reshape(hidden, (-1, cfg.hidden_size)), masked)
         loss = ag.add(
             ag.masked_cross_entropy(mlm_logits(rows, model), targets,
                                     np.ones_like(targets), reduction="mean"),
@@ -240,7 +240,7 @@ def test_unpadded_encode_matches_padded_oracle():
         ag.backward(loss)
         return hidden.data, {name: t.grad for name, t in model.params.items()}
 
-    hidden, grads = run(encode)
+    hidden, grads = run(full_encode)
     want_hidden, want_grads = run(padded_encode)
     np.testing.assert_allclose(hidden, want_hidden, rtol=1e-10)
     assert set(grads) == set(want_grads)
@@ -258,7 +258,7 @@ def test_encode_draws_dropout_masks_in_layer_order():
     cfg = ModelConfig(**{**TINY.__dict__, "num_layers": 2, "dropout_rate": 0.1})
     ids, attn = sample_batch(np.random.default_rng(6), cfg)
     rng = np.random.default_rng(17)
-    encode(ids, attn, init_params(cfg, seed=0), train_mode=True, rng=rng)
+    full_encode(ids, attn, init_params(cfg, seed=0), train_mode=True, rng=rng)
     want = np.random.default_rng(17)
     (batch, seq_len), rows, width = attn.shape, int(attn.sum()), cfg.hidden_size
     want.random((rows, width))
@@ -272,12 +272,12 @@ def test_encode_draws_dropout_masks_in_layer_order():
 @pytest.mark.parametrize("padded", [False, True])
 def test_encode_runs_one_attention_node_per_layer(padded):
     """No per-layer gathers, transposes, softmax or reshapes: the only
-    shape op left is the final reshape (no padding) or gather (padding)."""
+    shape op left is the last layer's gather of the requested rows."""
     cfg = ModelConfig(**{**TINY.__dict__, "num_layers": 2})
     ids, attn = sample_batch(np.random.default_rng(7), cfg)
     if not padded:
         attn = np.ones_like(attn)
-    hidden = encode(ids, attn, init_params(cfg, seed=0))
+    hidden = encode(ids, attn, init_params(cfg, seed=0), rows=np.flatnonzero(attn))
     ops, stack, seen = [], [hidden], set()
     while stack:
         node = stack.pop()
@@ -287,8 +287,8 @@ def test_encode_runs_one_attention_node_per_layer(padded):
         ops.append(node.ctx.op)
         stack.extend(node.ctx.parents)
     assert ops.count("attention") == cfg.num_layers
-    assert ops[0] == ("take" if padded else "reshape")
-    assert not {"take", "reshape", "transpose", "softmax"} & set(ops[1:])
+    assert ops.count("take") == 1
+    assert not {"reshape", "transpose", "softmax"} & set(ops)
 
 
 def rows_batch(padded):
@@ -325,7 +325,7 @@ def test_encode_rows_match_full_encode(padded):
         if with_rows:
             states = encode(ids, attn, model, rows=rows)
         else:
-            states = ag.take(ag.reshape(encode(ids, attn, model), (-1, cfg.hidden_size)),
+            states = ag.take(reshape(full_encode(ids, attn, model), (-1, cfg.hidden_size)),
                              rows)
         loss = ag.add(
             ag.masked_cross_entropy(mlm_logits(states[batch:], model), targets,
@@ -407,13 +407,13 @@ def test_mlm_logits_shape_and_weight_tying():
     m = tiny_model()
     rng = np.random.default_rng(1)
     ids, attn = sample_batch(rng, TINY)
-    hidden = encode(ids, attn, m)
+    hidden = full_encode(ids, attn, m)
     logits = mlm_logits(hidden, m)
     assert logits.shape == (2, 6, 16)
     # tied head: moving an embedding row moves the corresponding logit
-    before = mlm_logits(encode(ids, attn, m), m).data
+    before = mlm_logits(full_encode(ids, attn, m), m).data
     m.params["token_embedding"].data[7] += 1.0
-    after = mlm_logits(encode(ids, attn, m), m).data
+    after = mlm_logits(full_encode(ids, attn, m), m).data
     assert not np.allclose(before[..., 7], after[..., 7])
 
 
@@ -421,7 +421,7 @@ def test_classify_shape():
     m = tiny_model()
     rng = np.random.default_rng(2)
     ids, attn = sample_batch(rng, TINY)
-    logits = classify(encode(ids, attn, m)[:, 0], m)
+    logits = classify(full_encode(ids, attn, m)[:, 0], m)
     assert logits.shape == (2, 2)
 
 
@@ -429,8 +429,8 @@ def test_eval_mode_is_deterministic_despite_dropout_config():
     m = tiny_model(seed=5, dropout_rate=0.3)
     rng = np.random.default_rng(3)
     ids, attn = sample_batch(rng, m.config)
-    a = encode(ids, attn, m, train_mode=False).data
-    b = encode(ids, attn, m, train_mode=False).data
+    a = full_encode(ids, attn, m, train_mode=False).data
+    b = full_encode(ids, attn, m, train_mode=False).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -438,8 +438,8 @@ def test_train_mode_dropout_perturbs_outputs():
     m = tiny_model(seed=5, dropout_rate=0.3)
     rng = np.random.default_rng(3)
     ids, attn = sample_batch(rng, m.config)
-    a = encode(ids, attn, m, train_mode=True, rng=np.random.default_rng(1)).data
-    b = encode(ids, attn, m, train_mode=True, rng=np.random.default_rng(2)).data
+    a = full_encode(ids, attn, m, train_mode=True, rng=np.random.default_rng(1)).data
+    b = full_encode(ids, attn, m, train_mode=True, rng=np.random.default_rng(2)).data
     assert not np.array_equal(a, b)
 
 
@@ -455,8 +455,8 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
 
     rng = np.random.default_rng(4)
     ids, attn = sample_batch(rng, TINY)
-    np.testing.assert_array_equal(encode(ids, attn, m).data,
-                                  encode(ids, attn, loaded).data)
+    np.testing.assert_array_equal(full_encode(ids, attn, m).data,
+                                  full_encode(ids, attn, loaded).data)
 
 
 def assert_params_bitwise(model, want):
@@ -601,7 +601,7 @@ def test_float64_init_for_verification():
     assert all(t.data.dtype == np.float64 for t in m.params.values())
     rng = np.random.default_rng(5)
     ids, attn = sample_batch(rng, TINY)
-    assert encode(ids, attn, m).data.dtype == np.float64
+    assert full_encode(ids, attn, m).data.dtype == np.float64
 
 
 def _drop_key(table, key):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,7 @@ from offlm import autograd as ag
 from offlm import training
 from offlm.corpus import LabeledInstance
 from offlm.errors import ConfigError, DataError
-from offlm.model import (ModelConfig, classify, encode, init_params,
-                         load_checkpoint, mlm_logits)
+from offlm.model import ModelConfig, classify, init_params, load_checkpoint, mlm_logits
 from offlm.tokenizer import build_vocab, tokenize
 from offlm.training import (
     EarlyStopper,
@@ -29,6 +29,7 @@ from offlm.training import (
     pretrain,
     tokenize_labeled,
 )
+from tensor_ops import full_encode, reshape
 
 TEXTS = [
     "the cat sat on the mat",
@@ -375,6 +376,60 @@ def test_predict_class_ids_batch_size_invariant():
     assert set(a) <= {0, 1}
 
 
+@pytest.mark.parametrize("texts", [TEXTS, MIXED], ids=["unpadded", "padded"])
+def test_evaluation_and_prediction_equal_the_recorded_forward(texts):
+    """Run inside no_grad, prediction and the evaluation loss are bitwise
+    what the same forward gives while it records its graph."""
+    model = small_model(seed=3)
+    seqs = [tokenize(t, VOCAB, 12) for t in texts]
+    logits, attn = training._class_logits(model, seqs)
+    assert logits.ctx is not None and (attn == 0).any() == (texts is MIXED)
+    with ag.no_grad():
+        quiet, _ = training._class_logits(model, seqs)
+    assert quiet.ctx is None and quiet.data.tobytes() == logits.data.tobytes()
+    assert predict_class_ids(texts, VOCAB, model, max_len=12, batch_size=len(texts)) == [
+        int(i) for i in np.argmax(logits.data, axis=-1)]
+    examples = [(s, i % 2) for i, s in enumerate(seqs)]
+    loss, _ = training._class_loss(model, examples, "sum")
+    assert loss.ctx is not None
+    assert evaluation_loss(model, examples, len(examples)) == float(loss.item()) / len(examples)
+
+
+def test_predict_class_ids_peak_memory_does_not_grow_with_batches():
+    """No batch's graph outlives it: the traced peak over 4 batches stays
+    within 1.1x of one batch's (1.03x; 1.81x while each batch kept its
+    graph alive until the next one replaced it)."""
+    model = small_model(seed=4, hidden_size=32)
+    texts = TEXTS * 4
+
+    def peak(chunk) -> int:
+        tracemalloc.start()
+        try:
+            predict_class_ids(chunk, VOCAB, model, max_len=12, batch_size=8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    predict_class_ids(texts, VOCAB, model, max_len=12, batch_size=8)  # warm caches
+    one, four = peak(texts[:8]), peak(texts)
+    assert four <= 1.1 * one, (one, four)
+
+
+def test_training_loops_refuse_to_run_inside_no_grad():
+    """A step whose loss has no graph would update nothing and still log a
+    loss; both loops stop at their first step instead."""
+    model = small_model(seed=5)
+    before = {name: t.data.copy() for name, t in model.params.items()}
+    with ag.no_grad():
+        with pytest.raises(ConfigError, match="no_grad"):
+            pretrain(TEXTS, VOCAB, model, PretrainConfig(epochs=1, batch_size=4, max_len=12))
+        with pytest.raises(ConfigError, match="no_grad"):
+            finetune(labeled_pair_data(), VOCAB, model, FinetuneConfig(max_len=12),
+                     labels=("feline", "canine"))
+    for name, t in model.params.items():
+        assert t.data.tobytes() == before[name].tobytes(), name
+
+
 # --- logs -------------------------------------------------------------------
 
 
@@ -440,9 +495,9 @@ def test_stack_batch_matches_pad_then_cut_oracle(data):
 
 def _full_projection_loss(model, input_ids, attn, targets, mask):
     """The MLM loss that projected every position onto the vocabulary."""
-    logits = mlm_logits(encode(input_ids, attn, model, train_mode=False), model)
+    logits = mlm_logits(full_encode(input_ids, attn, model, train_mode=False), model)
     batch, seq_len, vocab_size = logits.shape
-    flat = ag.reshape(logits, (batch * seq_len, vocab_size))
+    flat = reshape(logits, (batch * seq_len, vocab_size))
     return ag.masked_cross_entropy(flat, targets.reshape(-1), mask.reshape(-1),
                                    reduction="mean")
 
@@ -483,8 +538,8 @@ def test_batch_max_padding_matches_max_len_classification_oracle():
     ids, attn = _stack_batch(seqs)
     full_ids, full_attn = _max_len_collate(seqs)
     assert ids.shape == (len(MIXED), 8) and full_ids.shape == (len(MIXED), 12)
-    np.testing.assert_allclose(classify(encode(ids, attn, model)[:, 0], model).data,
-                               classify(encode(full_ids, full_attn, model)[:, 0], model).data,
+    np.testing.assert_allclose(classify(full_encode(ids, attn, model)[:, 0], model).data,
+                               classify(full_encode(full_ids, full_attn, model)[:, 0], model).data,
                                rtol=1e-10)
 
     label_to_id = {"feline": 0, "canine": 1}
@@ -494,7 +549,7 @@ def test_batch_max_padding_matches_max_len_classification_oracle():
     total = 0.0
     for start in (0, 2):
         full_ids, full_attn = _max_len_collate(seqs[start:start + 2])
-        logits = classify(encode(full_ids, full_attn, model)[:, 0], model)
+        logits = classify(full_encode(full_ids, full_attn, model)[:, 0], model)
         total += ag.masked_cross_entropy(logits, targets[start:start + 2],
                                          np.ones(2, dtype=np.int64)).item()
     got = evaluation_loss(model, tokenize_labeled(data, VOCAB, label_to_id, 12),
