@@ -1,3 +1,6 @@
+import ctypes
+import glob
+import hashlib
 import json
 import math
 import os
@@ -569,3 +572,70 @@ def test_pretrain_with_dropout_is_bitwise_repeatable_on_cut_batches():
     assert any(r.positions < 3 * 12 for r in log1.steps)
     for name, t in m1.params.items():
         np.testing.assert_array_equal(t.data, m2.params[name].data)
+
+
+def _float_fingerprint() -> str:
+    """numpy's version and the OpenBLAS core it runs its GEMMs on: seeded
+    weights are bitwise reproducible only where both agree. The core is
+    read from the bundled OpenBLAS at run time; where that library or its
+    symbol is missing, the build-time configuration stands in."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = blas.get("openblas configuration", blas.get("name", "unknown"))
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*"))
+    try:
+        get_config = ctypes.CDLL(libs[0]).scipy_openblas_get_config64_
+        get_config.restype = ctypes.c_char_p
+        config = get_config().decode()
+    except (IndexError, OSError, AttributeError):
+        pass
+    return f"numpy {np.__version__}; {' '.join(config.split())}"
+
+
+def _digest(model, log) -> tuple[str, str]:
+    """sha256 over every parameter's name and bytes, and over each step's
+    loss and gradient norm, exactly."""
+    params = hashlib.sha256()
+    for name, t in model.params.items():
+        params.update(name.encode() + t.data.tobytes())
+    steps = hashlib.sha256(" ".join(
+        f"{r.loss.hex()},{r.grad_norm.hex()}" for r in log.steps).encode())
+    return params.hexdigest(), steps.hexdigest()
+
+
+# digests of the run below: (pretrain params, pretrain steps, finetune params,
+# finetune steps), per float fingerprint
+SEEDED_DROPOUT_DIGESTS = {
+    "numpy 2.4.6; OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
+    "SkylakeX MAX_THREADS=64": (
+        "8f23ac84e4b255f5da46237566407fcd62d258a1fa601e851b9c0f20fd273a77",
+        "c12611a19ad4222631790f11df47983f3aed5c213c835c3653340d259a9cb97a",
+        "ae463fddf28abda6852d9dc5a33a8ac437110d5f77d9297295b797340c8accde",
+        "89ceedb344f1dda6b0647f72d8a44c4943139fe7caabfa413e21ba10c8e217f6"),
+}
+
+
+def test_seeded_dropout_training_pins_every_float():
+    """Three float32 pretraining steps and three fine-tuning steps with
+    dropout 0.1, on padded and unpadded batches, give the recorded
+    digests of every parameter and of every step's loss and gradient
+    norm. A change to any op's floats, the dropout masks or the generator
+    state they leave shows here; the golden manifests cannot, since they
+    do not compare trained weights."""
+    fingerprint = _float_fingerprint()
+    if fingerprint not in SEEDED_DROPOUT_DIGESTS:
+        pytest.skip(f"digests recorded for other numpy/BLAS builds, not {fingerprint!r}")
+    model = small_model(seed=14, num_layers=2, dropout_rate=0.1)
+    pre_log = pretrain(MIXED + TEXTS, VOCAB, model,
+                       PretrainConfig(epochs=1, batch_size=4, max_len=12, lr=1e-3,
+                                      mask_prob=0.5, seed=3))
+    got = _digest(model, pre_log)
+    data = [LabeledInstance(f"r{i}", text, ("feline", "canine")[i % 2])
+            for i, text in enumerate(MIXED + TEXTS)]
+    fine_log = finetune(data, VOCAB, model,
+                        FinetuneConfig(epochs=1, batch_size=3, lr=1e-3, max_len=12,
+                                       eval_fraction=0.25, evals_per_epoch=1, seed=4),
+                        ("feline", "canine"))
+    got += _digest(model, fine_log)
+    assert len(pre_log.steps) == len(fine_log.steps) == 3
+    assert got == SEEDED_DROPOUT_DIGESTS[fingerprint]
