@@ -1,10 +1,14 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Provides exactly the primitives the encoder, the losses, and the
-optimizer need: broadcast-aware addition, matmul, GELU, tanh, layer
-norm, embedding lookup, dropout, transpose, slicing and indexing, a fused
-multi-head self-attention over packed rows, and a fused masked
-cross-entropy. Working precision is float32; float64 is supported end
+optimizer need: broadcast-aware addition, a dense layer (`linear`, the
+product with its bias added in place), GELU, tanh, a residual layer norm
+(`add_layer_norm`, the sum and its normalization in one node), embedding
+lookup, dropout, transpose, slicing and indexing, a fused multi-head
+self-attention over packed rows, and a fused masked cross-entropy. Each
+fused op's values and gradients are bitwise those of the composition it
+replaces; `tests/tensor_ops.py` keeps `matmul` and `layer_norm` as the
+oracles. Working precision is float32; float64 is supported end
 to end for gradient verification.
 
 Every completed operation validates that its result is finite: NaN/Inf
@@ -142,20 +146,26 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(out, "add", (a, b), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports stacked leading dimensions via np.matmul."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer x @ w + b for rows x [..., k], weights w [k, n] and bias
+    b [n], as one node: the bias is added into the product in place.
+    Values and gradients are bitwise those of the two-node composition
+    add(x @ w, b); the weight and bias gradients reduce through
+    `_unbroadcast` as that composition's did."""
+    if x.data.ndim < 2 or w.data.ndim != 2 or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs [..., k] rows, [k, n] weights and an [n] bias, "
+                         f"got {x.shape}, {w.shape} and {b.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear inner extents disagree: {x.shape} @ {w.shape}")
+    out = np.matmul(x.data, w.data)
+    out += b.data
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
+        return (np.matmul(g, w.data.T), _unbroadcast(gw, w.shape),
+                _unbroadcast(g, b.shape))
 
-    return _from_op(out, "matmul", (a, b), bwd)
+    return _from_op(out, "linear", (x, w, b), bwd)
 
 
 # Phi(x) = 0.5 + x * S(x*x) for |x| < 1.5. S's coefficients, highest power
@@ -236,7 +246,9 @@ def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.add(p, c, out=p)
         np.multiply(p, xb, out=p)
         np.add(p, 0.5, out=p)
-        tails.append(np.flatnonzero(t >= 2.25) + start)  # x*x >= 2.25 iff |x| >= 1.5
+        index = np.flatnonzero(t >= 2.25)  # x*x >= 2.25 iff |x| >= 1.5
+        if index.size:
+            tails.append(index + start)
         np.copyto(cdf[start:stop], p, casting="same_kind")
         np.multiply(xb, p, out=out[start:stop], casting="same_kind")
     if tails:
@@ -254,9 +266,15 @@ def gelu(x: Tensor) -> Tensor:
     the tensor's own dtype (see _gelu_forward)."""
     out, cdf = _gelu_forward(x.data)
 
-    def bwd(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / math.sqrt(2.0 * math.pi))
-        return (g * (cdf + x.data * pdf),)
+    def bwd(g):  # g * (cdf + x * pdf), every step written into one buffer
+        d = np.multiply(x.data, -0.5)
+        np.multiply(d, x.data, out=d)
+        np.exp(d, out=d)
+        np.multiply(d, 1.0 / math.sqrt(2.0 * math.pi), out=d)
+        np.multiply(x.data, d, out=d)
+        np.add(cdf, d, out=d)
+        np.multiply(g, d, out=d)
+        return (d,)
 
     return _from_op(out, "gelu", (x,), bwd)
 
@@ -270,25 +288,46 @@ def tanh(x: Tensor) -> Tensor:
     return _from_op(out, "tanh", (x,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
+                   epsilon: float) -> Tensor:
+    """Residual layer norm as one node: s = x + y normalized over its last
+    axis to zero mean and unit variance, then scaled by `gain` and shifted
+    by `bias`.
+
+    The mean and variance are numpy's `mean` and `var` arithmetic (a sum
+    over the axis, then a true division by its extent), but s - mean is
+    computed once, squared for the variance and scaled in place into
+    xhat. Values and gradients are bitwise those of the composition
+    layer_norm(add(x, y)); x and y receive the same gradient array.
+    """
+    if x.shape != y.shape or gain.shape != x.shape[-1:] or bias.shape != gain.shape:
+        raise ShapeError(f"add_layer_norm needs equal [..., d] inputs and [d] gain and "
+                         f"bias, got {x.shape}, {y.shape}, {gain.shape} and {bias.shape}")
+    extent = np.intp(x.shape[-1])
+    xhat = x.data + y.data  # s, then s - mean, then xhat, all in place
+    mean = np.add.reduce(xhat, axis=-1, keepdims=True)
+    np.true_divide(mean, extent, out=mean, casting="unsafe")
+    np.subtract(xhat, mean, out=xhat)
+    out = np.square(xhat)  # the squared deviations, later the output
+    var = np.add.reduce(out, axis=-1, keepdims=True)
+    np.true_divide(var, extent, out=var, casting="unsafe")
     inv_std = 1.0 / np.sqrt(var + epsilon)
-    xhat = (x.data - mean) * inv_std
-    out = gain.data * xhat + bias.data
+    xhat *= inv_std
+    np.multiply(gain.data, xhat, out=out)
+    out += bias.data
 
     def bwd(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv_std * (dxhat - m1 - xhat * m2)
+        dx = g * gain.data  # d loss / d xhat, then d loss / d s in place
+        scratch = dx * xhat
+        m2 = scratch.mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= np.multiply(xhat, m2, out=scratch)
+        dx *= inv_std
         axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=axes)
-        dbias = g.sum(axis=axes)
-        return dx, dgain, dbias
+        dgain = np.multiply(g, xhat, out=scratch).sum(axis=axes)
+        return dx, dx, dgain, g.sum(axis=axes)
 
-    return _from_op(out, "layer_norm", (x, gain, bias), bwd)
+    return _from_op(out, "add_layer_norm", (x, y, gain, bias), bwd)
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, bq: Tensor,
@@ -313,7 +352,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, bq: Tensor,
     batch padded to its longest sequence, m = n and the cells are the
     slots. Scores, softmax, dropout and the weighted sum span
     [B, h, m, n]. With `rate` > 0 the probabilities are dropped out with
-    one `rng.random` draw of that shape.
+    one `_keep_mask` draw of that shape.
     """
     mask = np.asarray(attention_mask)
     if mask.ndim != 2 or x.data.ndim != 2:
@@ -359,11 +398,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, bq: Tensor,
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    keep = None
-    dropped = probs
-    if rate > 0.0:
-        keep = (rng.random(probs.shape) >= rate).astype(dtype) / (1.0 - rate)
-        dropped = probs * keep
+    keep = _keep_mask("attention", rate, rng, probs.shape, dtype)
+    dropped = probs if keep is None else probs * keep
 
     context = np.matmul(dropped, v).transpose(0, 2, 1, 3).reshape(batch * per_seq, width)
     out = context[cell] if scattered else context
@@ -439,11 +475,39 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _from_op(out, "embedding", (table,), bwd)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate == 0."""
+def _keep_mask(op: str, rate: float, rng: Optional[np.random.Generator],
+               shape: tuple, dtype) -> Optional[np.ndarray]:
+    """Inverted-dropout multipliers of `shape`: 0 where an element is
+    dropped, 1 / (1 - rate) where it is kept; None for rate 0.
+
+    An element is kept where `rng.random() >= rate` would hold. PCG64's
+    double is (raw >> 11) * 2**-53 of one raw 64-bit draw, so that is
+    raw >= ceil(rate * 2**53) << 11: the mask is decided on `random_raw`
+    output without a float64 conversion, and the mask and the generator
+    state it leaves are bitwise those of `rng.random(shape) >= rate`. A
+    rate outside [0, 1), or a positive rate without a numpy Generator on
+    PCG64, is a ConfigError naming `op`.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"{op}: dropout rate {rate} outside [0, 1)")
     if rate == 0.0:
+        return None
+    if not (isinstance(rng, np.random.Generator)
+            and isinstance(rng.bit_generator, np.random.PCG64)):
+        raise ConfigError(f"{op}: dropout rate {rate} needs a numpy Generator on "
+                          f"PCG64, got {rng!r}")
+    threshold = np.uint64(math.ceil(rate * 2.0 ** 53) << 11)
+    keep = (rng.bit_generator.random_raw(shape) >= threshold).astype(dtype)
+    keep /= 1.0 - rate
+    return keep
+
+
+def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout with `_keep_mask`'s multipliers; identity when
+    rate == 0."""
+    keep = _keep_mask("dropout", rate, rng, x.shape, x.dtype)
+    if keep is None:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
 
     def bwd(g):
         return (g * keep,)

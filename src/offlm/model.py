@@ -140,10 +140,6 @@ def init_params(config: ModelConfig, seed: int, num_classes: int = 2,
                  init_seed=seed)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ag.add(ag.matmul(x, w), b)
-
-
 def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
            train_mode: bool = False,
            rng: Optional[np.random.Generator] = None, *,
@@ -203,13 +199,13 @@ def encode(ids: np.ndarray, attention_mask: np.ndarray, model: Model,
             attention_mask, cfg.num_heads, attn_rate, rng, queries)
         if queries is not None:
             x = ag.take(x, queries)
-        attn_out = drop(_linear(context, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"]))
-        x = ag.layer_norm(ag.add(x, attn_out), p[f"{pre}.attn_norm.gain"],
-                          p[f"{pre}.attn_norm.bias"], LAYER_NORM_EPSILON)
-        hidden = ag.gelu(_linear(x, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"]))
-        ffn_out = drop(_linear(hidden, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"]))
-        x = ag.layer_norm(ag.add(x, ffn_out), p[f"{pre}.ffn_norm.gain"],
-                          p[f"{pre}.ffn_norm.bias"], LAYER_NORM_EPSILON)
+        attn_out = drop(ag.linear(context, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"]))
+        x = ag.add_layer_norm(x, attn_out, p[f"{pre}.attn_norm.gain"],
+                              p[f"{pre}.attn_norm.bias"], LAYER_NORM_EPSILON)
+        hidden = ag.gelu(ag.linear(x, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"]))
+        ffn_out = drop(ag.linear(hidden, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"]))
+        x = ag.add_layer_norm(x, ffn_out, p[f"{pre}.ffn_norm.gain"],
+                              p[f"{pre}.ffn_norm.bias"], LAYER_NORM_EPSILON)
     return x
 
 
@@ -229,15 +225,15 @@ def mlm_logits(hidden: Tensor, model: Model) -> Tensor:
     e.g. the masked rows [m, d] that `encode` returns, through the
     transposed token embedding."""
     w = ag.transpose(model.params["token_embedding"], (1, 0))
-    return ag.add(ag.matmul(hidden, w), model.params["mlm.bias"])
+    return ag.linear(hidden, w, model.params["mlm.bias"])
 
 
 def classify(first: Tensor, model: Model) -> Tensor:
     """Class logits [B, C] from the position-0 ([CLS]) states [B, d],
     tanh-pooled."""
     p = model.params
-    pooled = ag.tanh(_linear(first, p["cls.pooler_w"], p["cls.pooler_b"]))
-    return _linear(pooled, p["cls.out_w"], p["cls.out_b"])
+    pooled = ag.tanh(ag.linear(first, p["cls.pooler_w"], p["cls.pooler_b"]))
+    return ag.linear(pooled, p["cls.out_w"], p["cls.out_b"])
 
 
 def _param_filename(name: str) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -9,6 +10,8 @@ import numpy as np
 
 from .autograd import Tensor
 from .errors import ConfigError, ShapeError
+
+_ADAM_BLOCK = 16384  # elements per block: a block of all six arrays fits in L2
 
 
 @dataclass
@@ -39,7 +42,8 @@ def clip_global_norm(grads: Iterable[Tensor], max_norm: float) -> float:
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     tensors = [t for t in grads if t.grad is not None]
-    total = float(np.sqrt(sum(float((t.grad.astype(np.float64) ** 2).sum()) for t in tensors)))
+    total = float(np.sqrt(sum(float(np.square(t.grad, dtype=np.float64).sum())
+                              for t in tensors)))
     if total <= max_norm:
         return total
     factor = max_norm / total
@@ -57,8 +61,10 @@ def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState,
     Parameters whose grad is None are skipped (their moments still decay
     on the steps where they do have gradients, not here). The arithmetic is
     `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*g*g`, then
-    `p -= lr * (m/c1) / (sqrt(v/c2) + eps)`, each operation written into
-    one of two scratch arrays, in the parameter's dtype.
+    `p -= lr * (m/c1) / (sqrt(v/c2) + eps)`, in the parameter's dtype.
+    Each parameter is walked in blocks of about _ADAM_BLOCK elements
+    (whole rows of its first axis), and each operation is written into
+    one of two block-sized scratch arrays.
     """
     state.step_count += 1
     t = state.step_count
@@ -71,13 +77,19 @@ def adam_step(named_params: Sequence[tuple[str, Tensor]], state: AdamState,
             raise ShapeError(
                 f"gradient shape {param.grad.shape} does not match parameter "
                 f"{name} of shape {param.data.shape}")
-        m, v = state.buffers_for(name, param.data)
-        g = param.grad
-        a, b = np.empty_like(param.data), np.empty_like(param.data)
-        m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=a)
-        v *= beta2
-        v += np.multiply(1.0 - beta2, np.multiply(g, g, out=a), out=a)
-        denom = np.add(np.sqrt(np.divide(v, c2, out=a), out=a), epsilon, out=a)
-        update = np.divide(np.divide(m, c1, out=b), denom, out=b)
-        param.data -= np.multiply(param.dtype.type(lr), update, out=b)
+        p, g, m, v = np.atleast_1d(param.data, param.grad,
+                                   *state.buffers_for(name, param.data))
+        rows = max(1, _ADAM_BLOCK // max(1, math.prod(p.shape[1:])))
+        scratch = np.empty((2, min(rows, len(p))) + p.shape[1:], dtype=p.dtype)
+        lr_typed = p.dtype.type(lr)
+        for start in range(0, len(p), rows):
+            block = slice(start, start + rows)
+            pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+            a, b = scratch[:, :len(pb)]
+            mb *= beta1
+            mb += np.multiply(1.0 - beta1, gb, out=a)
+            vb *= beta2
+            vb += np.multiply(1.0 - beta2, np.multiply(gb, gb, out=a), out=a)
+            denom = np.add(np.sqrt(np.divide(vb, c2, out=a), out=a), epsilon, out=a)
+            update = np.divide(np.divide(mb, c1, out=b), denom, out=b)
+            pb -= np.multiply(lr_typed, update, out=b)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from offlm import autograd as ag
 from offlm.autograd import Tensor
 from offlm.errors import ConfigError, NumericError, ShapeError
-from tensor_ops import mul, reshape, softmax, tensor_sum
+from tensor_ops import layer_norm, matmul, mul, reshape, softmax, tensor_sum
 
 
 def fd_grad(f, x, h=1e-6):
@@ -90,14 +90,14 @@ def test_matmul_grad_matches_fd():
     rng = np.random.default_rng(2)
     a = rand_tensor(rng, (3, 4))
     b = rand_tensor(rng, (4, 2))
-    check_grad(lambda: tensor_sum(ag.matmul(a, b)), a, b)
+    check_grad(lambda: tensor_sum(matmul(a, b)), a, b)
 
 
 def test_matmul_batched_grad_matches_fd():
     rng = np.random.default_rng(3)
     a = rand_tensor(rng, (2, 3, 4))
     b = rand_tensor(rng, (2, 4, 3))
-    check_grad(lambda: tensor_sum(ag.matmul(a, b)), a, b)
+    check_grad(lambda: tensor_sum(matmul(a, b)), a, b)
 
 
 def test_softmax_rows_sum_to_one():
@@ -193,6 +193,23 @@ def test_gelu_is_bitwise_independent_of_blocking(dtype):
     assert whole.tobytes() == joined.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_backward_is_bitwise_the_textbook_formula(dtype):
+    """g * (Phi(x) + x * phi(x)) with phi(x) = exp(-x*x/2) / sqrt(2 pi),
+    one temporary per step, bitwise; the incoming gradient is left as it
+    was (add_layer_norm hands one array to both summands)."""
+    rng = np.random.default_rng(17)
+    x = Tensor((2.0 * rng.standard_normal((30, 50))).astype(dtype), requires_grad=True)
+    g = rng.standard_normal((30, 50)).astype(dtype)
+    before = g.copy()
+    (got,) = ag.gelu(x).ctx.backward_fn(g)
+    cdf = ag._gelu_forward(x.data)[1]
+    pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / math.sqrt(2.0 * math.pi))
+    want = g * (cdf + x.data * pdf)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert g.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("dtype, step", [
     (np.float32, None),  # consecutive float32 values
     # consecutive float64 values are not monotone in any float64 kernel
@@ -229,7 +246,7 @@ def test_layer_norm_standardizes_rows():
     x = Tensor(rng.standard_normal((6, 16)))
     gain = Tensor(np.ones(16))
     bias = Tensor(np.zeros(16))
-    out = ag.layer_norm(x, gain, bias, epsilon=1e-12).data
+    out = layer_norm(x, gain, bias, epsilon=1e-12).data
     np.testing.assert_allclose(out.mean(axis=-1), np.zeros(6), atol=1e-10)
     np.testing.assert_allclose(out.std(axis=-1), np.ones(6), atol=1e-6)
 
@@ -241,8 +258,81 @@ def test_layer_norm_grad_matches_fd():
     bias = rand_tensor(rng, (8,))
     w = Tensor(rng.standard_normal((3, 8)))
     check_grad(
-        lambda: tensor_sum(mul(ag.layer_norm(x, gain, bias, 1e-12), w)),
+        lambda: tensor_sum(mul(layer_norm(x, gain, bias, 1e-12), w)),
         x, gain, bias, atol=1e-5)
+
+
+FUSED_SHAPES = {"rows": (37,), "stacked": (3, 11)}
+
+
+def _bitwise_grads(build, leaves, dtype, seed):
+    """The output of build() and every leaf's gradient under the loss
+    sum(out * w), w fixed, as bytes."""
+    out = build()
+    w = Tensor(np.random.default_rng(seed).standard_normal(out.shape).astype(dtype))
+    ag.zero_grads(leaves)
+    ag.backward(tensor_sum(mul(out, w)))
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", sorted(FUSED_SHAPES))
+def test_linear_is_bitwise_add_of_matmul(dtype, lead):
+    """Values and the gradients of rows, weights and bias equal those of
+    add(matmul(x, w), b), on [T, k] rows and on stacked [B, m, k] rows."""
+    rng = np.random.default_rng(30)
+    x, w, b = (Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+               for shape in (FUSED_SHAPES[lead] + (24,), (24, 40), (40,)))
+    fused = _bitwise_grads(lambda: ag.linear(x, w, b), (x, w, b), dtype, 31)
+    oracle = _bitwise_grads(lambda: ag.add(matmul(x, w), b), (x, w, b), dtype, 31)
+    assert fused == oracle
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", sorted(FUSED_SHAPES))
+def test_add_layer_norm_is_bitwise_layer_norm_of_add(dtype, lead):
+    """Values and the gradients of both summands, gain and bias equal those
+    of layer_norm(add(x, y)), on [T, d] rows and on stacked [B, m, d]."""
+    rng = np.random.default_rng(32)
+    shape = FUSED_SHAPES[lead] + (24,)
+    x, y = (Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+            for _ in range(2))
+    gain, bias = (Tensor((1.0 + 0.1 * rng.standard_normal(24)).astype(dtype),
+                         requires_grad=True) for _ in range(2))
+    leaves = (x, y, gain, bias)
+    fused = _bitwise_grads(lambda: ag.add_layer_norm(x, y, gain, bias, 1e-12),
+                           leaves, dtype, 33)
+    oracle = _bitwise_grads(lambda: layer_norm(ag.add(x, y), gain, bias, 1e-12),
+                            leaves, dtype, 33)
+    assert fused == oracle
+
+
+def test_linear_grad_matches_fd():
+    rng = np.random.default_rng(34)
+    x, w, b = rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (4, 5)), rand_tensor(rng, (5,))
+    v = Tensor(rng.standard_normal((2, 3, 5)))
+    check_grad(lambda: tensor_sum(mul(ag.linear(x, w, b), v)), x, w, b)
+
+
+def test_add_layer_norm_grad_matches_fd():
+    rng = np.random.default_rng(35)
+    x, y = rand_tensor(rng, (3, 8)), rand_tensor(rng, (3, 8))
+    gain, bias = rand_tensor(rng, (8,)), rand_tensor(rng, (8,))
+    v = Tensor(rng.standard_normal((3, 8)))
+    check_grad(lambda: tensor_sum(mul(ag.add_layer_norm(x, y, gain, bias, 1e-12), v)),
+               x, y, gain, bias, atol=1e-5)
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    rng = np.random.default_rng(36)
+    x, w, b = rand_tensor(rng, (3, 4)), rand_tensor(rng, (4, 5)), rand_tensor(rng, (5,))
+    for args in ((x, w, x), (w, w, b), (x, x, b)):
+        with pytest.raises(ShapeError, match="linear"):
+            ag.linear(*args)
+    with pytest.raises(ShapeError, match="add_layer_norm"):
+        ag.add_layer_norm(x, w, b, b, 1e-12)
+    with pytest.raises(ShapeError, match="add_layer_norm"):
+        ag.add_layer_norm(x, x, b, b, 1e-12)
 
 
 def test_embedding_gathers_rows():
@@ -297,6 +387,52 @@ def test_dropout_deterministic_under_same_rng_seed():
     a = ag.dropout(x, 0.5, np.random.default_rng(42)).data
     b = ag.dropout(x, 0.5, np.random.default_rng(42)).data
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_keep_mask_is_bitwise_the_uniform_draw(dtype):
+    """The multipliers, and the generator state after the draw, equal those
+    of (rng.random(shape) >= rate).astype(dtype) / (1 - rate), over rates
+    that are and are not multiples of 2**-53."""
+    for rate in (2.0 ** -60, 1e-3, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0 - 2.0 ** -53):
+        got_rng, want_rng = np.random.default_rng(41), np.random.default_rng(41)
+        got = ag._keep_mask("dropout", rate, got_rng, (70, 3, 50), dtype)
+        want = (want_rng.random((70, 3, 50)) >= rate).astype(dtype) / (1.0 - rate)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), rate
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+        assert got_rng.random() == want_rng.random()
+    assert ag._keep_mask("dropout", 0.0, None, (2, 2), dtype) is None
+    for other in (np.random.MT19937(0), np.random.Philox(0)):
+        with pytest.raises(ConfigError, match="dropout.*Generator on PCG64"):
+            ag._keep_mask("dropout", 0.1, np.random.Generator(other), (2,), dtype)
+
+
+BAD_DROPOUT = {
+    "no-generator": (0.1, None, "Generator"),
+    "rate-one": (1.0, 0, r"rate 1\.0"),
+    "negative-rate": (-0.5, 0, r"rate -0\.5"),
+    "rate-above-one": (1.5, 0, r"rate 1\.5"),
+    "nan-rate": (math.nan, 0, r"rate nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DROPOUT))
+def test_dropout_and_attention_reject_bad_inputs_naming_the_op(case):
+    """A rate outside [0, 1) or a missing generator is a ConfigError that
+    names the op, raised before any value is drawn or scaled."""
+    rate, seed, message = BAD_DROPOUT[case]
+    rng = np.random.default_rng(25)
+    x = rand_tensor(rng, (4, 4))
+    w, b = rand_tensor(rng, (4, 4)), rand_tensor(rng, (4,))
+    mask = np.array([[1, 1, 1], [1, 0, 0]])
+
+    def generator():
+        return None if seed is None else np.random.default_rng(seed)
+
+    with pytest.raises(ConfigError, match=f"dropout.*{message}"):
+        ag.dropout(x, rate, generator())
+    with pytest.raises(ConfigError, match=f"attention.*{message}"):
+        ag.attention(x, w, w, w, b, b, b, mask, 2, rate, generator())
 
 
 def test_reshape_transpose_round_trip_grad():
@@ -492,8 +628,8 @@ def test_backward_refuses_a_loss_with_no_graph():
 def _one_of_each_op(x, w, b):
     """One result of every op, on [6, 4] packed rows `x` of a [2, 4] mask."""
     mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]])
-    return [ag.add(x, b), ag.matmul(x, w), ag.gelu(x), ag.tanh(x),
-            ag.layer_norm(x, w[0], b, 1e-12),
+    return [ag.add(x, b), ag.linear(x, w, b), ag.gelu(x), ag.tanh(x),
+            ag.add_layer_norm(x, x, w[0], b, 1e-12),
             ag.attention(x, w, w, w, b, b, b, mask, 2, 0.0, None),
             ag.attention(x, w, w, w, b, b, b, mask, 2, 0.5, np.random.default_rng(1),
                          queries=np.array([4, 0])),
@@ -501,7 +637,8 @@ def _one_of_each_op(x, w, b):
             ag.dropout(x, 0.5, np.random.default_rng(0)),
             ag.transpose(x, (1, 0)), ag.take(x, np.array([5, 0])), ag.take(x, (slice(1, 3), 2)),
             ag.masked_cross_entropy(x, np.array([0, 1, 2, 3, 0, 1]), np.ones(6, dtype=int)),
-            mul(x, w[0]), reshape(x, (4, 6)), softmax(x), tensor_sum(x)]
+            mul(x, w[0]), reshape(x, (4, 6)), matmul(x, w), layer_norm(x, w[0], b, 1e-12),
+            softmax(x), tensor_sum(x)]
 
 
 def test_no_grad_records_no_graph_and_keeps_every_value():
@@ -529,11 +666,11 @@ def test_no_grad_nests_and_restores_after_an_exception():
             assert not records()
         assert not records()
         with pytest.raises(ShapeError), ag.no_grad():
-            ag.matmul(x, x)  # 1-d operands
+            ag.linear(x, x, x)  # 1-d operands
         assert not records()
     assert records()
     with pytest.raises(ShapeError), ag.no_grad():
-        ag.matmul(x, x)
+        ag.linear(x, x, x)
     assert records()
 
 

@@ -22,7 +22,7 @@ from offlm.model import (
     resolve_checkpoint,
     save_checkpoint,
 )
-from tensor_ops import full_encode, reshape, softmax
+from tensor_ops import full_encode, layer_norm, matmul, reshape, softmax
 
 TINY = ModelConfig(vocab_size=16, num_layers=1, hidden_size=8, num_heads=2,
                    max_position=8, dropout_rate=0.0)
@@ -149,7 +149,7 @@ def padded_encode(ids, attention_mask, model):
     scale = 1.0 / math.sqrt(head_size)
 
     def linear(t, w, b):
-        return ag.add(ag.matmul(t, p[w]), p[b])
+        return ag.add(matmul(t, p[w]), p[b])
 
     def split_heads(t):
         t = reshape(t, (batch, seq_len, heads, head_size))
@@ -160,16 +160,16 @@ def padded_encode(ids, attention_mask, model):
         q = split_heads(linear(x, f"{pre}.attn.wq", f"{pre}.attn.bq"))
         k = split_heads(linear(x, f"{pre}.attn.wk", f"{pre}.attn.bk"))
         v = split_heads(linear(x, f"{pre}.attn.wv", f"{pre}.attn.bv"))
-        scores = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))) * scale
+        scores = matmul(q, ag.transpose(k, (0, 1, 3, 2))) * scale
         probs = softmax(ag.add(scores, key_bias), axis=-1)
-        context = ag.transpose(ag.matmul(probs, v), (0, 2, 1, 3))
+        context = ag.transpose(matmul(probs, v), (0, 2, 1, 3))
         context = reshape(context, (batch, seq_len, cfg.hidden_size))
         attn_out = linear(context, f"{pre}.attn.wo", f"{pre}.attn.bo")
-        x = ag.layer_norm(ag.add(x, attn_out), p[f"{pre}.attn_norm.gain"],
+        x = layer_norm(ag.add(x, attn_out), p[f"{pre}.attn_norm.gain"],
                           p[f"{pre}.attn_norm.bias"], LAYER_NORM_EPSILON)
         hidden = ag.gelu(linear(x, f"{pre}.ffn.w1", f"{pre}.ffn.b1"))
         ffn_out = linear(hidden, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        x = ag.layer_norm(ag.add(x, ffn_out), p[f"{pre}.ffn_norm.gain"],
+        x = layer_norm(ag.add(x, ffn_out), p[f"{pre}.ffn_norm.gain"],
                           p[f"{pre}.ffn_norm.bias"], LAYER_NORM_EPSILON)
     return x
 

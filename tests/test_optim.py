@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from offlm import autograd as ag
 from offlm.autograd import Tensor
 from offlm.errors import ConfigError
-from offlm.optim import AdamState, adam_step, clip_global_norm
+from offlm.optim import _ADAM_BLOCK, AdamState, adam_step, clip_global_norm
 from tensor_ops import mul, tensor_sum
 
 
@@ -74,10 +74,13 @@ def reference_adam_step(named_params, state, lr, beta1=0.9, beta2=0.999,
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_step_is_bitwise_the_reference_formula(dtype):
-    """Several steps over matrices, vectors and a parameter whose grad is
-    None on some steps: parameters and moments bitwise equal the oracle."""
+    """Several steps over matrices, vectors, a parameter whose grad is
+    None on some steps, and a matrix and a vector that span several
+    blocks, the last one partial: parameters and moments bitwise equal
+    the oracle."""
     rng = np.random.default_rng(5)
-    shapes = {"w": (7, 5), "b": (5,), "idle": (3,)}
+    shapes = {"w": (7, 5), "b": (5,), "idle": (3,),
+              "table": (_ADAM_BLOCK // 9 + 300, 9), "long": (2 * _ADAM_BLOCK + 11,)}
     start = {name: rng.standard_normal(shape).astype(dtype)
              for name, shape in shapes.items()}
 
@@ -128,6 +131,18 @@ def test_global_grad_norm_matches_numpy():
     b.grad = np.full(5, 4.0)
     expected = math.sqrt((9.0 * 4) + (16.0 * 5))
     assert abs(clip_global_norm([a, b], max_norm=1e9) - expected) < 1e-12
+
+
+def test_global_grad_norm_is_bitwise_the_float64_sum_of_squares():
+    rng = np.random.default_rng(8)
+    tensors = []
+    for shape in [(300, 7), (11,), (2, 3, 5)]:
+        t = Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+        t.grad = rng.standard_normal(shape).astype(np.float32)
+        tensors.append(t)
+    want = float(np.sqrt(sum(float((t.grad.astype(np.float64) ** 2).sum())
+                             for t in tensors)))
+    assert clip_global_norm(tensors, max_norm=1e9) == want
 
 
 def test_clip_rescales_only_above_threshold():

@@ -585,6 +585,7 @@ def _float_fingerprint() -> str:
                                   "numpy.libs", "libscipy_openblas*"))
     try:
         get_config = ctypes.CDLL(libs[0]).scipy_openblas_get_config64_
+        get_config.argtypes = []
         get_config.restype = ctypes.c_char_p
         config = get_config().decode()
     except (IndexError, OSError, AttributeError):
