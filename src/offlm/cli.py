@@ -3,8 +3,8 @@ build-vocab, pretrain, finetune, evaluate, sweep.
 
 Every run writes a manifest JSON recording the effective config, seeds,
 input-file hashes, and stop reason, so a run can be reproduced exactly.
-Config files are JSON with sections "model", "pretrain", "finetune",
-"prep"; any CLI flag overrides its config field. The OFFLM_CONFIG
+Config files are JSON with sections "model", "pretrain" and "finetune";
+any CLI flag overrides its config field. The OFFLM_CONFIG
 environment variable supplies a default config path.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error,
@@ -36,7 +36,7 @@ from .evaluation import (EvalReport, SweepRow, confusion, make_report, render,
                          render_sweep)
 from .model import (Model, ModelConfig, init_params, load_checkpoint,
                     parameter_count, resolve_checkpoint, save_checkpoint)
-from .textprep import Lexicon, PrepConfig, keep_instance, load_emoji_map, prepare
+from .textprep import Lexicon, keep_instance, load_emoji_map, prepare
 from .tokenizer import Vocabulary, build_vocab, load_vocab
 from .training import (FinetuneConfig, PretrainConfig, TrainLog, finetune,
                        predict_class_ids, pretrain)
@@ -91,7 +91,6 @@ _CONFIGS = {
     "model": (ModelConfig, ("pretrain", "finetune", "sweep")),
     "pretrain": (PretrainConfig, ("pretrain", "sweep")),
     "finetune": (FinetuneConfig, ("finetune",)),
-    "prep": (PrepConfig, ("preprocess",)),
 }
 # the flag of a field is --field-name except for these
 _FLAG_ALIASES = {"eval_patience": "--patience"}
@@ -123,35 +122,23 @@ def _load_config_file(args) -> dict:
     return config
 
 
-def _field_types(cls) -> dict[str, tuple[type, bool]]:
-    """Each field of config dataclass `cls` -> its type (Optional[int] reads
-    as int) and whether it may be None."""
-    types = {}
-    for field, hint in typing.get_type_hints(cls).items():
-        args = typing.get_args(hint)
-        types[field] = (next((t for t in args if t is not type(None)), hint),
-                        type(None) in args)
-    return types
-
-
 def _config(config: dict, name: str, args, **defaults):
     """The dataclass of config section `name`: `defaults`, then the section,
     then the flags this subcommand has for it, each overriding the last.
     A section value must have its field's type; an int passes for a float,
-    a bool for no int, and null only for an Optional field."""
+    a bool for no int."""
     cls, commands = _CONFIGS[name]
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    types = _field_types(cls)
+    types = typing.get_type_hints(cls)
     for key, value in section.items():
         if key not in types:  # an unknown key, which cls(**values) names
             continue
-        kind, optional = types[key]
-        if not (value is None and optional or type(value) is kind
-                or kind is float and type(value) is int):
-            raise ConfigError(f"{name} config: {key} {value!r} is not "
-                              f"{'null or ' if optional else ''}{kind.__name__}")
+        kind = types[key]
+        if not (type(value) is kind or kind is float and type(value) is int):
+            raise ConfigError(
+                f"{name} config: {key} {value!r} is not {kind.__name__}")
     values = {**defaults, **section}
     if args.command in commands:
         for f in dataclasses.fields(cls):
@@ -253,22 +240,20 @@ def cmd_select(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    config = _load_config_file(args)
-    prep = _config(config, "prep", args)
     lexicon = Lexicon.load(args.lexicon) if args.lexicon else None
     mapping = load_emoji_map(args.emoji_map) if args.emoji_map else None
     fields, rows = read_rows(args.input, (args.text_column,))
     inputs = _digests([args.input, args.emoji_map, args.lexicon])
     out_rows = []
     for _, row in rows:
-        text = prepare(row[args.text_column], prep, lexicon, mapping)
-        if args.keep_all or keep_instance(text, prep):
+        text = prepare(row[args.text_column], lexicon, mapping)
+        if args.keep_all or keep_instance(text):
             out_rows.append({**row, args.text_column: text})
     _write_tsv(args.output, fields, out_rows)
     print(f"kept {len(out_rows)} of {len(rows)} rows -> {args.output}")
     _write_manifest(args.output + ".manifest.json", "preprocess",
-                    {"prep": asdict(prep), "keep_all": args.keep_all,
-                     "emoji_map": args.emoji_map, "lexicon": args.lexicon},
+                    {"keep_all": args.keep_all, "emoji_map": args.emoji_map,
+                     "lexicon": args.lexicon},
                     inputs, [args.output],
                     kept=len(out_rows), seen=len(rows))
     return 0
@@ -638,16 +623,16 @@ def cmd_sweep(args) -> int:
 
 def _add_config_flags(p, command: str) -> None:
     """--config, then one flag per field of each config section `command`
-    reads, typed by the field's annotation (Optional[int] parses as int)."""
+    reads, typed by the field's annotation."""
     p.add_argument("--config", help="JSON config file (or set $OFFLM_CONFIG)")
     for cls, commands in _CONFIGS.values():
         if command not in commands:
             continue
-        for field, (kind, _) in _field_types(cls).items():
+        for field, kind in typing.get_type_hints(cls).items():
             if field == "vocab_size":  # the vocabulary file gives it
                 continue
             flag = _FLAG_ALIASES.get(field, "--" + field.replace("_", "-"))
-            p.add_argument(flag, dest=field, type=None if kind is str else kind,
+            p.add_argument(flag, dest=field, type=kind,
                            help=_FLAG_HELP.get(field))
     if command in _CONFIGS["model"][1]:
         p.add_argument("--model-seed", type=int, default=0)

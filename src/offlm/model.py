@@ -3,8 +3,9 @@ a [CLS] classification head, plus a checkpoint format that round-trips
 forward outputs bitwise.
 
 Sizing is configurable; the defaults are a desk-scale encoder (2 layers,
-width 64, 2 heads). BERT's fixed choices are constants: the masked-token
-head is tied to the token embedding, and layer norms use epsilon 1e-12.
+width 64, 2 heads). BERT's fixed choices are constants: the feed-forward
+width is 4x the hidden size, the masked-token head is tied to the token
+embedding, and layer norms use epsilon 1e-12.
 Initialization is truncated normal, std 0.02, resampled beyond two
 standard deviations.
 """
@@ -24,7 +25,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import ConfigError, DataError, ShapeError
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 INIT_STD = 0.02
 LAYER_NORM_EPSILON = 1e-12
 
@@ -35,7 +36,6 @@ class ModelConfig:
     num_layers: int = 2
     hidden_size: int = 64
     num_heads: int = 2
-    intermediate_size: Optional[int] = None
     max_position: int = 128
     dropout_rate: float = 0.1
 
@@ -48,10 +48,6 @@ class ModelConfig:
             raise ConfigError(
                 f"hidden_size {self.hidden_size} not divisible by "
                 f"num_heads {self.num_heads}")
-        if self.intermediate_size is None:
-            object.__setattr__(self, "intermediate_size", 4 * self.hidden_size)
-        if self.intermediate_size < 1:
-            raise ConfigError("intermediate_size must be >= 1")
         if self.max_position < 1:
             raise ConfigError("max_position must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -60,6 +56,10 @@ class ModelConfig:
     @property
     def head_size(self) -> int:
         return self.hidden_size // self.num_heads
+
+    @property
+    def intermediate_size(self) -> int:
+        return 4 * self.hidden_size
 
 
 @dataclass

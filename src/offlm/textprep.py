@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import ConfigError, DataError, not_utf8
+from .errors import DataError, not_utf8
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _MENTION_RE = re.compile(r"@[A-Za-z0-9_]+")
@@ -22,20 +21,12 @@ _HASHTAG_RE = re.compile(r"#[A-Za-z0-9]+$")
 _TIE_EPS = 1e-9
 # exponent base of the unknown-word penalty: log(1 / (total * base^len))
 _UNKNOWN_PENALTY_BASE = 10.0
-
-
-@dataclass(frozen=True)
-class PrepConfig:
-    url_placeholder: str = "URL"
-    user_placeholder: str = "USER"
-    min_words: int = 2
-    min_chars: int = 18
-
-    def __post_init__(self):
-        if not self.url_placeholder or not self.user_placeholder:
-            raise ConfigError("placeholders must be non-empty")
-        if self.min_words < 1 or self.min_chars < 0:
-            raise ConfigError("min_words must be >= 1 and min_chars >= 0")
+# SOLID's placeholders for links and @-mentions
+URL_PLACEHOLDER = "URL"
+USER_PLACEHOLDER = "USER"
+# the short-instance filter drops a text with fewer words or characters
+MIN_WORDS = 2
+MIN_CHARS = 18
 
 
 class Lexicon:
@@ -90,10 +81,10 @@ def _tab_lines(path) -> Iterator[tuple[int, list[str]]]:
         raise not_utf8(path) from e
 
 
-def normalize(text: str, cfg: PrepConfig) -> str:
+def normalize(text: str) -> str:
     """Replace URLs/mentions with placeholders and collapse whitespace."""
-    text = _URL_RE.sub(cfg.url_placeholder, text)
-    text = _MENTION_RE.sub(cfg.user_placeholder, text)
+    text = _URL_RE.sub(URL_PLACEHOLDER, text)
+    text = _MENTION_RE.sub(USER_PLACEHOLDER, text)
     return " ".join(text.split())
 
 
@@ -147,17 +138,17 @@ def segment_hashtag(tag: str, lexicon: Lexicon) -> list[str]:
     return pieces
 
 
-def keep_instance(text: str, cfg: PrepConfig) -> bool:
-    """True iff the text has at least min_words words and min_chars
+def keep_instance(text: str) -> bool:
+    """True iff the text has at least MIN_WORDS words and MIN_CHARS
     characters (both boundaries inclusive)."""
-    return len(text.split()) >= cfg.min_words and len(text) >= cfg.min_chars
+    return len(text.split()) >= MIN_WORDS and len(text) >= MIN_CHARS
 
 
-def prepare(text: str, cfg: PrepConfig, lexicon: Optional[Lexicon] = None,
+def prepare(text: str, lexicon: Optional[Lexicon] = None,
             mapping: Optional[dict[str, str]] = None) -> str:
     """Full pipeline: normalize, demojize, segment #hashtags, re-collapse
     whitespace. Deterministic and idempotent."""
-    text = normalize(text, cfg)
+    text = normalize(text)
     if mapping:
         text = demojize(text, mapping)
     if lexicon is not None:

@@ -12,7 +12,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,7 +63,6 @@ class FinetuneConfig:
     epochs: int = 3
     batch_size: int = 8
     lr: float = 1e-4
-    warmup_ratio: float = 0.1
     max_len: int = 140
     eval_patience: int = 10
     eval_fraction: float = 0.2
@@ -72,8 +70,6 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.warmup_ratio < 1.0:
-            raise ConfigError(f"warmup_ratio {self.warmup_ratio} outside [0, 1)")
         if self.eval_patience < 1:
             raise ConfigError("eval_patience must be >= 1")
         if not 0.0 < self.eval_fraction < 1.0:
@@ -152,23 +148,14 @@ def mask_tokens(ids: np.ndarray, vocab: Vocabulary, cfg: PretrainConfig,
                           mask_indicator=selected.astype(np.int64))
 
 
-def lr_at(step: int, total_steps: int, peak_lr: float,
-          warmup_ratio: float) -> float:
-    """Linear 0 -> peak over the first ceil(warmup_ratio * total) steps,
-    then linear peak -> 0 over the remainder.
-
-    The warmup boundary is computed in exact decimal arithmetic so a
-    ratio written as 0.1 peaks at exactly 10% of total.
-    """
+def lr_at(step: int, total_steps: int, peak_lr: float) -> float:
+    """Linear 0 -> peak over BERT's warmup, the first ceil(total / 10)
+    steps, then linear peak -> 0 over the remainder."""
     if total_steps <= 0:
         raise ConfigError(f"total_steps must be positive, got {total_steps}")
     if not 0 <= step <= total_steps:
         raise ConfigError(f"step {step} outside [0, {total_steps}]")
-    if not 0.0 <= warmup_ratio < 1.0:
-        raise ConfigError(f"warmup_ratio {warmup_ratio} outside [0, 1)")
-    warmup_steps = math.ceil(Fraction(str(warmup_ratio)) * total_steps)
-    if warmup_steps == 0:
-        return peak_lr * ((total_steps - step) / total_steps)
+    warmup_steps = -(-total_steps // 10)
     if step <= warmup_steps:
         return peak_lr * (step / warmup_steps)
     return peak_lr * ((total_steps - step) / (total_steps - warmup_steps))
@@ -410,7 +397,7 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
             ag.zero_grads(tensors)
             loss, attn = _class_loss(model, batch, "mean", True, dropout_rng)
             ag.backward(loss)
-            lr = lr_at(step, total_steps, cfg.lr, cfg.warmup_ratio)
+            lr = lr_at(step, total_steps, cfg.lr)
             norm = clip_global_norm(tensors, MAX_GRAD_NORM)
             adam_step(named, state, lr)
         except NumericError as e:

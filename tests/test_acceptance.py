@@ -298,11 +298,11 @@ def test_macro_f1_against_plain_python():
 
 def test_lr_schedule_matches_exact_rationals():
     with gate("criterion 07 (learning-rate schedule)"):
-        total, peak, ratio = 1000, 5e-5, 0.1
+        total, peak = 1000, 5e-5
         warm = 100
-        assert lr_at(0, total, peak, ratio) == 0.0
-        assert lr_at(warm, total, peak, ratio) == peak
-        assert lr_at(total, total, peak, ratio) == 0.0
+        assert lr_at(0, total, peak) == 0.0
+        assert lr_at(warm, total, peak) == peak
+        assert lr_at(total, total, peak) == 0.0
         rng = np.random.default_rng(31)
         for step in rng.choice(total + 1, size=100, replace=False):
             step = int(step)
@@ -310,7 +310,7 @@ def test_lr_schedule_matches_exact_rationals():
                 exact = Fraction(peak) * Fraction(step, warm)
             else:
                 exact = Fraction(peak) * Fraction(total - step, total - warm)
-            got = lr_at(step, total, peak, ratio)
+            got = lr_at(step, total, peak)
             assert math.isclose(got, float(exact),
                                 rel_tol=1e-12, abs_tol=1e-18), step
 

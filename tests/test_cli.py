@@ -15,7 +15,8 @@ import pytest
 
 from offlm import cli
 from offlm.cli import build_parser
-from offlm.model import ModelConfig, init_params, parameter_count, save_checkpoint
+from offlm.model import (CHECKPOINT_FORMAT_VERSION, ModelConfig, init_params,
+                         parameter_count, save_checkpoint)
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(PKG_ROOT, "tests", "fixtures")
@@ -122,17 +123,12 @@ EXPECTED_SURFACE = {
         (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
     },
     "preprocess": {
-        (("--config",), None, None, False, None, "_StoreAction"),
         (("--emoji-map",), None, None, False, None, "_StoreAction"),
         (("--input",), None, None, True, None, "_StoreAction"),
         (("--keep-all",), None, False, False, None, "_StoreTrueAction"),
         (("--lexicon",), None, None, False, None, "_StoreAction"),
-        (("--min-chars",), "int", None, False, None, "_StoreAction"),
-        (("--min-words",), "int", None, False, None, "_StoreAction"),
         (("--output",), None, None, True, None, "_StoreAction"),
         (("--text-column",), None, "text", False, None, "_StoreAction"),
-        (("--url-placeholder",), None, None, False, None, "_StoreAction"),
-        (("--user-placeholder",), None, None, False, None, "_StoreAction"),
         (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
     },
     "build-vocab": {
@@ -152,7 +148,6 @@ EXPECTED_SURFACE = {
         (("--epochs",), "int", None, False, None, "_StoreAction"),
         (("--hidden-size",), "int", None, False, None, "_StoreAction"),
         (("--init-checkpoint",), None, None, False, None, "_StoreAction"),
-        (("--intermediate-size",), "int", None, False, None, "_StoreAction"),
         (("--lr",), "float", None, False, None, "_StoreAction"),
         (("--mask-prob",), "float", None, False, None, "_StoreAction"),
         (("--max-len",), "int", None, False, None, "_StoreAction"),
@@ -176,7 +171,6 @@ EXPECTED_SURFACE = {
         (("--evals-per-epoch",), "int", None, False, None, "_StoreAction"),
         (("--hidden-size",), "int", None, False, None, "_StoreAction"),
         (("--init-checkpoint",), None, None, False, None, "_StoreAction"),
-        (("--intermediate-size",), "int", None, False, None, "_StoreAction"),
         (("--label-column",), None, "label", False, None, "_StoreAction"),
         (("--labels",), None, None, True, None, "_StoreAction"),
         (("--lr",), "float", None, False, None, "_StoreAction"),
@@ -191,7 +185,6 @@ EXPECTED_SURFACE = {
         (("--text-column",), None, "text", False, None, "_StoreAction"),
         (("--train",), None, None, True, None, "_StoreAction"),
         (("--vocab",), None, None, True, None, "_StoreAction"),
-        (("--warmup-ratio",), "float", None, False, None, "_StoreAction"),
         (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
     },
     "evaluate": {
@@ -221,7 +214,6 @@ EXPECTED_SURFACE = {
         (("--eval",), None, None, False, None, "_StoreAction"),
         (("--format",), None, "markdown", False, ("json", "markdown", "tsv"), "_StoreAction"),
         (("--hidden-size",), "int", None, False, None, "_StoreAction"),
-        (("--intermediate-size",), "int", None, False, None, "_StoreAction"),
         (("--label-column",), None, "label", False, None, "_StoreAction"),
         (("--labels",), None, None, True, None, "_StoreAction"),
         (("--lr",), "float", None, False, None, "_StoreAction"),
@@ -448,71 +440,85 @@ def test_build_vocab_is_deterministic(tmp_path):
     assert len(tokens) <= 300
 
 
+def pretrain_run(tmp_path, *flags, env_extra=None):
+    """`pretrain` of a tiny model on the fixtures with `flags`, writing to
+    tmp_path/out; returns the process and, if it succeeded, the epochs
+    and steps its manifest and trainlog record."""
+    proc = run_cli("pretrain", *command_args("pretrain", tmp_path),
+                   "--max-len", "8", "--num-layers", "1", "--hidden-size", "8",
+                   "--num-heads", "2", *flags, env_extra=env_extra)
+    if proc.returncode:
+        return proc, None, None
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    log = (out / "trainlog.jsonl").read_text().splitlines()
+    return (proc, manifest["effective_config"]["pretrain"]["epochs"],
+            sum(json.loads(line)["kind"] == "step" for line in log))
+
+
 def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"prep": {"min_chars": 1000}}))
-    out = tmp_path / "prepped.tsv"
-    # min_chars 1000 drops everything
-    proc = run_cli("preprocess", "--config", str(cfg),
-                   "--input", os.path.join(FIXTURES, "scored.tsv"),
-                   "--output", str(out))
-    assert proc.returncode == 0
-    with open(out, newline="", encoding="utf-8") as f:
-        assert len(list(csv.DictReader(f, delimiter="\t"))) == 0
+    cfg.write_text(json.dumps({"pretrain": {"epochs": 0}}))
+    # epochs 0 trains no step
+    proc, epochs, steps = pretrain_run(tmp_path, "--config", str(cfg))
+    assert proc.returncode == 0, proc.stderr
+    assert (epochs, steps) == (0, 0)
     # explicit flag beats the config file
-    proc = run_cli("preprocess", "--config", str(cfg),
-                   "--input", os.path.join(FIXTURES, "scored.tsv"),
-                   "--output", str(out), "--min-chars", "18")
-    assert proc.returncode == 0
-    with open(out, newline="", encoding="utf-8") as f:
-        assert len(list(csv.DictReader(f, delimiter="\t"))) == 28
+    proc, epochs, steps = pretrain_run(tmp_path, "--config", str(cfg),
+                                       "--epochs", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert epochs == 1 and steps > 0
 
 
 def test_config_via_environment_variable(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"prep": {"min_chars": 1000}}))
-    out = tmp_path / "prepped.tsv"
-    proc = run_cli("preprocess",
-                   "--input", os.path.join(FIXTURES, "scored.tsv"),
-                   "--output", str(out),
-                   env_extra={"OFFLM_CONFIG": str(cfg)})
-    assert proc.returncode == 0
-    with open(out, newline="", encoding="utf-8") as f:
-        assert len(list(csv.DictReader(f, delimiter="\t"))) == 0
+    cfg.write_text(json.dumps({"pretrain": {"epochs": 0}}))
+    proc, epochs, steps = pretrain_run(
+        tmp_path, env_extra={"OFFLM_CONFIG": str(cfg)})
+    assert proc.returncode == 0, proc.stderr
+    assert (epochs, steps) == (0, 0)
 
 
 def test_malformed_config_file_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
-    proc = run_cli("preprocess", "--config", str(cfg),
-                   "--input", os.path.join(FIXTURES, "scored.tsv"),
-                   "--output", str(tmp_path / "out.tsv"))
+    proc = run_cli("pretrain", "--config", str(cfg),
+                   *command_args("pretrain", tmp_path))
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize("flag", ["--lexicon", "--emoji-map", "--config"])
+@pytest.mark.parametrize("flag", ["--lexicon", "--emoji-map"])
 def test_preprocess_non_utf8_side_file_exits_cleanly(tmp_path, flag):
     """A lexicon or emoji map with a byte that is not UTF-8 is a data error
-    naming its file and line (exit 3); such a config file is a config
-    error (exit 2)."""
+    naming its file and line (exit 3)."""
     bad = tmp_path / "side"
     bad.write_bytes({"--lexicon": b"the\t5\ncaf\xe9\t2\n",
-                     "--emoji-map": b"\xf0\x9f\x94\xa5\t:fire:\n\xe9\t:e:\n",
-                     "--config": b'{"prep": {}}\xff'}[flag])
+                     "--emoji-map": b"\xf0\x9f\x94\xa5\t:fire:\n\xe9\t:e:\n"}[flag])
     proc = run_cli("preprocess", flag, str(bad),
                    "--input", os.path.join(FIXTURES, "scored.tsv"),
                    "--output", str(tmp_path / "out.tsv"))
-    assert proc.returncode == (2 if flag == "--config" else 3), proc.stderr
-    assert f"{bad}:{1 if flag == '--config' else 2}: not UTF-8" in proc.stderr
+    assert proc.returncode == 3, proc.stderr
+    assert f"{bad}:2: not UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_utf8_config_file_exit_2(tmp_path):
+    """A config file with a byte that is not UTF-8 is a config error naming
+    its file and line (exit 2)."""
+    bad = tmp_path / "cfg.json"
+    bad.write_bytes(b'{"pretrain": {}}\xff')
+    proc = run_cli("pretrain", "--config", str(bad),
+                   *command_args("pretrain", tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert f"{bad}:1: not UTF-8" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
 def test_unknown_config_section_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pretraining": {"epochs": 1}}))
-    proc = run_cli("preprocess", "--config", str(cfg),
-                   "--input", os.path.join(FIXTURES, "scored.tsv"),
-                   "--output", str(tmp_path / "out.tsv"))
+    proc = run_cli("pretrain", "--config", str(cfg),
+                   *command_args("pretrain", tmp_path))
     assert proc.returncode == 2
 
 
@@ -527,7 +533,8 @@ def test_evaluate_malformed_manifest_exit_3(tmp_path):
     ckpt = tmp_path / "ckpt"
     ckpt.mkdir()
     manifest = ckpt / "manifest.json"
-    manifest.write_text(json.dumps({"format_version": 2, "num_classes": 2,
+    manifest.write_text(json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION,
+                                    "num_classes": 2,
                                     "config": {"vocab_size": 16}}))
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\na\n")
@@ -545,23 +552,28 @@ TINY_VOCAB = "[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\na\nb\n"
 
 
 def test_evaluate_format_version_1_checkpoint_exit_3(tmp_path):
-    """A fine-tuned directory saved in format version 1, whose config still
-    names tie_mlm_weights and layer_norm_epsilon, is refused by its version."""
+    """Fine-tuned directories saved in format version 1, whose config still
+    names tie_mlm_weights and layer_norm_epsilon, and in version 2, whose
+    config still names intermediate_size, are refused by their version."""
     model_dir = tmp_path / "fine"
     final = model_dir / "final"
     save_checkpoint(init_params(ModelConfig(vocab_size=7), 0), str(final))
     (model_dir / "vocab.txt").write_text(TINY_VOCAB)
     (model_dir / "labels.json").write_text('{"labels": ["not", "off"]}\n')
-    manifest = json.loads((final / "manifest.json").read_text())
-    manifest["format_version"] = 1
-    manifest["config"].update(layer_norm_epsilon=1e-12, tie_mlm_weights=True)
-    (final / "manifest.json").write_text(json.dumps(manifest))
-    proc = run_cli("evaluate", "--model-dir", str(model_dir),
-                   "--data", os.path.join(FIXTURES, "labeled.tsv"),
-                   "--output-dir", str(tmp_path / "eval"))
-    assert proc.returncode == 3, proc.stderr
-    assert "format version 1" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    current = json.loads((final / "manifest.json").read_text())
+    removed = {1: {"layer_norm_epsilon": 1e-12, "tie_mlm_weights": True,
+                   "intermediate_size": 256},
+               2: {"intermediate_size": 256}}
+    for version, keys in removed.items():
+        manifest = {**current, "format_version": version,
+                    "config": {**current["config"], **keys}}
+        (final / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("evaluate", "--model-dir", str(model_dir),
+                       "--data", os.path.join(FIXTURES, "labeled.tsv"),
+                       "--output-dir", str(tmp_path / "eval"))
+        assert proc.returncode == 3, proc.stderr
+        assert f"format version {version}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
@@ -706,22 +718,25 @@ def test_evaluate_model_dir_resolves_interrupted_final_save(tmp_path):
 @pytest.mark.parametrize("field,value", [("min_words", 0), ("url_placeholder", "")])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_invalid_prep_config_exit_2(tmp_path, field, value, source):
-    """A PrepConfig value it rejects is a config error, from a flag or a file."""
+    """Preprocessing's placeholders and short-instance filter are constants:
+    a flag for one is a usage error, and a "prep" config section is a
+    config error naming it. Either exits 2 and writes nothing."""
     if source == "flag":
-        args = ("--" + field.replace("_", "-"), str(value))
+        proc = run_cli("preprocess", "--input", os.path.join(FIXTURES, "scored.tsv"),
+                       "--output", str(tmp_path / "out"),
+                       "--" + field.replace("_", "-"), str(value))
+        assert "unrecognized arguments" in proc.stderr
     else:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"prep": {field: value}}))
-        args = ("--config", str(cfg))
-    proc = run_cli("preprocess", "--input", os.path.join(FIXTURES, "scored.tsv"),
-                   "--output", str(tmp_path / "out.tsv"), *args)
+        proc = run_cli("pretrain", "--config", str(cfg),
+                       *command_args("pretrain", tmp_path))
+        assert proc.stderr.startswith("config error:") and "'prep'" in proc.stderr
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("config error:")
-    assert not (tmp_path / "out.tsv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,section,field", [
-    ("preprocess", "prep", "unknown_penalty_base"),
     ("pretrain", "pretrain", "keep_frac"),
     ("pretrain", "model", "tie_mlm_weights"),
     ("pretrain", "model", "layer_norm_epsilon"),
@@ -731,7 +746,9 @@ def test_invalid_prep_config_exit_2(tmp_path, field, value, source):
     ("finetune", "finetune", "max_grad_norm"),
     ("finetune", "finetune", "adam_epsilon"),
     ("finetune", "finetune", "gradient_accumulation_steps"),
-    ("finetune", "finetune", "eval_every")])
+    ("finetune", "finetune", "eval_every"),
+    ("finetune", "model", "intermediate_size"),
+    ("finetune", "finetune", "warmup_ratio")])
 def test_removed_config_fields_exit_2(tmp_path, command, section, field):
     """Fields that no longer exist are config errors, like any unknown key."""
     cfg = tmp_path / "cfg.json"
@@ -749,8 +766,6 @@ def command_args(command, tmp_path):
     vocab.write_text(TINY_VOCAB)
     out = str(tmp_path / "out")
     return {
-        "preprocess": ("--input", os.path.join(FIXTURES, "scored.tsv"),
-                       "--output", out),
         "pretrain": ("--corpus", os.path.join(FIXTURES, "scored.tsv"),
                      "--vocab", str(vocab), "--output-dir", out),
         "finetune": ("--train", os.path.join(FIXTURES, "labeled.tsv"),
@@ -782,12 +797,7 @@ BAD_CONFIGS = {  # test id -> command, flags, config file
     "fraction-seed": ("pretrain", (), {"pretrain": {"seed": 1.5}}),
     "bool-for-int": ("finetune", (), {"finetune": {"epochs": True}}),
     "null-not-optional": ("pretrain", (), {"pretrain": {"lr": None}}),
-    "float-for-optional-int": ("finetune", (),
-                               {"model": {"intermediate_size": 2.0}}),
-    "string-for-int": ("preprocess", (), {"prep": {"min_words": "2"}}),
-    "intermediate-size-negative": ("pretrain", ("--intermediate-size", "-1"), None),
-    "intermediate-size-zero": ("pretrain", ("--intermediate-size", "0"), None),
-    "intermediate-size-in-file": ("finetune", (), {"model": {"intermediate_size": 0}}),
+    "string-for-int": ("finetune", (), {"finetune": {"evals_per_epoch": "2"}}),
     "checkpoint-every-negative": ("pretrain", ("--checkpoint-every", "-1"), None),
 }
 
@@ -795,22 +805,17 @@ BAD_CONFIGS = {  # test id -> command, flags, config file
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_config_value_out_of_range_or_of_wrong_type_exit_2(
         tmp_path, capsys, monkeypatch, case):
-    """A negative seed, a config-file value whose type is not its flag's,
-    an FFN narrower than 1 and a negative checkpoint interval are config
-    errors, not tracebacks or silent settings."""
+    """A negative seed, a config-file value whose type is not its flag's
+    and a negative checkpoint interval are config errors, not tracebacks
+    or silent settings."""
     monkeypatch.delenv("OFFLM_CONFIG", raising=False)
     assert_config_error(tmp_path, capsys, *BAD_CONFIGS[case])
 
 
 def test_config_file_values_of_the_flag_types_are_accepted():
-    """An int passes for a float field, and null or an int for an
-    Optional[int] field."""
-    args = argparse.Namespace(command="evaluate")  # no flags for these sections
+    """An int passes for a float field."""
+    args = argparse.Namespace(command="evaluate")  # no flags for this section
     assert cli._config({"pretrain": {"lr": 1}}, "pretrain", args).lr == 1
-    for size in (None, 3):
-        mcfg = cli._config({"model": {"intermediate_size": size}}, "model",
-                           args, vocab_size=7)
-        assert mcfg.intermediate_size == (size or 4 * mcfg.hidden_size)
 
 
 @pytest.mark.parametrize("command,field", [("pretrain", "lr"), ("finetune", "lr")])
@@ -836,7 +841,7 @@ def test_config_path_naming_a_directory_exit_2(tmp_path, capsys, monkeypatch,
     monkeypatch.delenv("OFFLM_CONFIG", raising=False)
     directory = tmp_path / "configs"
     directory.mkdir()
-    args = ["preprocess", *command_args("preprocess", tmp_path)]
+    args = ["pretrain", *command_args("pretrain", tmp_path)]
     if source == "flag":
         args += ["--config", str(directory)]
     else:

@@ -540,7 +540,9 @@ def test_checkpoint_manifest_contents(tmp_path):
     m = tiny_model(seed=9)
     save_checkpoint(m, tmp_path / "ckpt")
     manifest = json.load(open(tmp_path / "ckpt" / "manifest.json"))
-    assert manifest["format_version"] == 2
+    assert manifest["format_version"] == 3
+    assert set(manifest["config"]) == {"vocab_size", "num_layers", "hidden_size",
+                                       "num_heads", "max_position", "dropout_rate"}
     assert manifest["num_classes"] == 2
     assert set(manifest["params"]) == set(m.params)
     for entry in manifest["params"].values():

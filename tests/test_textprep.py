@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from offlm.errors import DataError
 from offlm.textprep import (
     Lexicon,
-    PrepConfig,
     demojize,
     keep_instance,
     load_emoji_map,
@@ -22,20 +21,13 @@ PACKAGED_EMOJI_MAP = os.path.join(
 
 
 def test_normalize_replaces_urls_and_mentions():
-    cfg = PrepConfig()
-    out = normalize("see https://a.io/x?y=1 and ask @some_user1 now", cfg)
+    out = normalize("see https://a.io/x?y=1 and ask @some_user1 now")
     assert out == "see URL and ask USER now"
 
 
 def test_normalize_handles_www_and_collapses_whitespace():
-    cfg = PrepConfig()
-    out = normalize("go  to   www.example.com\t now ", cfg)
+    out = normalize("go  to   www.example.com\t now ")
     assert out == "go to URL now"
-
-
-def test_normalize_custom_placeholders():
-    cfg = PrepConfig(url_placeholder="<link>", user_placeholder="<who>")
-    assert normalize("@a http://b.c", cfg) == "<who> <link>"
 
 
 @pytest.mark.parametrize("loader", [Lexicon.load, load_emoji_map])
@@ -145,30 +137,26 @@ def test_segment_concatenation_invariant(body):
 
 
 def test_keep_instance_boundaries():
-    cfg = PrepConfig(min_words=2, min_chars=18)
-    assert keep_instance("exactly eighteen c", cfg)   # 18 chars, 3 words
-    assert not keep_instance("seventeen chars x"[:17], cfg)
-    assert not keep_instance("single-word-but-long-enough", cfg)
-    assert keep_instance("two words but padded out to length", cfg)
+    assert keep_instance("exactly eighteen c")   # 18 chars, 3 words
+    assert not keep_instance("seventeen chars x"[:17])
+    assert not keep_instance("single-word-but-long-enough")
+    assert keep_instance("two words but padded out to length")
 
 
 def test_prepare_runs_full_pipeline(fixtures_dir):
-    cfg = PrepConfig()
     lex = Lexicon.load(os.path.join(fixtures_dir, "lexicon.tsv"))
     mapping = load_emoji_map(PACKAGED_EMOJI_MAP)
-    out = prepare("@u this is fire \U0001f525 #helloworld https://x.y", cfg,
+    out = prepare("@u this is fire \U0001f525 #helloworld https://x.y",
                   lexicon=lex, mapping=mapping)
     assert out == "USER this is fire :fire: hello world URL"
 
 
 def test_prepare_without_optional_stages_keeps_hashtags():
-    cfg = PrepConfig()
-    out = prepare("keep #HashTag as is", cfg)
+    out = prepare("keep #HashTag as is")
     assert "#HashTag" in out
 
 
 def test_prepare_is_idempotent(fixtures_dir):
-    cfg = PrepConfig()
     lex = Lexicon.load(os.path.join(fixtures_dir, "lexicon.tsv"))
     mapping = load_emoji_map(PACKAGED_EMOJI_MAP)
     texts = [
@@ -177,8 +165,8 @@ def test_prepare_is_idempotent(fixtures_dir):
         "USER already prepared URL",
     ]
     for t in texts:
-        once = prepare(t, cfg, lexicon=lex, mapping=mapping)
-        twice = prepare(once, cfg, lexicon=lex, mapping=mapping)
+        once = prepare(t, lexicon=lex, mapping=mapping)
+        twice = prepare(once, lexicon=lex, mapping=mapping)
         assert once == twice
 
 
@@ -187,9 +175,8 @@ def test_prepare_is_idempotent(fixtures_dir):
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd", "Zs")),
     max_size=60))
 def test_prepare_idempotent_on_plain_text(text):
-    cfg = PrepConfig()
-    once = prepare(text, cfg)
-    assert prepare(once, cfg) == once
+    once = prepare(text)
+    assert prepare(once) == once
 
 
 def test_lexicon_rejects_bad_counts():
@@ -213,7 +200,6 @@ def test_golden_preprocessed_fixture_matches_unit_path(fixtures_dir):
     """The shipped golden file is exactly what prepare() produces."""
     import csv
 
-    cfg = PrepConfig()
     lex = Lexicon.load(os.path.join(fixtures_dir, "lexicon.tsv"))
     mapping = load_emoji_map(PACKAGED_EMOJI_MAP)
 
@@ -226,8 +212,8 @@ def test_golden_preprocessed_fixture_matches_unit_path(fixtures_dir):
 
     produced = []
     for row in rows:
-        text = prepare(row["text"], cfg, lexicon=lex, mapping=mapping)
-        if keep_instance(text, cfg):
+        text = prepare(row["text"], lexicon=lex, mapping=mapping)
+        if keep_instance(text):
             produced.append((row["id"], text, row["average"]))
 
     assert [(g["id"], g["text"], g["average"]) for g in golden] == produced

@@ -148,38 +148,31 @@ def test_mask_tokens_selects_every_real_slot_of_a_padded_batch():
 
 
 def test_lr_endpoints_and_peak():
-    assert lr_at(0, 100, 1e-3, 0.1) == 0.0
-    assert lr_at(10, 100, 1e-3, 0.1) == 1e-3
-    assert lr_at(100, 100, 1e-3, 0.1) == 0.0
+    assert lr_at(0, 100, 1e-3) == 0.0
+    assert lr_at(10, 100, 1e-3) == 1e-3
+    assert lr_at(100, 100, 1e-3) == 0.0
 
 
 def test_lr_linear_in_both_phases():
     peak, total = 2e-4, 200
     w = 20
     for step in range(0, w + 1):
-        assert lr_at(step, total, peak, 0.1) == pytest.approx(peak * step / w)
+        assert lr_at(step, total, peak) == pytest.approx(peak * step / w)
     for step in range(w, total + 1):
-        assert lr_at(step, total, peak, 0.1) == pytest.approx(
+        assert lr_at(step, total, peak) == pytest.approx(
             peak * (total - step) / (total - w))
 
 
 def test_lr_warmup_boundary_is_decimal_exact():
-    # ceil(0.1 * 30) must be 3, not 4, despite binary rounding of 0.1
-    assert lr_at(3, 30, 1.0, 0.1) == 1.0
-
-
-def test_lr_zero_warmup_decays_from_peak():
-    assert lr_at(0, 10, 1e-3, 0.0) == 1e-3
-    assert lr_at(5, 10, 1e-3, 0.0) == pytest.approx(5e-4)
+    # 30 steps warm up over ceil(30 / 10) = 3, counted in integers
+    assert lr_at(3, 30, 1.0) == 1.0
 
 
 def test_lr_validates_inputs():
     with pytest.raises(ConfigError):
-        lr_at(0, 0, 1e-3, 0.1)
+        lr_at(0, 0, 1e-3)
     with pytest.raises(ConfigError):
-        lr_at(11, 10, 1e-3, 0.1)
-    with pytest.raises(ConfigError):
-        lr_at(0, 10, 1e-3, 1.0)
+        lr_at(11, 10, 1e-3)
 
 
 # --- early stopping ---------------------------------------------------------
