@@ -4,8 +4,7 @@ build-vocab, pretrain, finetune, evaluate, sweep.
 Every run writes a manifest JSON recording the effective config, seeds,
 input-file hashes, and stop reason, so a run can be reproduced exactly.
 Config files are JSON with sections "model", "pretrain" and "finetune";
-any CLI flag overrides its config field. The OFFLM_CONFIG
-environment variable supplies a default config path.
+any CLI flag overrides its config field.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error,
 4 numeric or shape failure.
@@ -41,7 +40,6 @@ from .tokenizer import Vocabulary, build_vocab, load_vocab
 from .training import (FinetuneConfig, PretrainConfig, TrainLog, finetune,
                        predict_class_ids, pretrain)
 
-ENV_CONFIG = "OFFLM_CONFIG"
 MANIFEST_SCHEMA_VERSION = 1
 TABLE_LOWER_BOUNDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 _REPORT_EXT = {"json": "json", "markdown": "md", "tsv": "tsv"}
@@ -92,13 +90,11 @@ _CONFIGS = {
     "pretrain": (PretrainConfig, ("pretrain", "sweep")),
     "finetune": (FinetuneConfig, ("finetune",)),
 }
-# the flag of a field is --field-name except for these
-_FLAG_ALIASES = {"eval_patience": "--patience"}
 _FLAG_HELP = {"max_position": "defaults to the training max_len"}
 
 
 def _load_config_file(args) -> dict:
-    path = args.config or os.environ.get(ENV_CONFIG)
+    path = args.config
     if not path:
         return {}
     try:
@@ -155,8 +151,16 @@ def _model(config: dict, args, vocab, max_len: Optional[int],
            checkpoint: Optional[str] = None) -> Model:
     """Load `checkpoint`, or initialise a model from the model section and
     flags with max_position defaulting to `max_len`. Either way the model
-    must cover `max_len` and match the vocabulary file and the labels."""
+    must cover `max_len` and match the vocabulary file and the labels. A
+    checkpoint fixes the model, so a model flag given with one is an error;
+    the config file's model section goes unread."""
     if checkpoint:
+        flags = ["--" + f.name.replace("_", "-")
+                 for f in dataclasses.fields(ModelConfig)
+                 if getattr(args, f.name, None) is not None]
+        if flags:
+            raise ConfigError(f"{', '.join(flags)} cannot change the model "
+                              f"loaded from {checkpoint}")
         model = load_checkpoint(checkpoint)
     else:
         mcfg = _config(config, "model", args, vocab_size=len(vocab),
@@ -191,9 +195,7 @@ def _write_tsv(path, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
         writer.writerows(rows)
 
 
-def _parse_labels(raw: Optional[str]) -> list[str]:
-    if not raw:
-        raise ConfigError("--labels is required (comma-separated class names)")
+def _parse_labels(raw: str) -> list[str]:
     labels = [x.strip() for x in raw.split(",") if x.strip()]
     if len(labels) < 2:
         raise ConfigError(f"need at least 2 labels, got {labels}")
@@ -408,41 +410,20 @@ def cmd_finetune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model_dir = args.model_dir
-    if model_dir and not os.path.isdir(model_dir):
+    if not os.path.isdir(model_dir):
         raise DataError(f"model directory {model_dir} does not exist")
-
-    def in_model_dir(name: str) -> Optional[str]:
-        """`name` inside --model-dir if it is present there."""
-        path = os.path.join(model_dir, name) if model_dir else None
-        return path if path and os.path.exists(path) else None
-
-    checkpoint = (args.checkpoint or (model_dir and resolve_checkpoint(
-        os.path.join(model_dir, "final"))) or model_dir)
-    if not checkpoint:
-        raise ConfigError("give --model-dir or --checkpoint")
-    vocab_path = args.vocab or in_model_dir("vocab.txt")
-    if not vocab_path:
-        raise ConfigError("no vocabulary: give --vocab or a --model-dir "
-                          "containing vocab.txt")
-    labels_path = in_model_dir("labels.json")
-    labels = (_parse_labels(args.labels) if args.labels or not labels_path
-              else None)
-    if labels_path:
-        try:
-            with open(labels_path, encoding="utf-8") as f:
-                saved = _parse_labels(",".join(json.load(f)["labels"]))
-        except (ValueError, KeyError, TypeError) as e:
-            raise DataError(f"{labels_path}: expected an object with a "
-                            f"'labels' list of names: {e!r}") from e
-        if labels not in (None, saved):
-            raise ConfigError(f"--labels {labels} disagree with {saved}, the "
-                              f"labels the model was fine-tuned with "
-                              f"({labels_path})")
-        labels = saved
+    checkpoint, vocab_path, labels_path = (
+        os.path.join(model_dir, name)
+        for name in ("final", "vocab.txt", "labels.json"))
+    try:
+        with open(labels_path, encoding="utf-8") as f:
+            labels = _parse_labels(",".join(json.load(f)["labels"]))
+    except (ValueError, KeyError, TypeError, ConfigError) as e:
+        raise DataError(f"{labels_path}: expected an object with a 'labels' "
+                        f"list of two or more distinct names: {e!r}") from e
     vocab = load_vocab(vocab_path)
     model = _model({}, args, vocab, args.max_len, labels, checkpoint=checkpoint)
-    model_id = args.model_id or os.path.basename(
-        os.path.normpath(model_dir or checkpoint))
+    model_id = args.model_id or os.path.basename(os.path.normpath(model_dir))
     data = load_labeled(args.data, labels, label_column=args.label_column,
                         text_column=args.text_column)
     dataset_id = args.dataset_id or os.path.splitext(
@@ -489,7 +470,7 @@ def _run_cell(cell: _Cell) -> tuple[str, EvalReport]:
                           os.path.join(bin_dir, "finetune"),
                           os.path.join(bin_dir, "pretrain", "final"))
     report, text = _evaluate(cell.test, cell.test_path, cell.vocab, model,
-                             cell.labels, cell.fcfg.max_len,
+                             cell.labels, model.config.max_position,
                              os.path.join(bin_dir, "eval"), args.format,
                              cell.dataset_id, f"bin-{lo:g}-{hi:g}")
     return f"{pretrained}\n{finetuned}\n{text}", report
@@ -624,15 +605,14 @@ def cmd_sweep(args) -> int:
 def _add_config_flags(p, command: str) -> None:
     """--config, then one flag per field of each config section `command`
     reads, typed by the field's annotation."""
-    p.add_argument("--config", help="JSON config file (or set $OFFLM_CONFIG)")
+    p.add_argument("--config", help="JSON config file")
     for cls, commands in _CONFIGS.values():
         if command not in commands:
             continue
         for field, kind in typing.get_type_hints(cls).items():
             if field == "vocab_size":  # the vocabulary file gives it
                 continue
-            flag = _FLAG_ALIASES.get(field, "--" + field.replace("_", "-"))
-            p.add_argument(flag, dest=field, type=kind,
+            p.add_argument("--" + field.replace("_", "-"), type=kind,
                            help=_FLAG_HELP.get(field))
     if command in _CONFIGS["model"][1]:
         p.add_argument("--model-seed", type=int, default=0)
@@ -691,12 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a fine-tuned model on a TSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--model-dir",
+    p.add_argument("--model-dir", required=True,
                    help="finetune output directory (final/, vocab.txt, "
                         "labels.json)")
-    p.add_argument("--checkpoint", help="explicit checkpoint directory")
-    p.add_argument("--vocab")
-    p.add_argument("--labels")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--format", choices=sorted(_REPORT_EXT), default="markdown")
     p.add_argument("--max-len", type=int)

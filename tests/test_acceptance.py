@@ -396,7 +396,6 @@ def test_cli_pipeline_end_to_end(tmp_path):
     with gate("criterion 10 (command-line pipeline)"):
         start = time.perf_counter()
         env = dict(os.environ)
-        env.pop("OFFLM_CONFIG", None)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (os.path.join(PKG_ROOT, "src"), env.get("PYTHONPATH")) if p)
         proc = subprocess.run(

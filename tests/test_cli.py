@@ -27,19 +27,15 @@ EMOJI_MAP = os.path.join(SRC, "offlm", "data", "emoji_map.tsv")
 def child_env():
     """The caller's environment with this checkout's `src` first on PYTHONPATH."""
     env = dict(os.environ)
-    env.pop("OFFLM_CONFIG", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     return env
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    env = child_env()
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "offlm.cli", *args],
-        capture_output=True, text=True, env=env, cwd=cwd or PKG_ROOT)
+        capture_output=True, text=True, env=child_env(), cwd=PKG_ROOT)
 
 
 def test_importing_cli_leaves_scipy_unloaded():
@@ -168,6 +164,7 @@ EXPECTED_SURFACE = {
         (("--dropout-rate",), "float", None, False, None, "_StoreAction"),
         (("--epochs",), "int", None, False, None, "_StoreAction"),
         (("--eval-fraction",), "float", None, False, None, "_StoreAction"),
+        (("--eval-patience",), "int", None, False, None, "_StoreAction"),
         (("--evals-per-epoch",), "int", None, False, None, "_StoreAction"),
         (("--hidden-size",), "int", None, False, None, "_StoreAction"),
         (("--init-checkpoint",), None, None, False, None, "_StoreAction"),
@@ -180,7 +177,6 @@ EXPECTED_SURFACE = {
         (("--num-heads",), "int", None, False, None, "_StoreAction"),
         (("--num-layers",), "int", None, False, None, "_StoreAction"),
         (("--output-dir",), None, None, True, None, "_StoreAction"),
-        (("--patience",), "int", None, False, None, "_StoreAction"),
         (("--seed",), "int", None, False, None, "_StoreAction"),
         (("--text-column",), None, "text", False, None, "_StoreAction"),
         (("--train",), None, None, True, None, "_StoreAction"),
@@ -189,18 +185,15 @@ EXPECTED_SURFACE = {
     },
     "evaluate": {
         (("--batch-size",), "int", 32, False, None, "_StoreAction"),
-        (("--checkpoint",), None, None, False, None, "_StoreAction"),
         (("--data",), None, None, True, None, "_StoreAction"),
         (("--dataset-id",), None, None, False, None, "_StoreAction"),
         (("--format",), None, "markdown", False, ("json", "markdown", "tsv"), "_StoreAction"),
         (("--label-column",), None, "label", False, None, "_StoreAction"),
-        (("--labels",), None, None, False, None, "_StoreAction"),
         (("--max-len",), "int", None, False, None, "_StoreAction"),
-        (("--model-dir",), None, None, False, None, "_StoreAction"),
+        (("--model-dir",), None, None, True, None, "_StoreAction"),
         (("--model-id",), None, None, False, None, "_StoreAction"),
         (("--output-dir",), None, None, True, None, "_StoreAction"),
         (("--text-column",), None, "text", False, None, "_StoreAction"),
-        (("--vocab",), None, None, False, None, "_StoreAction"),
         (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
     },
     "sweep": {
@@ -363,8 +356,6 @@ def test_short_row_exit_3_names_line(tmp_path, command):
     data.write_text("id\ttext\taverage\tlabel\nr0\ta b\t0.5\toff\nr1\n")
     vocab = tmp_path / "vocab.txt"
     vocab.write_text(TINY_VOCAB)
-    ckpt = tmp_path / "ckpt"
-    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0), str(ckpt))
     out = tmp_path / "out"
     labels = ("--labels", "not,off")
     args = {
@@ -374,8 +365,9 @@ def test_short_row_exit_3_names_line(tmp_path, command):
         "pretrain": ("--corpus", data, "--vocab", vocab, "--output-dir", out),
         "finetune": ("--train", data, "--vocab", vocab, *labels,
                      "--output-dir", out),
-        "evaluate": ("--data", data, "--checkpoint", ckpt, "--vocab", vocab,
-                     *labels, "--output-dir", out),
+        "evaluate": ("--data", data,
+                     "--model-dir", fine_tuning_dir(tmp_path / "fine"),
+                     "--output-dir", out),
     }[command]
     proc = run_cli(command, *map(str, args))
     assert proc.returncode == 3, proc.stderr
@@ -388,13 +380,9 @@ def test_evaluate_empty_data_exit_3(tmp_path):
     naming it, not a report of 0.0000."""
     data = tmp_path / "empty.tsv"
     data.write_text("id\ttext\tlabel\n")
-    vocab = tmp_path / "vocab.txt"
-    vocab.write_text(TINY_VOCAB)
-    ckpt = tmp_path / "ckpt"
-    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0), str(ckpt))
     out = tmp_path / "out"
-    proc = run_cli("evaluate", "--data", str(data), "--checkpoint", str(ckpt),
-                   "--vocab", str(vocab), "--labels", "not,off",
+    proc = run_cli("evaluate", "--data", str(data),
+                   "--model-dir", str(fine_tuning_dir(tmp_path / "fine")),
                    "--output-dir", str(out))
     assert proc.returncode == 3, proc.stderr
     assert f"{data}: no rows" in proc.stderr
@@ -440,13 +428,13 @@ def test_build_vocab_is_deterministic(tmp_path):
     assert len(tokens) <= 300
 
 
-def pretrain_run(tmp_path, *flags, env_extra=None):
+def pretrain_run(tmp_path, *flags):
     """`pretrain` of a tiny model on the fixtures with `flags`, writing to
     tmp_path/out; returns the process and, if it succeeded, the epochs
     and steps its manifest and trainlog record."""
     proc = run_cli("pretrain", *command_args("pretrain", tmp_path),
                    "--max-len", "8", "--num-layers", "1", "--hidden-size", "8",
-                   "--num-heads", "2", *flags, env_extra=env_extra)
+                   "--num-heads", "2", *flags)
     if proc.returncode:
         return proc, None, None
     out = tmp_path / "out"
@@ -468,15 +456,6 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
                                        "--epochs", "1")
     assert proc.returncode == 0, proc.stderr
     assert epochs == 1 and steps > 0
-
-
-def test_config_via_environment_variable(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"pretrain": {"epochs": 0}}))
-    proc, epochs, steps = pretrain_run(
-        tmp_path, env_extra={"OFFLM_CONFIG": str(cfg)})
-    assert proc.returncode == 0, proc.stderr
-    assert (epochs, steps) == (0, 0)
 
 
 def test_malformed_config_file_exit_2(tmp_path):
@@ -530,16 +509,12 @@ def test_evaluate_missing_model_dir_exit_3(tmp_path):
 
 
 def test_evaluate_malformed_manifest_exit_3(tmp_path):
-    ckpt = tmp_path / "ckpt"
-    ckpt.mkdir()
-    manifest = ckpt / "manifest.json"
+    model_dir = fine_tuning_dir(tmp_path / "fine")
+    manifest = model_dir / "final" / "manifest.json"
     manifest.write_text(json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION,
                                     "num_classes": 2,
                                     "config": {"vocab_size": 16}}))
-    vocab = tmp_path / "vocab.txt"
-    vocab.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\na\n")
-    proc = run_cli("evaluate", "--model-dir", str(ckpt), "--vocab", str(vocab),
-                   "--labels", "not,off",
+    proc = run_cli("evaluate", "--model-dir", str(model_dir),
                    "--data", os.path.join(FIXTURES, "labeled.tsv"),
                    "--output-dir", str(tmp_path / "eval"))
     assert proc.returncode == 3, proc.stderr
@@ -551,15 +526,23 @@ def test_evaluate_malformed_manifest_exit_3(tmp_path):
 TINY_VOCAB = "[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\na\nb\n"
 
 
+def fine_tuning_dir(model_dir):
+    """`model_dir` written as a fine-tuning run leaves it for `evaluate`: an
+    untrained two-class model's final/, TINY_VOCAB as vocab.txt, and
+    labels.json naming not and off."""
+    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0),
+                    str(model_dir / "final"))
+    (model_dir / "vocab.txt").write_text(TINY_VOCAB)
+    (model_dir / "labels.json").write_text('{"labels": ["not", "off"]}\n')
+    return model_dir
+
+
 def test_evaluate_format_version_1_checkpoint_exit_3(tmp_path):
     """Fine-tuned directories saved in format version 1, whose config still
     names tie_mlm_weights and layer_norm_epsilon, and in version 2, whose
     config still names intermediate_size, are refused by their version."""
-    model_dir = tmp_path / "fine"
+    model_dir = fine_tuning_dir(tmp_path / "fine")
     final = model_dir / "final"
-    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0), str(final))
-    (model_dir / "vocab.txt").write_text(TINY_VOCAB)
-    (model_dir / "labels.json").write_text('{"labels": ["not", "off"]}\n')
     current = json.loads((final / "manifest.json").read_text())
     removed = {1: {"layer_norm_epsilon": 1e-12, "tie_mlm_weights": True,
                    "intermediate_size": 256},
@@ -594,6 +577,25 @@ def test_init_checkpoint_shorter_than_max_len_exit_2(tmp_path, command):
     assert proc.returncode == 2, proc.stderr
     assert "max_position 8" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_model_flags_with_init_checkpoint_exit_2(tmp_path, capsys, command):
+    """A checkpoint fixes the model, so a model flag given with
+    --init-checkpoint is a config error naming the flag and the checkpoint,
+    before anything is written, rather than a setting the run drops."""
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0), str(ckpt))
+    for flag, value in (("--num-layers", "5"), ("--hidden-size", "32"),
+                        ("--num-heads", "4"), ("--max-position", "64"),
+                        ("--dropout-rate", "0.5")):
+        args = [command, *command_args(command, tmp_path),
+                "--init-checkpoint", str(ckpt), flag, value]
+        assert cli.main(args) == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), err
+        assert flag in err and str(ckpt) in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
@@ -632,12 +634,13 @@ def test_finetune_final_holds_the_best_weights(tmp_path):
     assert param_digests(out / "final") == param_digests(out / "best")
 
 
-@pytest.mark.parametrize("content", ["{}", "{not json", '{"labels": 3}'])
+@pytest.mark.parametrize("content", ["{}", "{not json", '{"labels": 3}',
+                                     '{"labels": ["not", "not"]}',
+                                     '{"labels": ["not"]}'])
 def test_evaluate_malformed_labels_json_exit_3(tmp_path, content):
-    model_dir = tmp_path / "fine"
-    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0),
-                    str(model_dir / "final"))
-    (model_dir / "vocab.txt").write_text(TINY_VOCAB)
+    """A labels.json without a list of two or more distinct names is a data
+    error naming the file."""
+    model_dir = fine_tuning_dir(tmp_path / "fine")
     labels = model_dir / "labels.json"
     labels.write_text(content)
     proc = run_cli("evaluate", "--model-dir", str(model_dir),
@@ -646,30 +649,6 @@ def test_evaluate_malformed_labels_json_exit_3(tmp_path, content):
     assert proc.returncode == 3, proc.stderr
     assert str(labels) in proc.stderr
     assert "Traceback" not in proc.stderr
-
-
-def test_evaluate_labels_disagreeing_with_model_dir_exit_2(tmp_path):
-    """--labels that differ from the labels.json the model was fine-tuned
-    with are a config error naming both lists, not a silent relabelling."""
-    model_dir = tmp_path / "fine"
-    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0),
-                    str(model_dir / "final"))
-    (model_dir / "vocab.txt").write_text(TINY_VOCAB)
-    (model_dir / "labels.json").write_text('{"labels": ["not", "off"]}\n')
-
-    def evaluate(labels, out):
-        return run_cli("evaluate", "--model-dir", str(model_dir),
-                       "--labels", labels,
-                       "--data", os.path.join(FIXTURES, "labeled.tsv"),
-                       "--output-dir", str(tmp_path / out))
-
-    proc = evaluate("off,not", "swapped")
-    assert proc.returncode == 2, proc.stderr
-    assert "['off', 'not']" in proc.stderr and "['not', 'off']" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "swapped").exists()
-    proc = evaluate("not,off", "same")
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_finetune_duplicate_labels_exit_2(tmp_path):
@@ -689,11 +668,7 @@ def test_evaluate_model_dir_resolves_interrupted_final_save(tmp_path):
     save leaves only `final.old/`; `evaluate --model-dir` loads it rather
     than reading the run's own manifest.json as a checkpoint. A lone
     `final.tmp/` is a DataError naming it."""
-    model_dir = tmp_path / "fine"
-    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0),
-                    str(model_dir / "final"))
-    (model_dir / "vocab.txt").write_text(TINY_VOCAB)
-    (model_dir / "labels.json").write_text('{"labels": ["not", "off"]}\n')
+    model_dir = fine_tuning_dir(tmp_path / "fine")
     (model_dir / "manifest.json").write_text('{"command": "finetune"}\n')
 
     def evaluate(out):
@@ -804,11 +779,10 @@ BAD_CONFIGS = {  # test id -> command, flags, config file
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_config_value_out_of_range_or_of_wrong_type_exit_2(
-        tmp_path, capsys, monkeypatch, case):
+        tmp_path, capsys, case):
     """A negative seed, a config-file value whose type is not its flag's
     and a negative checkpoint interval are config errors, not tracebacks
     or silent settings."""
-    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
     assert_config_error(tmp_path, capsys, *BAD_CONFIGS[case])
 
 
@@ -821,11 +795,10 @@ def test_config_file_values_of_the_flag_types_are_accepted():
 @pytest.mark.parametrize("command,field", [("pretrain", "lr"), ("finetune", "lr")])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("source", ["flag", "file"])
-def test_non_finite_float_exit_2(tmp_path, capsys, monkeypatch, command, field,
-                                 value, source):
+def test_non_finite_float_exit_2(tmp_path, capsys, command, field, value,
+                                 source):
     """nan and inf are config errors, from a flag or as JSON NaN/Infinity,
     rather than a run that trains to non-finite weights."""
-    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
     if source == "flag":
         assert_config_error(tmp_path, capsys, command,
                             ("--" + field.replace("_", "-"), str(value)))
@@ -834,18 +807,12 @@ def test_non_finite_float_exit_2(tmp_path, capsys, monkeypatch, command, field,
                             file={command: {field: value}})
 
 
-@pytest.mark.parametrize("source", ["flag", "environment"])
-def test_config_path_naming_a_directory_exit_2(tmp_path, capsys, monkeypatch,
-                                               source):
-    """--config or $OFFLM_CONFIG naming a directory is a config error."""
-    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
+def test_config_path_naming_a_directory_exit_2(tmp_path, capsys):
+    """--config naming a directory is a config error."""
     directory = tmp_path / "configs"
     directory.mkdir()
-    args = ["pretrain", *command_args("pretrain", tmp_path)]
-    if source == "flag":
-        args += ["--config", str(directory)]
-    else:
-        monkeypatch.setenv("OFFLM_CONFIG", str(directory))
+    args = ["pretrain", *command_args("pretrain", tmp_path),
+            "--config", str(directory)]
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config file {directory}:"), err
@@ -855,15 +822,10 @@ def test_config_path_naming_a_directory_exit_2(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("max_len", ["0", "2"])
 def test_evaluate_max_len_below_frame_exit_2(tmp_path, max_len):
     """--max-len 0 is a given value, not "use the model's max_position"."""
-    vocab = tmp_path / "vocab.txt"
-    vocab.write_text(TINY_VOCAB)
-    ckpt = tmp_path / "ckpt"
-    save_checkpoint(init_params(ModelConfig(vocab_size=7), 0), str(ckpt))
     out = tmp_path / "out"
     proc = run_cli("evaluate", "--data", os.path.join(FIXTURES, "labeled.tsv"),
-                   "--checkpoint", str(ckpt), "--vocab", str(vocab),
-                   "--labels", "not,off", "--max-len", max_len,
-                   "--output-dir", str(out))
+                   "--model-dir", str(fine_tuning_dir(tmp_path / "fine")),
+                   "--max-len", max_len, "--output-dir", str(out))
     assert proc.returncode == 2, proc.stderr
     assert "max_len" in proc.stderr
     assert not out.exists()
@@ -907,9 +869,8 @@ def run_main(*args):
 
 
 @pytest.fixture
-def sweep_inputs(tmp_path, monkeypatch):
+def sweep_inputs(tmp_path):
     """Config, scored and labeled fixtures, and a vocabulary built from them."""
-    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(SWEEP_CONFIG))
     scored = os.path.join(FIXTURES, "scored.tsv")
@@ -948,7 +909,6 @@ def test_sweep_bin_matches_its_commands(tmp_path, sweep_inputs):
              "--init-checkpoint", by_hand["pretrain"] / "final",
              "--output-dir", by_hand["finetune"])
     run_main("evaluate", "--model-dir", by_hand["finetune"], "--data", held_out,
-             "--max-len", SWEEP_CONFIG["finetune"]["max_len"],
              "--model-id", "bin-0.7-1", "--output-dir", by_hand["eval"])
 
     bin_dir = sweep / "bin-0"

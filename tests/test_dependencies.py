@@ -69,3 +69,46 @@ def test_unused_import_check_flags_an_unread_name(tmp_path):
                       "import numpy as np\n\n@dataclass\nclass A:\n    x: np.ndarray\n"
                       "os.path.join('a')\n")
     assert unused_imports(source) == [(3, "field")]
+
+
+def environment_reads(path):
+    """(enclosing top-level name, line) of each `os.environ` or `os.getenv`
+    in the module at `path`, and of each `from os import` of either; the
+    name is None at module level."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    found = []
+    for top in tree.body:
+        scope = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and {a.name for a in node.names} & {"environ", "getenv"}):
+                found.append((scope, node.lineno))
+    return found
+
+
+def test_only_the_sweep_blas_settings_touch_the_environment():
+    """No command reads a setting from a hidden environment variable: in
+    src/, only the sweep's BLAS-thread code (cli._blas_threads, which reads
+    the caller's thread counts, and cli._environ, which sets them for the
+    workers) uses os.environ or os.getenv."""
+    allowed = {("offlm/cli.py", "_blas_threads"), ("offlm/cli.py", "_environ")}
+    src = os.path.join(PKG_ROOT, "src")
+    uses = [(os.path.relpath(os.path.join(root, name), src).replace(os.sep, "/"),
+             scope, line)
+            for root, _, files in os.walk(src) for name in files
+            if name.endswith(".py")
+            for scope, line in environment_reads(os.path.join(root, name))]
+    assert [use for use in uses if use[:2] not in allowed] == []
+
+
+def test_environment_check_flags_a_read_outside_a_function(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("import os\nfrom os import getenv\n"
+                      "PATH = os.environ.get('X')\n\n"
+                      "def f():\n    return os.getenv('Y')\n")
+    assert environment_reads(source) == [(None, 2), (None, 3), ("f", 6)]

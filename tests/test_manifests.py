@@ -115,7 +115,6 @@ def manifests(work: Path) -> dict:
 def test_every_manifest_matches_the_golden_file(tmp_path, monkeypatch):
     """Each run manifest and checkpoint manifest the commands write, key by
     key and value by value, and no manifest more or fewer."""
-    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
     monkeypatch.setattr(cli, "_sweep_workers", lambda cells: 1)
     run_commands(tmp_path)
     with open(GOLDEN, encoding="utf-8") as f:
@@ -130,10 +129,9 @@ def run(*args) -> None:
     assert cli.main([str(a) for a in args]) == 0, args
 
 
-def test_select_in_place_records_the_input_it_read(tmp_path, monkeypatch):
+def test_select_in_place_records_the_input_it_read(tmp_path):
     """select whose --output is its --input records the digest of the rows
     it read, not of the rows it wrote over them."""
-    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
     rows = tmp_path / "rows.tsv"
     rows.write_bytes(Path(FIXTURES, "scored.tsv").read_bytes())
     read = sha256(rows)
@@ -144,10 +142,9 @@ def test_select_in_place_records_the_input_it_read(tmp_path, monkeypatch):
 
 
 def test_pretraining_continued_in_place_records_the_checkpoint_it_read(
-        tmp_path, monkeypatch):
+        tmp_path):
     """pretrain --init-checkpoint out/final --output-dir out records the
     digest of the final/ it started from, not of the final/ it saved."""
-    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
     config, vocab, out = (tmp_path / name for name in
                           ("config.json", "vocab.txt", "pretrain"))
     config.write_text(json.dumps(CONFIG))
@@ -164,11 +161,10 @@ def test_pretraining_continued_in_place_records_the_checkpoint_it_read(
     assert manifest["inputs"][str(checkpoint)] == read
 
 
-def test_pretraining_with_its_own_vocabulary_copy(tmp_path, monkeypatch):
+def test_pretraining_with_its_own_vocabulary_copy(tmp_path):
     """pretrain --vocab out/vocab.txt --output-dir out leaves vocab.txt as
     it is and writes its manifest, rather than failing to copy the file
     onto itself."""
-    monkeypatch.delenv("OFFLM_CONFIG", raising=False)
     config, out = tmp_path / "config.json", tmp_path / "pretrain"
     config.write_text(json.dumps(CONFIG))
     out.mkdir()
@@ -184,7 +180,6 @@ def test_pretraining_with_its_own_vocabulary_copy(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop("OFFLM_CONFIG", None)
     cli._sweep_workers = lambda cells: 1
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp).resolve()
