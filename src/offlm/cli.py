@@ -1,10 +1,9 @@
 """Command-line surface for the pipeline: select, preprocess,
 build-vocab, pretrain, finetune, evaluate, sweep.
 
-Every run writes a manifest JSON recording the effective config, seeds,
-input-file hashes, and stop reason, so a run can be reproduced exactly.
-Config files are JSON with sections "model", "pretrain" and "finetune";
-any CLI flag overrides its config field.
+It turns argv into configs and loaded inputs, and `runs` writes what each
+command writes. Config files are JSON with sections "model", "pretrain"
+and "finetune"; any CLI flag overrides its config field.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error,
 4 numeric or shape failure.
@@ -13,74 +12,25 @@ Exit codes: 0 success, 2 usage or config error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import contextlib
-import copy
-import csv
 import dataclasses
-import hashlib
 import json
 import os
-import shutil
 import sys
 import typing
-from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .corpus import (LabeledInstance, load_labeled, load_scored, load_texts,
-                     parse_scored, read_rows, select_by_threshold, split)
+from .corpus import (load_labeled, load_scored, load_texts, parse_scored,
+                     read_rows, select_by_threshold, split)
 from .errors import ConfigError, DataError, NumericError, ShapeError, not_utf8
-from .evaluation import (EvalReport, SweepRow, confusion, make_report, render,
-                         render_sweep)
-from .model import (Model, ModelConfig, init_params, load_checkpoint,
-                    parameter_count, resolve_checkpoint, save_checkpoint)
+from .model import Model, ModelConfig, init_params, load_checkpoint
+from .runs import (_REPORT_EXT, _check_scorable, _checkpoint_manifest,
+                   _digests, _evaluate, _finetune, _pretrain, _sweep,
+                   _write_manifest, _write_tsv)
 from .textprep import Lexicon, keep_instance, load_emoji_map, prepare
-from .tokenizer import Vocabulary, build_vocab, load_vocab
-from .training import (FinetuneConfig, PretrainConfig, TrainLog, finetune,
-                       predict_class_ids, pretrain)
+from .tokenizer import build_vocab, load_vocab
+from .training import FinetuneConfig, PretrainConfig
 
-MANIFEST_SCHEMA_VERSION = 1
 TABLE_LOWER_BOUNDS = (0.5, 0.6, 0.7, 0.8, 0.9)
-_REPORT_EXT = {"json": "json", "markdown": "md", "tsv": "tsv"}
-
-
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _environment() -> dict:
-    """The interpreter and numeric library a run used."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):
-        blas = "unknown"
-    return {"python": sys.version.split()[0], "numpy": np.__version__,
-            "blas": blas}
-
-
-def _digests(paths: Sequence) -> dict[str, str]:
-    """The sha256 of each file in `paths` (None skipped), by path. A run
-    takes them before it writes anything, which may overwrite an input."""
-    return {str(p): _sha256_file(p) for p in paths if p}
-
-
-def _write_manifest(path, command: str, config: dict, inputs: dict[str, str],
-                    outputs: Sequence[str], **facts) -> None:
-    """Write the manifest of a `command` run to `path`: the schema version,
-    RNG and environment, the effective `config`, the `_digests` of the
-    inputs it read, its `outputs`, and its own `facts`."""
-    payload = {"schema_version": MANIFEST_SCHEMA_VERSION, "rng": "pcg64",
-               "environment": _environment(), "command": command,
-               "effective_config": config, "outputs": list(outputs),
-               "inputs": inputs, **facts}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 # config section -> (its dataclass, the subcommands with a flag for each of
@@ -146,7 +96,7 @@ def _config(config: dict, name: str, args, **defaults):
         raise ConfigError(f"{name} config: {e}") from e
 
 
-def _model(config: dict, args, vocab, max_len: Optional[int],
+def _model(config: dict, args, vocab, max_len: int,
            labels: Optional[list[str]] = None,
            checkpoint: Optional[str] = None) -> Model:
     """Load `checkpoint`, or initialise a model from the model section and
@@ -167,6 +117,14 @@ def _model(config: dict, args, vocab, max_len: Optional[int],
                        max_position=max_len)
         model = init_params(mcfg, args.model_seed, num_classes=len(labels)
                             if labels else args.num_classes)
+    _check_fit(model, vocab, max_len, labels)
+    return model
+
+
+def _check_fit(model: Model, vocab, max_len: int,
+               labels: Optional[list[str]]) -> None:
+    """Config errors unless `model` matches the vocabulary file and the
+    labels and covers `max_len`."""
     if model.config.vocab_size != len(vocab):
         raise ConfigError(
             f"model vocab_size {model.config.vocab_size} does not match the "
@@ -174,34 +132,21 @@ def _model(config: dict, args, vocab, max_len: Optional[int],
     if labels and model.num_classes != len(labels):
         raise ConfigError(f"model has {model.num_classes} classes, "
                           f"labels give {len(labels)}")
-    if max_len is not None and model.config.max_position < max_len:
+    if model.config.max_position < max_len:
         raise ConfigError(f"model.max_position {model.config.max_position} "
                           f"shorter than max_len {max_len}")
-    return model
 
 
-def _checkpoint_manifest(checkpoint: Optional[str]) -> Optional[str]:
-    """The manifest.json that `load_checkpoint(checkpoint)` reads, whose
-    sha256 values identify the weights."""
-    return checkpoint and os.path.join(
-        resolve_checkpoint(checkpoint) or checkpoint, "manifest.json")
-
-
-def _write_tsv(path, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames, delimiter="\t",
-                                quotechar='"', lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _parse_labels(raw: str) -> list[str]:
-    labels = [x.strip() for x in raw.split(",") if x.strip()]
+def _check_labels(labels: list[str]) -> list[str]:
     if len(labels) < 2:
         raise ConfigError(f"need at least 2 labels, got {labels}")
     if len(set(labels)) < len(labels):
         raise ConfigError(f"duplicate label names in {labels}")
     return labels
+
+
+def _parse_labels(raw: str) -> list[str]:
+    return _check_labels([x.strip() for x in raw.split(",") if x.strip()])
 
 
 def _parse_bins(raw: str) -> list[tuple[float, float]]:
@@ -273,115 +218,6 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
-def _write_training_run(output_dir: str, command: str, cfg, model: Model,
-                        log: TrainLog, inputs: dict[str, str], vocab_path: str,
-                        outputs: Sequence[str], labels: Optional[list[str]] = None,
-                        **facts) -> None:
-    """Write what a `command` run writes to `output_dir` besides its
-    checkpoints: trainlog.jsonl, a copy of the vocabulary, labels.json if
-    `labels` are given, and manifest.json with `cfg` (and the labels) as
-    config, the `inputs` digests, and the model's size, the seeds and the
-    stop reason among the `facts`."""
-    log.save_jsonl(os.path.join(output_dir, "trainlog.jsonl"))
-    with contextlib.suppress(shutil.SameFileError):  # a run's own copy
-        shutil.copyfile(vocab_path, os.path.join(output_dir, "vocab.txt"))
-    config = {"model": asdict(model.config), command: asdict(cfg)}
-    if labels:
-        config["labels"] = labels
-        with open(os.path.join(output_dir, "labels.json"), "w",
-                  encoding="utf-8") as f:
-            json.dump({"labels": labels}, f)
-            f.write("\n")
-    _write_manifest(os.path.join(output_dir, "manifest.json"), command, config,
-                    inputs, outputs,
-                    parameter_count=parameter_count(model.config,
-                                                    model.num_classes),
-                    seeds={"model_init": model.init_seed, command: cfg.seed},
-                    stop_reason=log.stop_reason, **facts)
-
-
-def _pretrain(texts: Sequence[str], corpus_path: str, vocab: Vocabulary,
-              vocab_path: str, model: Model, pcfg: PretrainConfig,
-              output_dir: str, init_checkpoint: Optional[str] = None) -> str:
-    """Pretrain `model`, loaded from `init_checkpoint` if given, on `texts`
-    and write what `pretrain` writes to `output_dir`: checkpoints,
-    trainlog.jsonl, vocab.txt, manifest.json. Returns the line `pretrain`
-    prints."""
-    inputs = _digests([corpus_path, _checkpoint_manifest(init_checkpoint),
-                       vocab_path])
-    os.makedirs(output_dir, exist_ok=True)
-    log = pretrain(texts, vocab, model, pcfg, checkpoint_dir=output_dir)
-    _write_training_run(output_dir, "pretrain", pcfg, model, log, inputs,
-                        vocab_path, ["final", "trainlog.jsonl", "vocab.txt"],
-                        num_texts=len(texts))
-    final_loss = log.steps[-1].loss if log.steps else "n/a"
-    return (f"pretrained {len(log.steps)} steps on {len(texts)} texts "
-            f"-> {output_dir} (last loss {final_loss})")
-
-
-def _finetune(train: Sequence[LabeledInstance], train_path: str,
-              vocab: Vocabulary, vocab_path: str, model: Model,
-              fcfg: FinetuneConfig, labels: list[str], output_dir: str,
-              init_checkpoint: Optional[str] = None) -> str:
-    """Fine-tune `model`, loaded from `init_checkpoint` if given, on `train`
-    and write what `finetune` writes to `output_dir`: best/, final/,
-    trainlog.jsonl, vocab.txt, labels.json, manifest.json. Returns the line
-    `finetune` prints."""
-    inputs = _digests([train_path, _checkpoint_manifest(init_checkpoint),
-                       vocab_path])
-    os.makedirs(output_dir, exist_ok=True)
-    log = finetune(train, vocab, model, fcfg, labels, checkpoint_dir=output_dir)
-    save_checkpoint(model, os.path.join(output_dir, "final"))
-    _write_training_run(output_dir, "finetune", fcfg, model, log, inputs,
-                        vocab_path, ["best", "final", "trainlog.jsonl",
-                                     "vocab.txt", "labels.json"],
-                        labels, num_examples=len(train))
-    best = min((e.loss for e in log.evals), default=None)
-    return (f"fine-tuned {len(log.steps)} steps, {len(log.evals)} evaluations, "
-            f"stop reason {log.stop_reason}, best eval loss {best} "
-            f"-> {output_dir}")
-
-
-def _check_scorable(data: Sequence[LabeledInstance], data_path: str) -> None:
-    if not data:
-        raise DataError(f"{data_path}: no rows to evaluate")
-
-
-def _evaluate(data: Sequence[LabeledInstance], data_path: str,
-              vocab: Vocabulary, model: Model, labels: list[str],
-              max_len: int, output_dir: str, fmt: str, dataset_id: str,
-              model_id: str, batch_size: int = 32,
-              read: Sequence = ()) -> tuple[EvalReport, str]:
-    """Score `model` on `data` and write what `evaluate` writes to
-    `output_dir`: predictions.tsv, the report, manifest.json, which names
-    `data_path` and the files in `read` among its inputs. Returns the
-    report and the text `evaluate` prints."""
-    _check_scorable(data, data_path)
-    inputs = _digests([data_path, *read])
-    preds_idx = predict_class_ids([d.text for d in data], vocab, model,
-                                  max_len, batch_size=batch_size)
-    preds = [labels[i] for i in preds_idx]
-    gold = [d.label for d in data]
-    cm = confusion(preds, gold, labels)
-    report = make_report(cm, dataset_id, model_id,
-                         {"max_len": max_len, "labels": labels})
-    os.makedirs(output_dir, exist_ok=True)
-    _write_tsv(os.path.join(output_dir, "predictions.tsv"),
-               ["id", "gold", "pred"],
-               [{"id": d.id, "gold": g, "pred": p}
-                for d, g, p in zip(data, gold, preds)])
-    text = render([report], fmt)
-    report_name = f"report.{_REPORT_EXT[fmt]}"
-    with open(os.path.join(output_dir, report_name), "w",
-              encoding="utf-8") as f:
-        f.write(text)
-    _write_manifest(os.path.join(output_dir, "manifest.json"), "evaluate",
-                    {"labels": labels, "max_len": max_len, "format": fmt},
-                    inputs, ["predictions.tsv", report_name],
-                    macro_f1=report.macro_f1, accuracy=report.accuracy)
-    return report, text
-
-
 def cmd_pretrain(args) -> int:
     config = _load_config_file(args)
     texts = load_texts(args.corpus, args.text_column)
@@ -417,132 +253,33 @@ def cmd_evaluate(args) -> int:
         for name in ("final", "vocab.txt", "labels.json"))
     try:
         with open(labels_path, encoding="utf-8") as f:
-            labels = _parse_labels(",".join(json.load(f)["labels"]))
+            labels = json.load(f)["labels"]
+        if type(labels) is not list or not all(type(x) is str for x in labels):
+            raise TypeError(f"not a list of strings: {labels!r}")
+        _check_labels(labels)
     except (ValueError, KeyError, TypeError, ConfigError) as e:
         raise DataError(f"{labels_path}: expected an object with a 'labels' "
                         f"list of two or more distinct names: {e!r}") from e
     vocab = load_vocab(vocab_path)
-    model = _model({}, args, vocab, args.max_len, labels, checkpoint=checkpoint)
+    model = load_checkpoint(checkpoint)
+    for path, count, fit in ((vocab_path, len(vocab), model.config.vocab_size),
+                             (labels_path, len(labels), model.num_classes)):
+        if count != fit:  # the model directory's files disagree
+            raise DataError(f"{path}: {count} entries, but the model in "
+                            f"{checkpoint} has {fit}")
+    max_len = model.config.max_position if args.max_len is None else args.max_len
+    _check_fit(model, vocab, max_len, labels)
     model_id = args.model_id or os.path.basename(os.path.normpath(model_dir))
     data = load_labeled(args.data, labels, label_column=args.label_column,
                         text_column=args.text_column)
     dataset_id = args.dataset_id or os.path.splitext(
         os.path.basename(args.data))[0]
-    max_len = model.config.max_position if args.max_len is None else args.max_len
     _, text = _evaluate(data, args.data, vocab, model, labels, max_len,
                         args.output_dir, args.format, dataset_id, model_id,
-                        args.batch_size, [_checkpoint_manifest(checkpoint),
-                                          vocab_path, labels_path])
+                        [_checkpoint_manifest(checkpoint), vocab_path,
+                         labels_path])
     print(text, end="")
     return 0
-
-
-@dataclass(frozen=True)
-class _Cell:
-    """One bin of a sweep: what `_run_cell` needs to train and score it,
-    all picklable so that a worker process can run it."""
-    index: int
-    bounds: tuple[float, float]
-    texts: list[str]
-    train: list[LabeledInstance]
-    test: list[LabeledInstance]
-    test_path: str
-    dataset_id: str
-    vocab: Vocabulary
-    labels: list[str]
-    model: Model  # the starting weights, which every bin trains a copy of
-    pcfg: PretrainConfig
-    fcfg: FinetuneConfig
-    args: argparse.Namespace
-
-
-def _run_cell(cell: _Cell) -> tuple[str, EvalReport]:
-    """Pretrain, fine-tune and score one bin from a copy of the starting
-    model. Returns what the three commands would print, and the bin's
-    report; a stage's error propagates."""
-    args, (lo, hi) = cell.args, cell.bounds
-    bin_dir = os.path.join(args.output_dir, f"bin-{cell.index}")
-    model = copy.deepcopy(cell.model)
-    pretrained = _pretrain(cell.texts, args.scored, cell.vocab, args.vocab,
-                           model, cell.pcfg, os.path.join(bin_dir, "pretrain"))
-    finetuned = _finetune(cell.train, args.train, cell.vocab, args.vocab, model,
-                          cell.fcfg, cell.labels,
-                          os.path.join(bin_dir, "finetune"),
-                          os.path.join(bin_dir, "pretrain", "final"))
-    report, text = _evaluate(cell.test, cell.test_path, cell.vocab, model,
-                             cell.labels, model.config.max_position,
-                             os.path.join(bin_dir, "eval"), args.format,
-                             cell.dataset_id, f"bin-{lo:g}-{hi:g}")
-    return f"{pretrained}\n{finetuned}\n{text}", report
-
-
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                     "MKL_NUM_THREADS")
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (all of them where the platform
-    cannot say)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _sweep_workers(cells: int) -> int:
-    """Processes to run `cells` sweep cells in: one per cell, at most one per
-    usable CPU. 1 means the cells run in this process."""
-    return min(cells, _usable_cpus())
-
-
-def _blas_threads(workers: int) -> int:
-    """BLAS threads for each of `workers` processes: an equal share of the
-    usable CPUs, at least 1 and never more than the caller's own setting."""
-    caller = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS)
-              if v and v.isdigit() and int(v) > 0]
-    return min([max(1, _usable_cpus() // workers), *caller])
-
-
-@contextlib.contextmanager
-def _environ(values: dict[str, str]):
-    """`os.environ` updated with `values` inside the block, restored after."""
-    saved = {name: os.environ.get(name) for name in values}
-    os.environ.update(values)
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
-def _cell_report(outcome: tuple[str, EvalReport]) -> EvalReport:
-    text, report = outcome
-    print(text, end="")
-    return report
-
-
-def _run_cells(cells: Sequence[_Cell], workers: int,
-               blas_threads: int) -> list[EvalReport]:
-    """Each cell's report, in cell order, after printing the cell's text;
-    the first cell in that order to fail raises its error. With
-    more than one worker the cells run concurrently in spawned processes
-    that inherit `blas_threads` BLAS threads each; all of them have exited
-    when this returns."""
-    if workers == 1:
-        return [_cell_report(o) for o in map(_run_cell, cells)]
-    # imported here so that the other commands do not pay for it at start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    spawn = multiprocessing.get_context("spawn")
-    with _environ({v: str(blas_threads) for v in _BLAS_THREAD_VARS}), \
-            ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-        futures = [pool.submit(_run_cell, cell) for cell in cells]
-        try:
-            return [_cell_report(f.result()) for f in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
 
 
 def cmd_sweep(args) -> int:
@@ -571,34 +308,9 @@ def cmd_sweep(args) -> int:
     _check_scorable(test, test_path)  # before any bin trains
     model = _model(config, args, vocab, max(pcfg.max_len, fcfg.max_len),
                    labels)
-    cells = [_Cell(index, bounds, [s.text for s in selected], train, test,
-                   test_path, args.dataset_id or dataset_id, vocab, labels,
-                   model, pcfg, fcfg, args)
-             for index, (bounds, selected) in enumerate(zip(bins, selections))]
-    inputs = _digests([args.scored, args.train, args.eval, args.vocab])
-    workers = _sweep_workers(len(cells))
-    blas_threads = _blas_threads(workers)
-    reports = _run_cells(cells, workers, blas_threads)
-    rows = [SweepRow(lo, hi, len(selected), report.macro_f1)
-            for (lo, hi), selected, report in zip(bins, selections, reports)]
-    ext = _REPORT_EXT[args.format]
-    for name, text in (("sweep", render_sweep(rows, args.format)),
-                       ("models", render(reports, args.format))):
-        with open(os.path.join(args.output_dir, f"{name}.{ext}"), "w",
-                  encoding="utf-8") as f:
-            f.write(text)
-        print(text, end="")
-    _write_manifest(
-        os.path.join(args.output_dir, "manifest.json"), "sweep",
-        {"model": asdict(model.config), "pretrain": asdict(pcfg),
-         "finetune": asdict(fcfg), "labels": labels,
-         "bins": [list(b) for b in bins]},
-        inputs,
-        [f"sweep.{ext}", f"models.{ext}", *(f"bin-{i}" for i in range(len(bins)))],
-        seeds={"model_init": args.model_seed, "pretrain": pcfg.seed,
-               "finetune": fcfg.seed},
-        rows=[asdict(r) for r in rows], workers=workers,
-        blas_threads_per_worker=blas_threads)
+    _sweep(bins, selections, train, test, args.dataset_id or dataset_id,
+           vocab, labels, model, pcfg, fcfg, args.scored, args.train,
+           test_path, args.vocab, args.output_dir, args.format)
     return 0
 
 
@@ -677,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", required=True)
     p.add_argument("--format", choices=sorted(_REPORT_EXT), default="markdown")
     p.add_argument("--max-len", type=int)
-    p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--dataset-id")
     p.add_argument("--model-id")
     p.add_argument("--label-column", default="label")

@@ -335,7 +335,7 @@ def load_checkpoint(path) -> Model:
             f"expected {CHECKPOINT_FORMAT_VERSION}")
     try:
         config = ModelConfig(**field(manifest, "config", "manifest"))
-    except TypeError as e:  # unknown or missing config key
+    except (TypeError, ConfigError) as e:  # a bad key or value
         raise DataError(f"{manifest_path}: bad config: {e}") from e
     num_classes = field(manifest, "num_classes", "manifest")
     if type(num_classes) is not int:

@@ -98,7 +98,10 @@ def load_vocab(path) -> Vocabulary:
         raise not_utf8(path) from e
     if tokens and tokens[-1] == "":
         tokens.pop()
-    return Vocabulary(tokens)
+    try:
+        return Vocabulary(tokens)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 def _clean_word(word: str) -> str:

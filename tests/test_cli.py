@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from offlm import cli
+from offlm import cli, runs
 from offlm.cli import build_parser
 from offlm.model import (CHECKPOINT_FORMAT_VERSION, ModelConfig, init_params,
                          parameter_count, save_checkpoint)
@@ -184,7 +184,6 @@ EXPECTED_SURFACE = {
         (("-h", "--help"), None, "==SUPPRESS==", False, None, "_HelpAction"),
     },
     "evaluate": {
-        (("--batch-size",), "int", 32, False, None, "_StoreAction"),
         (("--data",), None, None, True, None, "_StoreAction"),
         (("--dataset-id",), None, None, False, None, "_StoreAction"),
         (("--format",), None, "markdown", False, ("json", "markdown", "tsv"), "_StoreAction"),
@@ -636,7 +635,8 @@ def test_finetune_final_holds_the_best_weights(tmp_path):
 
 @pytest.mark.parametrize("content", ["{}", "{not json", '{"labels": 3}',
                                      '{"labels": ["not", "not"]}',
-                                     '{"labels": ["not"]}'])
+                                     '{"labels": ["not"]}', '{"labels": "no"}',
+                                     '{"labels": ["not", 1]}'])
 def test_evaluate_malformed_labels_json_exit_3(tmp_path, content):
     """A labels.json without a list of two or more distinct names is a data
     error naming the file."""
@@ -649,6 +649,47 @@ def test_evaluate_malformed_labels_json_exit_3(tmp_path, content):
     assert proc.returncode == 3, proc.stderr
     assert str(labels) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name, content", [
+    ("labels.json", '{"labels": ["not", "off", "x"]}'),
+    ("vocab.txt", TINY_VOCAB + "c\n")])
+def test_evaluate_model_dir_file_not_fitting_final_exit_3(tmp_path, name,
+                                                           content):
+    """labels.json naming more classes than final/ has, or a vocab.txt of
+    another size than final/'s vocabulary, is a data error naming the
+    file."""
+    model_dir = fine_tuning_dir(tmp_path / "fine")
+    (model_dir / name).write_text(content)
+    proc = run_cli("evaluate", "--model-dir", str(model_dir),
+                   "--data", os.path.join(FIXTURES, "labeled.tsv"),
+                   "--output-dir", str(tmp_path / "eval"))
+    assert proc.returncode == 3, proc.stderr
+    assert str(model_dir / name) in proc.stderr
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_vocab_not_fitting_init_checkpoint_exit_2(tmp_path, capsys, command):
+    """A --vocab of another size than the --init-checkpoint's vocabulary is
+    a config error: the user paired the two."""
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init_params(ModelConfig(vocab_size=8), 0), str(ckpt))
+    args = [command, *command_args(command, tmp_path),
+            "--init-checkpoint", str(ckpt)]
+    assert cli.main(args) == 2
+    assert "vocab_size 8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_vocab_token_exit_3_names_the_file(tmp_path, capsys):
+    args = ["pretrain", *command_args("pretrain", tmp_path)]
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(TINY_VOCAB + "a\n")
+    assert cli.main(args) == 3
+    err = capsys.readouterr().err
+    assert f"{vocab}: duplicate token 'a' at line 8" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_finetune_duplicate_labels_exit_2(tmp_path):
@@ -931,15 +972,15 @@ def test_sweep_scores_rows_it_did_not_fine_tune_on(tmp_path, sweep_inputs,
                                                    monkeypatch):
     """Without --eval, each bin is scored on rows carved from --train
     before fine-tuning; the rows keep the order of --bins."""
-    trained, finetune = [], cli.finetune
+    trained, finetune = [], runs.finetune
 
     def recording_finetune(train_data, *rest, **kwargs):
         trained.append({inst.id for inst in train_data})
         return finetune(train_data, *rest, **kwargs)
 
-    monkeypatch.setattr(cli, "finetune", recording_finetune)
+    monkeypatch.setattr(runs, "finetune", recording_finetune)
     # in this process: a spawned worker would not see the patched finetune
-    monkeypatch.setattr(cli, "_sweep_workers", lambda cells: 1)
+    monkeypatch.setattr(runs, "_sweep_workers", lambda cells: 1)
     i, sweep = sweep_inputs, tmp_path / "sweep"
     run_main("sweep", "--config", i["config"], "--scored", i["scored"],
              "--train", i["labeled"], "--vocab", i["vocab"],
@@ -977,15 +1018,15 @@ def test_sweep_in_workers_writes_what_a_serial_sweep_writes(
     i, sweep = sweep_inputs, tmp_path / "sweep"
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "64")
-    blas_env = {v: os.environ.get(v) for v in cli._BLAS_THREAD_VARS}
-    runs = {}
+    blas_env = {v: os.environ.get(v) for v in runs._BLAS_THREAD_VARS}
+    by_workers = {}
     for workers in (1, 2):
-        monkeypatch.setattr(cli, "_sweep_workers", lambda cells: workers)
+        monkeypatch.setattr(runs, "_sweep_workers", lambda cells: workers)
         assert cli.main(sweep_args(i, sweep, "0.5:1.0,0.7:1.0,0.6:0.9")) == 0
-        runs[workers] = (capsys.readouterr().out, tree_bytes(sweep))
+        by_workers[workers] = (capsys.readouterr().out, tree_bytes(sweep))
         shutil.rmtree(sweep)
 
-    (serial_out, serial), (pooled_out, pooled) = runs[1], runs[2]
+    (serial_out, serial), (pooled_out, pooled) = by_workers[1], by_workers[2]
     assert pooled_out == serial_out
     assert serial_out.count("pretrained ") == 3
     manifests = [json.loads(tree.pop("manifest.json"))
@@ -996,14 +1037,14 @@ def test_sweep_in_workers_writes_what_a_serial_sweep_writes(
     assert manifests[0] == manifests[1]
     assert pooled == serial
     assert not multiprocessing.active_children()
-    assert {v: os.environ.get(v) for v in cli._BLAS_THREAD_VARS} == blas_env
+    assert {v: os.environ.get(v) for v in runs._BLAS_THREAD_VARS} == blas_env
 
 
 def test_failing_sweep_cell_exits_with_its_error(tmp_path, sweep_inputs,
                                                   monkeypatch, capfd):
     """A cell that fails in a worker fails the sweep with the exit code and
     message of its error, and leaves no worker running."""
-    monkeypatch.setattr(cli, "_sweep_workers", lambda cells: 2)
+    monkeypatch.setattr(runs, "_sweep_workers", lambda cells: 2)
     i, sweep = sweep_inputs, tmp_path / "sweep"
     assert cli.main(sweep_args(i, sweep, "0.5:1.0,0.7:1.0", "--lr", "1e30")) == 4
     err = capfd.readouterr().err
@@ -1017,18 +1058,18 @@ def test_sweep_workers_split_the_usable_cpus(monkeypatch):
     """One worker per cell and at most one per usable CPU; the workers'
     BLAS threads, at least one each and never more than the caller set,
     add up to no more than the usable CPUs."""
-    for var in cli._BLAS_THREAD_VARS:
+    for var in runs._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    assert cli._sweep_workers(4) == 1
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
-    assert [cli._sweep_workers(c) for c in (1, 3, 20)] == [1, 3, 8]
-    assert [cli._blas_threads(w) for w in (1, 2, 3, 8)] == [8, 4, 2, 1]
-    assert all(w * cli._blas_threads(w) <= 8 for w in range(1, 9))
+    monkeypatch.setattr(runs, "_usable_cpus", lambda: 1)
+    assert runs._sweep_workers(4) == 1
+    monkeypatch.setattr(runs, "_usable_cpus", lambda: 8)
+    assert [runs._sweep_workers(c) for c in (1, 3, 20)] == [1, 3, 8]
+    assert [runs._blas_threads(w) for w in (1, 2, 3, 8)] == [8, 4, 2, 1]
+    assert all(w * runs._blas_threads(w) <= 8 for w in range(1, 9))
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    assert [cli._blas_threads(w) for w in (1, 2, 4)] == [3, 3, 2]
+    assert [runs._blas_threads(w) for w in (1, 2, 4)] == [3, 3, 2]
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert cli._blas_threads(2) == 1
+    assert runs._blas_threads(2) == 1
 
 
 @pytest.mark.parametrize("bins, code", [("0.5:1.0,0.9:0.7", 2),

@@ -1,6 +1,7 @@
 import ast
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -93,10 +94,10 @@ def environment_reads(path):
 
 def test_only_the_sweep_blas_settings_touch_the_environment():
     """No command reads a setting from a hidden environment variable: in
-    src/, only the sweep's BLAS-thread code (cli._blas_threads, which reads
-    the caller's thread counts, and cli._environ, which sets them for the
+    src/, only the sweep's BLAS-thread code (runs._blas_threads, which reads
+    the caller's thread counts, and runs._environ, which sets them for the
     workers) uses os.environ or os.getenv."""
-    allowed = {("offlm/cli.py", "_blas_threads"), ("offlm/cli.py", "_environ")}
+    allowed = {("offlm/runs.py", "_blas_threads"), ("offlm/runs.py", "_environ")}
     src = os.path.join(PKG_ROOT, "src")
     uses = [(os.path.relpath(os.path.join(root, name), src).replace(os.sep, "/"),
              scope, line)
@@ -112,3 +113,29 @@ def test_environment_check_flags_a_read_outside_a_function(tmp_path):
                       "PATH = os.environ.get('X')\n\n"
                       "def f():\n    return os.getenv('Y')\n")
     assert environment_reads(source) == [(None, 2), (None, 3), ("f", 6)]
+
+
+def test_importing_cli_loads_no_process_pool():
+    """Only a sweep with more than one worker pays for importing the
+    process pool, so `import offlm.cli` loads neither of its modules."""
+    code = ("import sys, offlm.cli; print(sorted({'multiprocessing', "
+            "'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (os.path.join(PKG_ROOT, "src"), os.environ.get("PYTHONPATH"))
+        if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=PKG_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_runs_imports_nothing_from_cli():
+    """The layers run cli -> runs -> the library: runs, which spawned sweep
+    workers import, needs no lazy import to dodge a cycle."""
+    with open(os.path.join(PACKAGE, "runs.py"), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    names = [name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in [getattr(node, "module", None) or "",
+                          *(a.name for a in node.names)]]
+    assert "cli" not in {part for name in names for part in name.split(".")}

@@ -14,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from offlm import cli
+from offlm import cli, runs
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(PKG_ROOT, "tests", "fixtures")
@@ -115,7 +115,7 @@ def manifests(work: Path) -> dict:
 def test_every_manifest_matches_the_golden_file(tmp_path, monkeypatch):
     """Each run manifest and checkpoint manifest the commands write, key by
     key and value by value, and no manifest more or fewer."""
-    monkeypatch.setattr(cli, "_sweep_workers", lambda cells: 1)
+    monkeypatch.setattr(runs, "_sweep_workers", lambda cells: 1)
     run_commands(tmp_path)
     with open(GOLDEN, encoding="utf-8") as f:
         golden = json.load(f)
@@ -180,7 +180,7 @@ def test_pretraining_with_its_own_vocabulary_copy(tmp_path):
 
 
 if __name__ == "__main__":
-    cli._sweep_workers = lambda cells: 1
+    runs._sweep_workers = lambda cells: 1
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp).resolve()
         run_commands(work)

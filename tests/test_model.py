@@ -621,6 +621,8 @@ MANIFEST_DEFECTS = {
     "num_classes='2'": lambda m: m.update(num_classes="2"),
     "init_seed": lambda m: _drop_key(m, "init_seed"),
     "init_seed=1.5": lambda m: m.update(init_seed=1.5),
+    "num_heads=3": lambda m: m["config"].update(num_heads=3),
+    "dropout_rate=1.5": lambda m: m["config"].update(dropout_rate=1.5),
 }
 
 
