@@ -134,19 +134,27 @@ def report(workload: str, spec: dict, runs: dict[str, list[dict]]) -> None:
               f"{verdict(pairs, metric['better'], metric['bound'])}")
 
 
+def make_parser(spec: dict) -> argparse.ArgumentParser:
+    """The command line over the workloads and run length of `spec`, a
+    parsed BENCHMARK.json. The default seeds are the ten pairs that a
+    "gain" verdict needs."""
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", action="append",
+                        choices=[w["name"] for w in spec["workloads"]],
+                        help="workload to run (repeatable; default: every workload)")
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"),
+                        help="seeds, e.g. 1-10 or 1,3 (default 1-10)")
+    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    return parser
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
     names = [w["name"] for w in spec["workloads"]]
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", action="append", choices=names,
-                        help="workload to run (repeatable; default: every workload)")
-    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-5"),
-                        help="seeds, e.g. 1-5 or 1,3 (default 1-5)")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    args = parser.parse_args(argv)
+    args = make_parser(spec).parse_args(argv)
 
     base_tree = export(args.base)
     trees = {"base": base_tree, "change": ROOT}

@@ -19,8 +19,8 @@ import sys
 import typing
 from typing import Optional, Sequence
 
-from .corpus import (load_labeled, load_scored, load_texts, parse_scored,
-                     read_rows, select_by_threshold, split)
+from .corpus import (distinct_labels, load_labeled, load_scored, load_texts,
+                     parse_scored, read_rows, select_by_threshold, split)
 from .errors import ConfigError, DataError, NumericError, ShapeError, not_utf8
 from .model import Model, ModelConfig, init_params, load_checkpoint
 from .runs import (_REPORT_EXT, _check_scorable, _checkpoint_manifest,
@@ -140,9 +140,7 @@ def _check_fit(model: Model, vocab, max_len: int,
 def _check_labels(labels: list[str]) -> list[str]:
     if len(labels) < 2:
         raise ConfigError(f"need at least 2 labels, got {labels}")
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"duplicate label names in {labels}")
-    return labels
+    return distinct_labels(labels)
 
 
 def _parse_labels(raw: str) -> list[str]:

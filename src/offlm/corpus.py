@@ -30,6 +30,15 @@ class LabeledInstance:
     label: str
 
 
+def distinct_labels(labels: Sequence[str]) -> list[str]:
+    """`labels` as a list; a ConfigError naming any name given twice."""
+    label_list = list(labels)
+    repeated = sorted({x for x in label_list if label_list.count(x) > 1})
+    if repeated:
+        raise ConfigError(f"duplicate label names {repeated} in {label_list}")
+    return label_list
+
+
 def read_rows(path, required: Sequence[str]) -> tuple[list[str], list[tuple[int, dict]]]:
     """The header and the (line number, row) pairs of a TSV. An empty file,
     a header without a required column, a row with more fields than the

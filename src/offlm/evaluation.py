@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import distinct_labels
 from .errors import ConfigError, DataError
 
 REPORT_SCHEMA_VERSION = 1
@@ -63,10 +64,8 @@ def confusion(preds: Sequence[str], gold: Sequence[str],
     """Tally counts[gold][pred] over paired label sequences."""
     if len(preds) != len(gold):
         raise DataError(f"{len(preds)} predictions vs {len(gold)} gold labels")
-    class_list = tuple(classes)
+    class_list = tuple(distinct_labels(classes))
     index = {name: i for i, name in enumerate(class_list)}
-    if len(index) != len(class_list):
-        raise ConfigError("duplicate class names")
     counts = np.zeros((len(class_list), len(class_list)), dtype=np.int64)
     for p, g in zip(preds, gold):
         if g not in index:

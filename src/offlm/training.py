@@ -12,12 +12,12 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import autograd as ag
-from .corpus import LabeledInstance, make_batches, split
+from .corpus import LabeledInstance, distinct_labels, make_batches, split
 from .errors import ConfigError, DataError, NumericError
 from .model import Model, classify, encode, mlm_logits, save_checkpoint
 from .optim import AdamState, adam_step, clip_global_norm
@@ -230,6 +230,19 @@ def mlm_batch_loss(model: Model, input_ids: np.ndarray, attn: np.ndarray,
                                    np.ones_like(rows), reduction="mean")
 
 
+def _train_step(model: Model, state: AdamState, lr: float,
+                build_loss: Callable[[], ag.Tensor]) -> tuple[float, float]:
+    """Backpropagate the loss that `build_loss` records into zeroed
+    gradients, clip them and take one Adam step at `lr`. Returns the loss
+    and the pre-clip norm as floats, so the graph is freed on return."""
+    ag.zero_grads(model.params.values())
+    loss = build_loss()
+    ag.backward(loss)
+    norm = clip_global_norm(model.params.values(), MAX_GRAD_NORM)
+    adam_step(model.named_params(), state, lr)
+    return float(loss.item()), norm
+
+
 def pretrain(texts: Sequence[str], vocab: Vocabulary, model: Model,
              cfg: PretrainConfig,
              checkpoint_dir: Optional[str] = None) -> TrainLog:
@@ -243,8 +256,6 @@ def pretrain(texts: Sequence[str], vocab: Vocabulary, model: Model,
         raise DataError("empty pretraining corpus")
     shuffle_rng, mask_rng, dropout_rng = _spawn_rngs(cfg.seed, 3)
     seqs = [tokenize(t, vocab, cfg.max_len) for t in texts]
-    named = model.named_params()
-    tensors = [t for _, t in named]
     state = AdamState()
     log = TrainLog()
     for step, (epoch, batch) in enumerate(_epochs(seqs, cfg, shuffle_rng), 1):
@@ -254,18 +265,14 @@ def pretrain(texts: Sequence[str], vocab: Vocabulary, model: Model,
         record = StepRecord(step, 0.0, cfg.lr, 0.0, int(attn.sum()), attn.size)
         if masked.mask_indicator.any():
             try:
-                ag.zero_grads(tensors)
-                loss = mlm_batch_loss(model, masked.input_ids, attn, ids,
-                                      masked.mask_indicator, train_mode=True,
-                                      rng=dropout_rng)
-                ag.backward(loss)
-                record.grad_norm = clip_global_norm(tensors, MAX_GRAD_NORM)
-                adam_step(named, state, cfg.lr)
+                record.loss, record.grad_norm = _train_step(
+                    model, state, cfg.lr, lambda: mlm_batch_loss(
+                        model, masked.input_ids, attn, ids, masked.mask_indicator,
+                        train_mode=True, rng=dropout_rng))
             except NumericError as e:
                 raise NumericError(
                     f"pretraining aborted at epoch {epoch} step {step} "
                     f"(lr {cfg.lr}): {e}") from e
-            record.loss = float(loss.item())
         log.steps.append(record)
         if (checkpoint_dir and cfg.checkpoint_every > 0
                 and step % cfg.checkpoint_every == 0):
@@ -292,24 +299,24 @@ def tokenize_labeled(data: Sequence[LabeledInstance], vocab: Vocabulary,
 
 
 def _class_logits(model: Model, seqs: Sequence[Sequence[int]], train_mode: bool = False,
-                  rng: Optional[np.random.Generator] = None) -> tuple[ag.Tensor, np.ndarray]:
+                  rng: Optional[np.random.Generator] = None) -> ag.Tensor:
     """Collate `seqs` and classify each from its [CLS] state, the only row the
-    encoder's last layer runs on; also the batch's collated attention mask."""
+    encoder's last layer runs on."""
     ids, attn = _stack_batch(seqs)
     first = encode(ids, attn, model, train_mode=train_mode, rng=rng,
                    rows=np.arange(len(seqs)) * ids.shape[1])
-    return classify(first, model), attn
+    return classify(first, model)
 
 
 def _class_loss(model: Model, batch: Sequence[Example], reduction: str,
                 train_mode: bool = False, rng: Optional[np.random.Generator] = None,
-                ) -> tuple[ag.Tensor, np.ndarray]:
-    """Cross-entropy over a batch, and the batch's collated attention mask."""
+                ) -> ag.Tensor:
+    """Cross-entropy over a batch."""
     seqs, labels = zip(*batch)
-    logits, attn = _class_logits(model, seqs, train_mode, rng)
+    logits = _class_logits(model, seqs, train_mode, rng)
     targets = np.array(labels, dtype=np.int64)
     return ag.masked_cross_entropy(logits, targets, np.ones_like(targets),
-                                   reduction=reduction), attn
+                                   reduction=reduction)
 
 
 def evaluation_loss(model: Model, examples: Sequence[Example], batch_size: int) -> float:
@@ -317,7 +324,7 @@ def evaluation_loss(model: Model, examples: Sequence[Example], batch_size: int) 
     total = 0.0
     with ag.no_grad():
         for batch in make_batches(examples, batch_size, shuffle=False):
-            total += float(_class_loss(model, batch, "sum")[0].item())
+            total += float(_class_loss(model, batch, "sum").item())
     return total / len(examples)
 
 
@@ -327,7 +334,7 @@ def predict_class_ids(texts: Sequence[str], vocab: Vocabulary, model: Model,
     out: list[int] = []
     with ag.no_grad():
         for chunk in make_batches(texts, batch_size, shuffle=False):
-            logits, _ = _class_logits(model, [tokenize(t, vocab, max_len) for t in chunk])
+            logits = _class_logits(model, [tokenize(t, vocab, max_len) for t in chunk])
             out.extend(int(i) for i in np.argmax(logits.data, axis=-1))
     return out
 
@@ -343,13 +350,11 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
     the best evaluation. With a checkpoint directory, `best/` holds the
     checkpoint written when that evaluation happened.
     """
-    label_list = list(labels)
+    label_list = distinct_labels(labels)
     if len(label_list) != model.num_classes:
         raise ConfigError(
             f"model has {model.num_classes} classes, labels give "
             f"{len(label_list)}")
-    if len(set(label_list)) != len(label_list):
-        raise ConfigError("duplicate label names")
     label_to_id = {name: i for i, name in enumerate(label_list)}
     observed = {inst.label for inst in train_data}
     unknown = observed - set(label_list)
@@ -371,8 +376,6 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
     total_steps = max(1, steps_per_epoch * cfg.epochs)
     eval_every = max(1, steps_per_epoch // cfg.evals_per_epoch)
 
-    named = model.named_params()
-    tensors = [t for _, t in named]
     state = AdamState()
     stopper = EarlyStopper(cfg.eval_patience)
     best = _snapshot(model)
@@ -393,20 +396,18 @@ def finetune(train_data: Sequence[LabeledInstance], vocab: Vocabulary,
         return should_stop
 
     for epoch, batch in _epochs(train_set, cfg, shuffle_rng):
+        lr = lr_at(step, total_steps, cfg.lr)
         try:
-            ag.zero_grads(tensors)
-            loss, attn = _class_loss(model, batch, "mean", True, dropout_rng)
-            ag.backward(loss)
-            lr = lr_at(step, total_steps, cfg.lr)
-            norm = clip_global_norm(tensors, MAX_GRAD_NORM)
-            adam_step(named, state, lr)
+            loss, norm = _train_step(model, state, lr, lambda: _class_loss(
+                model, batch, "mean", True, dropout_rng))
         except NumericError as e:
             raise NumericError(
                 f"fine-tuning aborted at epoch {epoch} optimizer step "
                 f"{step}: {e}") from e
         step += 1
-        log.steps.append(StepRecord(step, float(loss.item()), lr, norm,
-                                    int(attn.sum()), attn.size))
+        lengths = [len(seq) for seq, _ in batch]
+        log.steps.append(StepRecord(step, loss, lr, norm, sum(lengths),
+                                    len(lengths) * max(lengths)))
         if step % eval_every == 0 and run_eval():
             stopped = True
             break

@@ -8,11 +8,16 @@ SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 
 @pytest.fixture(scope="module")
-def verdict():
+def ab_bench():
     spec = importlib.util.spec_from_file_location("ab_bench", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.verdict
+    return module
+
+
+@pytest.fixture(scope="module")
+def verdict(ab_bench):
+    return ab_bench.verdict
 
 
 def pairs(base, change):
@@ -52,3 +57,9 @@ def test_unresolved_when_the_base_spreads_wider_than_the_bound(verdict):
     assert verdict(pairs(wide[:4], [150.0] * 4), "higher", 0.25) == "within bound"
     # a change median beyond the bound is still reported as worse
     assert verdict(pairs(wide, [50.0] * 10), "higher", 0.25) == "worse than bound"
+
+
+def test_a_default_run_has_the_ten_pairs_a_gain_needs(ab_bench):
+    spec = {"workloads": [{"name": "w"}], "run_seconds": 30}
+    seeds = ab_bench.make_parser(spec).parse_args(["--base", "HEAD"]).seeds
+    assert len(set(seeds)) >= 10

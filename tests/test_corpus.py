@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from offlm.corpus import (
     LabeledInstance,
     ScoredInstance,
+    distinct_labels,
     load_labeled,
     load_scored,
     make_batches,
@@ -15,6 +16,13 @@ from offlm.corpus import (
     split,
 )
 from offlm.errors import ConfigError, DataError
+
+
+def test_distinct_labels_names_each_repeated_label():
+    assert distinct_labels(("not", "off")) == ["not", "off"]
+    with pytest.raises(ConfigError, match=r"duplicate label names \['a', 'b'\] in "
+                                          r"\['a', 'b', 'a', 'b', 'c'\]"):
+        distinct_labels(("a", "b", "a", "b", "c"))
 
 
 def test_load_scored_parses_fixture(fixtures_dir):

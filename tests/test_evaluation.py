@@ -41,6 +41,11 @@ def test_confusion_rejects_unknown_labels():
         confusion(["not"], ["x"], classes=("not", "off"))
 
 
+def test_confusion_rejects_duplicate_class_names():
+    with pytest.raises(ConfigError, match=r"duplicate label names \['not'\]"):
+        confusion(["not"], ["not"], classes=("not", "not"))
+
+
 def test_confusion_rejects_length_mismatch():
     with pytest.raises(DataError):
         confusion(["not"], ["not", "off"], classes=("not", "off"))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -332,6 +333,8 @@ def test_finetune_validates_labels():
     cfg = FinetuneConfig(epochs=1, batch_size=2, max_len=12)
     with pytest.raises(ConfigError):
         finetune(labeled_pair_data(), VOCAB, model, cfg, labels=("feline",))
+    with pytest.raises(ConfigError, match=r"duplicate label names \['feline'\]"):
+        finetune(labeled_pair_data(), VOCAB, model, cfg, labels=("feline", "feline"))
     with pytest.raises(DataError):
         finetune(labeled_pair_data(), VOCAB, model, cfg,
                  labels=("bird", "fish"))
@@ -378,15 +381,16 @@ def test_evaluation_and_prediction_equal_the_recorded_forward(texts):
     what the same forward gives while it records its graph."""
     model = small_model(seed=3)
     seqs = [tokenize(t, VOCAB, 12) for t in texts]
-    logits, attn = training._class_logits(model, seqs)
+    logits = training._class_logits(model, seqs)
+    _, attn = _stack_batch(seqs)
     assert logits.ctx is not None and (attn == 0).any() == (texts is MIXED)
     with ag.no_grad():
-        quiet, _ = training._class_logits(model, seqs)
+        quiet = training._class_logits(model, seqs)
     assert quiet.ctx is None and quiet.data.tobytes() == logits.data.tobytes()
     assert predict_class_ids(texts, VOCAB, model, max_len=12, batch_size=len(texts)) == [
         int(i) for i in np.argmax(logits.data, axis=-1)]
     examples = [(s, i % 2) for i, s in enumerate(seqs)]
-    loss, _ = training._class_loss(model, examples, "sum")
+    loss = training._class_loss(model, examples, "sum")
     assert loss.ctx is not None
     assert evaluation_loss(model, examples, len(examples)) == float(loss.item()) / len(examples)
 
@@ -424,6 +428,42 @@ def test_training_loops_refuse_to_run_inside_no_grad():
                      labels=("feline", "canine"))
     for name, t in model.params.items():
         assert t.data.tobytes() == before[name].tobytes(), name
+
+
+def test_training_steps_hold_one_graph_at_a_time(monkeypatch):
+    """When a step builds its loss, and while fine-tuning evaluates, every
+    earlier training loss is dead: no step's graph outlives the step."""
+    graphs = []  # weak references, one per training loss built so far
+    no_graph_calls = []
+
+    def tracked(build):
+        def wrapper(*args, **kwargs):
+            loss = build(*args, **kwargs)
+            alive = [i for i, ref in enumerate(graphs) if ref() is not None]
+            assert alive == [], f"graphs of earlier losses {alive} still alive"
+            if loss.ctx is None:  # evaluation_loss's, built inside no_grad
+                no_graph_calls.append(1)
+            else:
+                # Tensor takes no weak reference; the closure of the loss's
+                # GradContext lives exactly as long as its graph's root
+                graphs.append(weakref.ref(loss.ctx.backward_fn))
+            return loss
+        return wrapper
+
+    monkeypatch.setattr(training, "mlm_batch_loss", tracked(training.mlm_batch_loss))
+    monkeypatch.setattr(training, "_class_loss", tracked(training._class_loss))
+    log = pretrain(TEXTS, VOCAB, small_model(), PretrainConfig(
+        epochs=2, batch_size=4, max_len=12, mask_prob=0.5, seed=0))
+    assert len(graphs) == len(log.steps) == 4
+
+    graphs.clear()
+    cfg = FinetuneConfig(epochs=1, batch_size=2, lr=1e-3, max_len=12,
+                         eval_fraction=0.25, evals_per_epoch=2, seed=3)
+    log = finetune(labeled_pair_data(), VOCAB, small_model(), cfg,
+                   labels=("feline", "canine"))
+    # 5 steps with an evaluation after steps 2, 4 and 5
+    assert len(graphs) == len(log.steps) == 5
+    assert [e.step for e in log.evals] == [2, 4, 5] and no_graph_calls
 
 
 # --- logs -------------------------------------------------------------------
